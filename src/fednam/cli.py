@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, FedNamError, TrainingError
 from .federation import evaluate_model, write_round_logs
 from .interpret import (
     GLOBAL_OWNER,
+    _fmt,
     baseline_attributions,
     contribution_scores,
     export_reports,
@@ -29,15 +30,10 @@ from .interpret import (
     training_feature_ranges,
     InterpretBundle,
 )
-from .metrics import compute_metrics  # re-exported for API users
 from .nam import NamModel, load_model, save_model
 from .tune import grid_search, make_optimizer_factory, run_from_config
 
-__all__ = ["main", "compute_metrics"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+__all__ = ["main"]
 
 
 def _load_run_dataset(config: RunConfig) -> Dataset:

@@ -23,7 +23,7 @@ class EarlyStopState:
     patience: int = 20
     min_delta: float = 1e-4
     best_loss: float = math.inf
-    best_snapshot: list[np.ndarray] | None = None
+    best_snapshot: np.ndarray | None = None
     epochs_since_improvement: int = 0
     errored: bool = False
 
@@ -35,12 +35,13 @@ class EarlyStopState:
 def early_stop_update(
     state: EarlyStopState,
     val_loss: float,
-    params: list[np.ndarray] | None = None,
+    params: np.ndarray | None = None,
 ) -> str:
     """Record one epoch's validation loss; returns CONTINUE, STOP, or STOP_ERROR.
 
     An improvement (best - loss > min_delta) resets the counter and snapshots
-    `params`. A NaN loss stops immediately with error status.
+    `params`, a model's parameter vector. A NaN loss stops immediately with
+    error status.
     """
     if math.isnan(val_loss):
         state.errored = True
@@ -49,7 +50,7 @@ def early_stop_update(
         state.best_loss = val_loss
         state.epochs_since_improvement = 0
         if params is not None:
-            state.best_snapshot = [p.copy() for p in params]
+            state.best_snapshot = np.copy(params)
         return CONTINUE
     state.epochs_since_improvement += 1
     if state.epochs_since_improvement >= state.patience:

@@ -143,20 +143,30 @@ def load_csv(path: str | Path) -> RawTable:
 
 
 def _parse_feature_matrix(table: RawTable, feature_cols: list[str], path_hint: str) -> np.ndarray:
+    """Features as a (rows, K) float matrix; a missing, non-numeric or non-finite
+    cell raises DataError naming its row and column."""
     idx = [table.columns.index(c) for c in feature_cols]
-    out = np.empty((table.n_rows, len(idx)))
+    cells = (float(row[col]) for row in table.rows for col in idx)
+    try:
+        out = np.fromiter(cells, dtype=np.float64, count=table.n_rows * len(idx))
+        if np.isfinite(out).all():
+            return out.reshape(table.n_rows, len(idx))
+    except ValueError:
+        pass
+    # error path: report the first offending cell in row-major order
     for i, row in enumerate(table.rows):
         for j, col in enumerate(idx):
             cell = row[col]
+            where = f"in row {i + 2}, column {feature_cols[j]!r}"
             if cell == "":
-                raise DataError(f"{path_hint}: missing value in row {i + 2}, column {feature_cols[j]!r}")
+                raise DataError(f"{path_hint}: missing value {where}")
             try:
-                out[i, j] = float(cell)
+                value = float(cell)
             except ValueError as exc:
-                raise DataError(
-                    f"{path_hint}: non-numeric cell {cell!r} in row {i + 2}, column {feature_cols[j]!r}"
-                ) from exc
-    return out
+                raise DataError(f"{path_hint}: non-numeric cell {cell!r} {where}") from exc
+            if not np.isfinite(value):
+                raise DataError(f"{path_hint}: non-finite cell {cell!r} {where}")
+    raise AssertionError("unreachable: a cell failed to parse but none was found")
 
 
 def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, list[str]]:

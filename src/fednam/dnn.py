@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import BINARY, INFER, MULTICLASS, RELU, Mlp, as_rng, make_mlp
+from .nn.mlp import FlatParams
 from .nam import _mlp_from_dict, _mlp_to_dict, MODEL_SCHEMA_VERSION
 
 
-class DnnModel:
-    """Mlp wrapper exposing the same training surface as NamModel."""
+class DnnModel(FlatParams):
+    """Mlp wrapper exposing the same training surface as NamModel; its
+    parameter vector is the Mlp's."""
 
     kind = "dnn"
 
@@ -27,17 +29,18 @@ class DnnModel:
     def out_dim(self) -> int:
         return self.mlp.out_dim
 
+    @property
+    def params(self) -> np.ndarray:
+        return self.mlp.params
+
     def param_tensors(self) -> list[np.ndarray]:
         return self.mlp.param_tensors()
 
-    def set_param_tensors(self, tensors: list[np.ndarray]) -> None:
-        self.mlp.set_param_tensors(tensors)
+    def set_params(self, vector: np.ndarray) -> None:
+        self.mlp.set_params(vector)
 
     def copy(self) -> "DnnModel":
         return DnnModel(self.mlp.copy(), self.task)
-
-    def copy_params_from(self, other: "DnnModel") -> None:
-        self.set_param_tensors([t.copy() for t in other.param_tensors()])
 
     def forward_batch(self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0):
         return self.mlp.forward(x, mode, rng)

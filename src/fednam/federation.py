@@ -225,10 +225,8 @@ def local_train(
             loss, dlogits = batch_loss_and_grad(logits, y[rows], model.task)
             if not math.isfinite(loss):
                 raise TrainingError(f"client {client.client_id}: non-finite training loss")
-            grads = model.backward_batch(cache, dlogits)
-            model.set_param_tensors(
-                optimizer_step(client.optimizer, model.param_tensors(), grads)
-            )
+            grads = np.concatenate(model.backward_batch(cache, dlogits), axis=None)
+            model.set_params(optimizer_step(client.optimizer, model.params, grads))
             batch_losses.append(loss)
         train_losses.append(float(np.mean(batch_losses)))
 
@@ -238,7 +236,7 @@ def local_train(
         client.optimizer.learning_rate = schedule_lr(
             schedule, client.optimizer.learning_rate, val_loss
         )
-        decision = early_stop_update(stopper, val_loss, model.param_tensors())
+        decision = early_stop_update(stopper, val_loss, model.params)
         if decision == STOP_ERROR:
             raise TrainingError(f"client {client.client_id}: non-finite validation loss")
         if decision == STOP:
@@ -246,7 +244,7 @@ def local_train(
             break
 
     if stopper.best_snapshot is not None:
-        model.set_param_tensors(stopper.best_snapshot)
+        model.set_params(stopper.best_snapshot)
     return LocalTrainLog(len(train_losses), train_losses, val_losses, stopped)
 
 
@@ -261,7 +259,7 @@ def _architecture_signature(model) -> tuple:
 
 
 def fed_avg(clients: list[ClientState]):
-    """Global model whose every tensor is sum_i (n_i / n) * tensor_i."""
+    """Global model whose parameter vector is sum_i (n_i / n) * params_i, in client order."""
     if not clients:
         raise ShapeMismatchError("fed_avg needs at least one client")
     reference = clients[0].model
@@ -271,15 +269,12 @@ def fed_avg(clients: list[ClientState]):
             raise ShapeMismatchError(
                 f"client {client.client_id} architecture does not match client {clients[0].client_id}"
             )
-    shapes = [t.shape for t in reference.param_tensors()]
     total = float(sum(c.n_samples for c in clients))
-    averaged = [np.zeros(s) for s in shapes]
+    averaged = np.zeros_like(reference.params)
     for client in clients:
-        coeff = client.n_samples / total
-        for acc, tensor in zip(averaged, client.model.param_tensors()):
-            acc += coeff * tensor
+        averaged += (client.n_samples / total) * client.model.params
     global_model = reference.copy()
-    global_model.set_param_tensors(averaged)
+    global_model.set_params(averaged)
     return global_model
 
 

@@ -27,6 +27,7 @@ from .nn import (
     xavier_init,
 )
 from .nn.layers import LayerParams
+from .nn.mlp import FlatParams, pack
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -51,8 +52,13 @@ class NamCache:
     version: int
 
 
-class NamModel:
-    """K FeatureNets combined by a single linear map (no activation) into C_out logits."""
+class NamModel(FlatParams):
+    """K FeatureNets combined by a single linear map (no activation) into C_out logits.
+
+    `params` holds each FeatureNet's Mlp as one slice in feature order, then
+    the output head; `feature_nets[k].mlp.params` is feature k's slice. The
+    model takes over the given feature nets: their values move into `params`.
+    """
 
     kind = "nam"
 
@@ -76,10 +82,17 @@ class NamModel:
         if task == BINARY and output_weights.shape[0] != 1:
             raise ShapeMismatchError("binary task requires exactly one output row")
         self.feature_nets = feature_nets
-        self.output_weights = output_weights
-        self.output_bias = output_bias
         self.task = task
         self.version = 0
+        sizes = [net.mlp.params.size for net in feature_nets]
+        self.params = np.empty(sum(sizes) + output_weights.size + output_bias.size)
+        offset = 0
+        for net, size in zip(feature_nets, sizes):
+            net.mlp.bind(self.params[offset : offset + size])
+            offset += size
+        self.output_weights, self.output_bias = pack(
+            [output_weights, output_bias], self.params[offset:]
+        )
 
     @property
     def n_features(self) -> int:
@@ -90,40 +103,12 @@ class NamModel:
         return self.output_weights.shape[0]
 
     def param_tensors(self) -> list[np.ndarray]:
-        tensors: list[np.ndarray] = []
-        for net in self.feature_nets:
-            tensors.extend(net.mlp.param_tensors())
-        tensors.append(self.output_weights)
-        tensors.append(self.output_bias)
-        return tensors
-
-    def set_param_tensors(self, tensors: list[np.ndarray]) -> None:
-        expected = sum(2 * len(net.mlp.layers) for net in self.feature_nets) + 2
-        if len(tensors) != expected:
-            raise ShapeMismatchError(f"expected {expected} tensors, got {len(tensors)}")
-        i = 0
-        for net in self.feature_nets:
-            n = 2 * len(net.mlp.layers)
-            net.mlp.set_param_tensors(tensors[i : i + n])
-            i += n
-        w, b = tensors[i], tensors[i + 1]
-        if w.shape != self.output_weights.shape or b.shape != self.output_bias.shape:
-            raise ShapeMismatchError("output head shapes do not match")
-        self.output_weights = np.asarray(w, dtype=np.float64)
-        self.output_bias = np.asarray(b, dtype=np.float64)
-        self.version += 1
+        nets = [t for net in self.feature_nets for t in net.mlp.param_tensors()]
+        return nets + [self.output_weights, self.output_bias]
 
     def copy(self) -> "NamModel":
-        model = NamModel(
-            [net.copy() for net in self.feature_nets],
-            self.output_weights.copy(),
-            self.output_bias.copy(),
-            self.task,
-        )
-        return model
-
-    def copy_params_from(self, other: "NamModel") -> None:
-        self.set_param_tensors([t.copy() for t in other.param_tensors()])
+        nets = [net.copy() for net in self.feature_nets]
+        return NamModel(nets, self.output_weights, self.output_bias, self.task)
 
     def forward_batch(
         self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
@@ -316,7 +301,10 @@ def save_model(model, feature_names: list[str], path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Load a model JSON written by save_model; returns (model, feature_names)."""
+    """Load a model JSON written by save_model; returns (model, feature_names).
+
+    Missing keys, mismatched shapes and non-finite weights raise DataError.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -330,9 +318,15 @@ def load_model(path: str | Path):
         )
     kind = doc.get("kind", "nam")
     if kind == "nam":
-        return nam_from_dict(doc)
-    if kind == "dnn":
-        from .dnn import dnn_from_dict
-
-        return dnn_from_dict(doc)
-    raise DataError(f"unknown model kind {kind!r}")
+        from_dict = nam_from_dict
+    elif kind == "dnn":
+        from .dnn import dnn_from_dict as from_dict
+    else:
+        raise DataError(f"model file {path} has unknown model kind {kind!r}")
+    try:
+        model, feature_names = from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
+    if not np.isfinite(model.params).all():
+        raise DataError(f"model file {path} holds non-finite weights")
+    return model, feature_names

@@ -4,8 +4,6 @@ from .layers import (
     IDENTITY,
     LOGIT_CLAMP,
     RELU,
-    SIGMOID,
-    SOFTMAX,
     LayerParams,
     activate,
     as_rng,
@@ -14,7 +12,7 @@ from .layers import (
     xavier_init,
 )
 from .losses import BINARY, MULTICLASS, batch_loss_and_grad, loss_and_grad
-from .mlp import INFER, TRAIN, ForwardCache, Mlp, input_gradients, make_mlp
+from .mlp import INFER, TRAIN, ForwardCache, Mlp, make_mlp
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
 __all__ = [
@@ -32,13 +30,10 @@ __all__ = [
     "OptimizerState",
     "RELU",
     "SGD",
-    "SIGMOID",
-    "SOFTMAX",
     "TRAIN",
     "activate",
     "as_rng",
     "batch_loss_and_grad",
-    "input_gradients",
     "loss_and_grad",
     "make_mlp",
     "optimizer_step",

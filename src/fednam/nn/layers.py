@@ -11,10 +11,8 @@ from ..errors import ShapeMismatchError
 RELU = "relu"
 EXU = "exu"
 IDENTITY = "identity"
-SIGMOID = "sigmoid"
-SOFTMAX = "softmax"
 
-ACTIVATIONS = (RELU, EXU, IDENTITY, SIGMOID, SOFTMAX)
+ACTIVATIONS = (RELU, EXU, IDENTITY)
 
 # Logits are clamped to this range before any exponential.
 LOGIT_CLAMP = 30.0
@@ -52,9 +50,6 @@ class LayerParams:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.biases.copy())
-
 
 def xavier_init(in_dim: int, out_dim: int, rng: int | np.random.Generator) -> LayerParams:
     """Uniform Xavier/Glorot weights in [-sqrt(6/(in+out)), +sqrt(6/(in+out))], zero biases."""
@@ -91,14 +86,10 @@ def activate(kind: str, z: np.ndarray) -> np.ndarray:
         return np.clip(z, 0.0, 1.0)
     if kind == IDENTITY:
         return z
-    if kind == SIGMOID:
-        return sigmoid(z)
-    if kind == SOFTMAX:
-        return softmax(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_grad(kind: str, z: np.ndarray, activated: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+def activation_grad(kind: str, z: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of the loss w.r.t. the pre-activation z, given the upstream gradient."""
     if kind == RELU:
         return upstream * (z > 0.0)
@@ -106,11 +97,6 @@ def activation_grad(kind: str, z: np.ndarray, activated: np.ndarray, upstream: n
         return upstream * ((z > 0.0) & (z < 1.0))
     if kind == IDENTITY:
         return upstream
-    if kind == SIGMOID:
-        return upstream * activated * (1.0 - activated)
-    if kind == SOFTMAX:
-        inner = (upstream * activated).sum(axis=-1, keepdims=True)
-        return activated * (upstream - inner)
     raise ValueError(f"unknown activation {kind!r}")
 
 

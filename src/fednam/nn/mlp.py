@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import ShapeMismatchError, StaleCacheError
 from .layers import (
+    ACTIVATIONS,
     IDENTITY,
     RELU,
     LayerParams,
@@ -29,12 +30,57 @@ class ForwardCache:
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
-    activated: list[np.ndarray]
     masks: list[np.ndarray | None]
     version: int
 
 
-class Mlp:
+def pack(tensors: list[np.ndarray], out: np.ndarray) -> list[np.ndarray]:
+    """Copy `tensors` into consecutive slices of the vector `out`; return views
+    of those slices in the tensors' shapes."""
+    views, offset = [], 0
+    for t in tensors:
+        view = out[offset : offset + t.size].reshape(t.shape)
+        view[...] = t
+        views.append(view)
+        offset += t.size
+    if offset != out.size:
+        raise ShapeMismatchError(f"{offset} parameters do not fill a vector of {out.size}")
+    return views
+
+
+class FlatParams:
+    """Parameters held in one contiguous float64 vector `params`.
+
+    Every tensor of `param_tensors()` is a view into `params`, laid out in
+    that order. `set_params` is the one write path: it copies a whole vector
+    in and bumps `version`, so caches from earlier forward passes go stale.
+    """
+
+    params: np.ndarray
+    version: int
+
+    def param_tensors(self) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def set_params(self, vector: np.ndarray) -> None:
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != self.params.shape:
+            raise ShapeMismatchError(
+                f"parameter vector shape {vector.shape} does not match {self.params.shape}"
+            )
+        self.params[...] = vector
+        self.version += 1
+
+    def set_param_tensors(self, tensors: list[np.ndarray]) -> None:
+        if [np.shape(t) for t in tensors] != [t.shape for t in self.param_tensors()]:
+            raise ShapeMismatchError("tensor shapes do not match this architecture")
+        self.set_params(np.concatenate(tensors, axis=None))
+
+    def copy_params_from(self, other: "FlatParams") -> None:
+        self.set_params(other.params)
+
+
+class Mlp(FlatParams):
     """A stack of dense layers with one activation per layer.
 
     Dropout (inverted, rate in [0, 1)) applies after hidden activations only,
@@ -51,12 +97,16 @@ class Mlp:
                 raise ShapeMismatchError(
                     f"layer out_dim {a.out_dim} does not chain into next in_dim {b.in_dim}"
                 )
+        for kind in activations:
+            if kind not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
         self.layers = layers
         self.activations = list(activations)
         self.dropout_rate = float(dropout_rate)
         self.version = 0
+        self.bind(np.empty(sum(p.weights.size + p.biases.size for p in layers)))
 
     @property
     def in_dim(self) -> int:
@@ -68,24 +118,19 @@ class Mlp:
 
     def param_tensors(self) -> list[np.ndarray]:
         """Live parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.biases)
-        return out
+        return [t for p in self.layers for t in (p.weights, p.biases)]
 
-    def set_param_tensors(self, tensors: list[np.ndarray]) -> None:
-        if len(tensors) != 2 * len(self.layers):
-            raise ShapeMismatchError("tensor count does not match layer count")
-        for layer, w, b in zip(self.layers, tensors[0::2], tensors[1::2]):
-            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
-                raise ShapeMismatchError("tensor shapes do not match this architecture")
-            layer.weights = np.asarray(w, dtype=np.float64)
-            layer.biases = np.asarray(b, dtype=np.float64)
-        self.version += 1
+    def bind(self, params: np.ndarray) -> None:
+        """Move the parameters into the vector `params` and view them from there."""
+        views = pack(self.param_tensors(), params)
+        for layer, w, b in zip(self.layers, views[0::2], views[1::2]):
+            layer.weights, layer.biases = w, b
+        self.params = params
 
     def copy(self) -> "Mlp":
-        return Mlp([p.copy() for p in self.layers], list(self.activations), self.dropout_rate)
+        """An independent Mlp: the constructor copies the values into a fresh vector."""
+        layers = [LayerParams(p.weights, p.biases) for p in self.layers]
+        return Mlp(layers, list(self.activations), self.dropout_rate)
 
     def forward(
         self,
@@ -105,7 +150,7 @@ class Mlp:
             raise ShapeMismatchError(f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
         gen = as_rng(rng) if mode == TRAIN and self.dropout_rate > 0.0 else None
 
-        inputs, preacts, activated, masks = [], [], [], []
+        inputs, preacts, masks = [], [], []
         h = x
         last = len(self.layers) - 1
         for i, (params, kind) in enumerate(zip(self.layers, self.activations)):
@@ -113,7 +158,6 @@ class Mlp:
             z = layer_forward(params, kind, h)
             a = activate(kind, z)
             preacts.append(z)
-            activated.append(a)
             if gen is not None and i < last:
                 keep = 1.0 - self.dropout_rate
                 mask = (gen.random(a.shape) < keep) / keep
@@ -122,7 +166,7 @@ class Mlp:
             else:
                 masks.append(None)
                 h = a
-        cache = ForwardCache(inputs, preacts, activated, masks, self.version)
+        cache = ForwardCache(inputs, preacts, masks, self.version)
         return (h[0] if squeeze else h), cache
 
     def backward(
@@ -137,16 +181,15 @@ class Mlp:
         squeeze = g.ndim == 1
         if squeeze:
             g = g[None, :]
-        if g.shape != cache.activated[-1].shape:
-            raise ShapeMismatchError(
-                f"output_grad shape {g.shape} does not match output {cache.activated[-1].shape}"
-            )
+        expected = (cache.inputs[0].shape[0], self.out_dim)
+        if g.shape != expected:
+            raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             mask = cache.masks[i]
             if mask is not None:
                 g = g * mask
-            dz = activation_grad(self.activations[i], cache.preacts[i], cache.activated[i], g)
+            dz = activation_grad(self.activations[i], cache.preacts[i], g)
             dw, db, g = layer_backward(self.layers[i], self.activations[i], cache.inputs[i], dz)
             grads[2 * i] = dw
             grads[2 * i + 1] = db
@@ -167,10 +210,3 @@ def make_mlp(
     layers = [xavier_init(dims[i], dims[i + 1], gen) for i in range(len(dims) - 1)]
     activations = [hidden_activation] * len(hidden) + [IDENTITY]
     return Mlp(layers, activations, dropout_rate)
-
-
-def input_gradients(mlp: Mlp, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-    """dOutput.dot(output_grad)/dInput in inference mode (no dropout)."""
-    _, cache = mlp.forward(x, mode=INFER)
-    _, dx = mlp.backward(cache, output_grad)
-    return dx

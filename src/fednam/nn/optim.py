@@ -1,4 +1,4 @@
-"""SGD and Adam over flat lists of parameter tensors."""
+"""SGD and Adam over one flat parameter vector."""
 
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Optimizer kind, learning rate, step counter, and Adam moments."""
+    """Optimizer kind, learning rate, step counter, and Adam moments (one vector each)."""
 
     kind: str = ADAM
     learning_rate: float = 1e-3
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.empty(0))
+    v: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
         if self.kind not in (SGD, ADAM):
@@ -32,50 +32,33 @@ class OptimizerState:
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            kind=self.kind,
-            learning_rate=self.learning_rate,
-            step=self.step,
-            m=[t.copy() for t in self.m],
-            v=[t.copy() for t in self.v],
-        )
 
-
-def optimizer_step(
-    state: OptimizerState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> list[np.ndarray]:
-    """One update; returns new parameter tensors and advances the state in place.
+def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One update of a parameter vector; returns the new vector and advances the state in place.
 
     Rejects non-finite gradients so the training loop can surface the failure.
     """
-    if len(params) != len(grads):
-        raise ShapeMismatchError("params and grads must have the same length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} does not match param {p.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingError("non-finite gradient; update rejected")
+    if params.shape != grads.shape:
+        raise ShapeMismatchError(f"gradient shape {grads.shape} does not match params {params.shape}")
+    if not np.isfinite(grads).all():
+        raise TrainingError("non-finite gradient; update rejected")
 
     lr = state.learning_rate
     state.step += 1
     if state.kind == SGD:
-        out = [p - lr * g for p, g in zip(params, grads)]
+        out = params - lr * grads
     else:
-        if not state.m:
-            state.m = [np.zeros_like(p) for p in params]
-            state.v = [np.zeros_like(p) for p in params]
+        if state.m.size == 0:
+            state.m = np.zeros_like(params)
+            state.v = np.zeros_like(params)
         t = state.step
-        out = []
-        for p, g, m, v in zip(params, grads, state.m, state.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    for p in out:
-        if not np.isfinite(p).all():
-            raise TrainingError("non-finite parameter update; update rejected")
+        state.m *= ADAM_BETA1
+        state.m += (1.0 - ADAM_BETA1) * grads
+        state.v *= ADAM_BETA2
+        state.v += (1.0 - ADAM_BETA2) * grads * grads
+        m_hat = state.m / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v / (1.0 - ADAM_BETA2**t)
+        out = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(out).all():
+        raise TrainingError("non-finite parameter update; update rejected")
     return out

@@ -81,3 +81,32 @@ def pointwise_mean(value_arrays: list[np.ndarray]) -> np.ndarray:
             acc = acc + float(values[i])
         out[i] = acc / len(value_arrays)
     return out
+
+
+def per_tensor_optimizer_step(
+    kind: str,
+    learning_rate: float,
+    step: int,
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+) -> list[np.ndarray]:
+    """SGD or Adam as one loop over separate tensors; returns the new tensors.
+
+    `step` is 1-based. Adam's moments `m` and `v` are lists aligned with
+    `params` and are updated in place.
+    """
+    if kind == "sgd":
+        return [p - learning_rate * g for p, g in zip(params, grads)]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    out = []
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * g * g
+        m_hat = mi / (1.0 - beta1**step)
+        v_hat = vi / (1.0 - beta2**step)
+        out.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+    return out

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from fednam.cli import main
+from fednam.nam import build_nam, save_model
+from fednam.nn import MULTICLASS
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -61,6 +63,21 @@ class TestTrain:
                                   federation={"rounds": 0, "num_clients": 3, "local_epochs": 1})
         assert main(["train", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_2_with_row_and_column(self, tmp_path, iris_csv, capsys, cell):
+        lines = iris_csv.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[1] = cell
+        lines[4] = ",".join(fields)
+        bad_csv = tmp_path / "iris_bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        config = fast_iris_config(tmp_path, bad_csv, "bad")
+        assert main(["train", "--config", str(config)]) == 2
+        column = lines[0].split(",")[1]
+        err = capsys.readouterr().err
+        assert f"non-finite cell '{cell}' in row 5, column '{column}'" in err
+        assert not (tmp_path / "bad").exists()
+
     def test_cli_overrides(self, tmp_path, iris_csv):
         config = fast_iris_config(tmp_path, iris_csv, "x")
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "y"),
@@ -107,6 +124,33 @@ class TestExplain:
         assert main(["explain", "--config", str(config), "--model", str(bad),
                      "--out", str(explain_out)]) == 2
         assert "cannot parse model file" in capsys.readouterr().err
+        assert not explain_out.exists()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["truncated_nam", "truncated_dnn", "weight_row_removed", "nan_weight", "unknown_activation"],
+    )
+    def test_malformed_model_exits_2_naming_file(self, tmp_path, iris_csv, capsys, tamper):
+        config = fast_iris_config(tmp_path, iris_csv, "c")
+        model = tmp_path / "model.json"
+        nam = build_nam(4, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=0)
+        save_model(nam, ["a", "b", "c", "d"], model)
+        doc = json.loads(model.read_text())
+        if tamper == "truncated_nam":
+            doc = {"schema_version": 1, "kind": "nam"}
+        elif tamper == "truncated_dnn":
+            doc = {"schema_version": 1, "kind": "dnn"}
+        elif tamper == "weight_row_removed":
+            del doc["feature_nets"][1]["layers"][1]["weights"][0]
+        elif tamper == "nan_weight":
+            doc["feature_nets"][2]["layers"][0]["weights"][0][0] = float("nan")
+        else:
+            doc["feature_nets"][0]["activations"][0] = "sigmoid"
+        model.write_text(json.dumps(doc))
+        explain_out = tmp_path / "explain_out"
+        assert main(["explain", "--config", str(config), "--model", str(model),
+                     "--out", str(explain_out)]) == 2
+        assert f"model file {model}" in capsys.readouterr().err
         assert not explain_out.exists()
 
     def test_schema_version_mismatch_exits_1_with_versions(self, tmp_path, iris_csv, capsys):

@@ -106,6 +106,11 @@ class TestPreprocess:
         with pytest.raises(DataError, match="non-numeric"):
             load_dataset(path, HEART)
 
+    def test_missing_feature_value_names_row_and_column(self, tmp_path):
+        path = write_csv(tmp_path / "h.csv", ["a", "b", "target"], [[1, 2, 0], [3, "", 1]])
+        with pytest.raises(DataError, match="missing value in row 3, column 'b'"):
+            load_dataset(path, HEART)
+
     def test_heart_target_must_be_binary(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", ["a", "target"], [[1, 2], [2, 1]])
         with pytest.raises(DataError, match="0/1"):

@@ -9,7 +9,6 @@ from fednam.nn import (
     EXU,
     MULTICLASS,
     RELU,
-    SIGMOID,
     TRAIN,
     batch_loss_and_grad,
     make_mlp,
@@ -63,16 +62,6 @@ def test_exu_hidden_units():
     y = rng.integers(0, 2, size=6)
     analytic = backprop_grads(mlp, x, y, BINARY)
     numeric = finite_diff_grads(mlp_loss_closure(mlp, x, y, BINARY), mlp.param_tensors())
-    assert max_rel_err(analytic, numeric) < TOL
-
-
-def test_sigmoid_activation_gradients():
-    rng = np.random.default_rng(11)
-    mlp = make_mlp(3, [7], 2, SIGMOID, rng=11)
-    x = rng.normal(size=(5, 3))
-    y = rng.integers(0, 2, size=5)
-    analytic = backprop_grads(mlp, x, y, MULTICLASS)
-    numeric = finite_diff_grads(mlp_loss_closure(mlp, x, y, MULTICLASS), mlp.param_tensors())
     assert max_rel_err(analytic, numeric) < TOL
 
 
