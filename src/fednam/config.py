@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .control import ControlConfig
 from .data import DATASET_KINDS, SplitSpec
@@ -128,37 +129,53 @@ _SECTIONS = {
 }
 
 
-def _build_section(cls, doc: dict, where: str):
+def _type_matches(value, hint) -> bool:
+    """Whether a JSON value fits a field's type; an int fits a float field,
+    a bool fits only a bool field."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_type_matches(v, args[0]) for v in value)
+    if args:  # a union such as `str | None`
+        return any(_type_matches(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _build(cls, doc: dict, where: str | None = None):
+    """Instantiate a config dataclass from a JSON object, checking keys and value types.
+
+    `where` names the section; None is the top level.
+    """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(doc) - allowed
+        what = where or "config root"
+        raise ConfigError(f"{what} must be a JSON object")
+    hints = get_type_hints(cls)
+    unknown = set(doc) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        label = f"keys in {where}" if where else "config keys"
+        raise ConfigError(f"unknown {label}: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in doc.items():
+        if where is None and key in _SECTIONS:
+            value = _build(_SECTIONS[key], value, key)
+        elif not _type_matches(value, hints[key]):
+            hint = hints[key]
+            expected = str(hint) if get_origin(hint) or get_args(hint) else hint.__name__
+            name = f"{where}.{key}" if where else key
+            raise ConfigError(f"{name} must be of type {expected}, got {json.dumps(value)}")
+        kwargs[key] = value
     try:
-        return cls(**doc)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        raise ConfigError(f"invalid {where or 'config'}: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build and validate a RunConfig; unknown keys anywhere are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    allowed = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    """Build and validate a RunConfig; unknown keys and mistyped values anywhere are rejected."""
+    return _build(RunConfig, doc)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -29,10 +29,11 @@ WINE_QUALITY_THRESHOLD = 6
 
 @dataclass
 class RawTable:
-    """Parsed CSV: header names plus string cells, rectangular."""
+    """Parsed CSV: header names plus string cells, rectangular, and the file they came from."""
 
     columns: list[str]
     rows: list[list[str]]
+    path: str
 
     @property
     def n_rows(self) -> int:
@@ -139,10 +140,10 @@ def load_csv(path: str | Path) -> RawTable:
             rows.append([c.strip() for c in row])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return RawTable(columns, rows)
+    return RawTable(columns, rows, str(path))
 
 
-def _parse_feature_matrix(table: RawTable, feature_cols: list[str], path_hint: str) -> np.ndarray:
+def _parse_feature_matrix(table: RawTable, feature_cols: list[str]) -> np.ndarray:
     """Features as a (rows, K) float matrix; a missing, non-numeric or non-finite
     cell raises DataError naming its row and column."""
     idx = [table.columns.index(c) for c in feature_cols]
@@ -159,13 +160,13 @@ def _parse_feature_matrix(table: RawTable, feature_cols: list[str], path_hint: s
             cell = row[col]
             where = f"in row {i + 2}, column {feature_cols[j]!r}"
             if cell == "":
-                raise DataError(f"{path_hint}: missing value {where}")
+                raise DataError(f"{table.path}: missing value {where}")
             try:
                 value = float(cell)
             except ValueError as exc:
-                raise DataError(f"{path_hint}: non-numeric cell {cell!r} {where}") from exc
+                raise DataError(f"{table.path}: non-numeric cell {cell!r} {where}") from exc
             if not np.isfinite(value):
-                raise DataError(f"{path_hint}: non-finite cell {cell!r} {where}")
+                raise DataError(f"{table.path}: non-finite cell {cell!r} {where}")
     raise AssertionError("unreachable: a cell failed to parse but none was found")
 
 
@@ -174,7 +175,7 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
     raw = [row[col] for row in table.rows]
     for i, cell in enumerate(raw):
         if cell == "":
-            raise DataError(f"missing target value in row {i + 2}")
+            raise DataError(f"{table.path}: missing target value in row {i + 2}")
     if kind == IRIS:
         classes = sorted(set(raw))
         mapping = {name: i for i, name in enumerate(classes)}
@@ -185,14 +186,16 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
     try:
         values = np.array([float(v) for v in raw])
     except ValueError as exc:
-        raise DataError(f"target column {target_col!r} must be numeric for {kind}") from exc
+        raise DataError(
+            f"{table.path}: target column {target_col!r} must be numeric for {kind}"
+        ) from exc
     if kind == WINE:
         y = (values >= WINE_QUALITY_THRESHOLD).astype(np.int64)
         return y, BINARY, ["low", "high"]
     # heart: already coded 0/1
     y = values.astype(np.int64)
     if not np.isin(y, (0, 1)).all() or not np.all(values == y):
-        raise DataError(f"{kind} target column {target_col!r} must contain only 0/1")
+        raise DataError(f"{table.path}: {kind} target column {target_col!r} must contain only 0/1")
     return y, BINARY, ["absent", "present"]
 
 
@@ -261,7 +264,7 @@ def preprocess(
     feature_names = [c for c in table.columns if c != target]
     if not feature_names:
         raise DataError("no feature columns left after removing the target")
-    x = _parse_feature_matrix(table, feature_names, path_hint=kind)
+    x = _parse_feature_matrix(table, feature_names)
     y, task, class_names = _encode_target(table, target, kind)
     if kind == IRIS and iris_binary:
         if len(class_names) < 2:

@@ -33,6 +33,12 @@ class DnnModel(FlatParams):
     def params(self) -> np.ndarray:
         return self.mlp.params
 
+    @property
+    def layout(self) -> tuple:
+        """What two models must share for their parameter vectors to be averaged."""
+        shapes = tuple(layer.weights.shape for layer in self.mlp.layers)
+        return (self.kind, self.task, shapes, tuple(self.mlp.activations))
+
     def param_tensors(self) -> list[np.ndarray]:
         return self.mlp.param_tensors()
 

@@ -248,24 +248,13 @@ def local_train(
     return LocalTrainLog(len(train_losses), train_losses, val_losses, stopped)
 
 
-def _architecture_signature(model) -> tuple:
-    mlps = [net.mlp for net in model.feature_nets] if hasattr(model, "feature_nets") else [model.mlp]
-    return (
-        type(model).__name__,
-        model.task,
-        tuple(t.shape for t in model.param_tensors()),
-        tuple(tuple(m.activations) for m in mlps),
-    )
-
-
 def fed_avg(clients: list[ClientState]):
     """Global model whose parameter vector is sum_i (n_i / n) * params_i, in client order."""
     if not clients:
         raise ShapeMismatchError("fed_avg needs at least one client")
     reference = clients[0].model
-    signature = _architecture_signature(reference)
     for client in clients[1:]:
-        if _architecture_signature(client.model) != signature:
+        if client.model.layout != reference.layout:
             raise ShapeMismatchError(
                 f"client {client.client_id} architecture does not match client {clients[0].client_id}"
             )

@@ -15,18 +15,21 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from .nn import (
     BINARY,
+    EXU,
     INFER,
+    LOGIT_CLAMP,
     MULTICLASS,
     RELU,
-    ForwardCache,
+    TRAIN,
     Mlp,
+    activate,
     as_rng,
     make_mlp,
     sigmoid,
     softmax,
     xavier_init,
 )
-from .nn.layers import LayerParams
+from .nn.layers import LayerParams, activation_grad
 from .nn.mlp import FlatParams, pack
 
 MODEL_SCHEMA_VERSION = 1
@@ -47,8 +50,16 @@ class FeatureNet:
 
 @dataclass
 class NamCache:
+    """What backward needs from one forward pass over all K feature nets.
+
+    Each layer's input is recomputed from the previous layer's cached
+    pre-activation and dropout mask, so no layer input is stored.
+    """
+
+    x: np.ndarray  # (batch, K) input
+    preacts: list[np.ndarray]  # per layer, (K, batch, out)
+    masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     feature_outputs: np.ndarray  # (batch, K)
-    net_caches: list[ForwardCache]
     version: int
 
 
@@ -58,6 +69,10 @@ class NamModel(FlatParams):
     `params` holds each FeatureNet's Mlp as one slice in feature order, then
     the output head; `feature_nets[k].mlp.params` is feature k's slice. The
     model takes over the given feature nets: their values move into `params`.
+    All feature nets share one architecture, so layer i of every net is also
+    seen as one stacked bank: `bank_weights[i]` (K, out, in) and
+    `bank_biases[i]` (K, out), views into `params` that forward and backward
+    run as one batched matmul per layer.
     """
 
     kind = "nam"
@@ -71,6 +86,8 @@ class NamModel(FlatParams):
     ):
         if task not in (BINARY, MULTICLASS):
             raise ValueError(f"unknown task {task!r}")
+        if not feature_nets:
+            raise ShapeMismatchError("a NamModel needs at least one feature net")
         output_weights = np.asarray(output_weights, dtype=np.float64)
         output_bias = np.asarray(output_bias, dtype=np.float64)
         if output_weights.ndim != 2 or output_weights.shape[1] != len(feature_nets):
@@ -81,18 +98,27 @@ class NamModel(FlatParams):
             raise ShapeMismatchError("output_bias does not match output_weights rows")
         if task == BINARY and output_weights.shape[0] != 1:
             raise ShapeMismatchError("binary task requires exactly one output row")
+        first = feature_nets[0].mlp
+        for k, net in enumerate(feature_nets[1:], start=1):
+            if _net_architecture(net.mlp) != _net_architecture(first):
+                raise ShapeMismatchError(
+                    f"feature net {k} has a different architecture than feature net 0"
+                )
         self.feature_nets = feature_nets
         self.task = task
+        self.activations = tuple(first.activations)
+        self.dropout_rate = first.dropout_rate
         self.version = 0
-        sizes = [net.mlp.params.size for net in feature_nets]
-        self.params = np.empty(sum(sizes) + output_weights.size + output_bias.size)
-        offset = 0
-        for net, size in zip(feature_nets, sizes):
-            net.mlp.bind(self.params[offset : offset + size])
-            offset += size
+        self._net_tensors = [(t.size, t.shape) for t in first.param_tensors()]
+        net_size = first.params.size
+        self._bank_size = len(feature_nets) * net_size
+        self.params = np.empty(self._bank_size + output_weights.size + output_bias.size)
+        for k, net in enumerate(feature_nets):
+            net.mlp.bind(self.params[k * net_size : (k + 1) * net_size])
         self.output_weights, self.output_bias = pack(
-            [output_weights, output_bias], self.params[offset:]
+            [output_weights, output_bias], self.params[self._bank_size :]
         )
+        self.bank_weights, self.bank_biases = self.bank_views(self.params)
 
     @property
     def n_features(self) -> int:
@@ -102,9 +128,34 @@ class NamModel(FlatParams):
     def out_dim(self) -> int:
         return self.output_weights.shape[0]
 
+    @property
+    def layout(self) -> tuple:
+        """What two models must share for their parameter vectors to be averaged."""
+        shapes = tuple(w.shape for w in self.bank_weights)
+        return (self.kind, self.task, shapes, self.output_weights.shape, self.activations)
+
+    def bank_views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Stacked (K, out, in) weight and (K, out) bias views, one per layer,
+        into a vector laid out like `params`; they copy nothing."""
+        k = self.n_features
+        nets = vector[: self._bank_size].reshape(k, self._bank_size // k)
+        views, offset = [], 0
+        for size, shape in self._net_tensors:
+            views.append(nets[:, offset : offset + size].reshape(k, *shape))
+            offset += size
+        return views[0::2], views[1::2]
+
+    def tensor_views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like `params`, in `param_tensors()` order."""
+        weights, biases = self.bank_views(vector)
+        per_layer = [list(t) for pair in zip(weights, biases) for t in pair]
+        nets = [t for tensors in zip(*per_layer) for t in tensors]
+        head = vector[self._bank_size :]
+        head_weights = head[: -self.out_dim].reshape(self.output_weights.shape)
+        return nets + [head_weights, head[-self.out_dim :]]
+
     def param_tensors(self) -> list[np.ndarray]:
-        nets = [t for net in self.feature_nets for t in net.mlp.param_tensors()]
-        return nets + [self.output_weights, self.output_bias]
+        return self.tensor_views(self.params)
 
     def copy(self) -> "NamModel":
         nets = [net.copy() for net in self.feature_nets]
@@ -119,6 +170,10 @@ class NamModel(FlatParams):
     def backward_batch(self, cache: NamCache, dlogits: np.ndarray) -> list[np.ndarray]:
         grads, _ = nam_backward(self, cache, dlogits)
         return grads
+
+
+def _net_architecture(mlp: Mlp) -> tuple:
+    return ([t.shape for t in mlp.param_tensors()], list(mlp.activations), mlp.dropout_rate)
 
 
 def build_nam(
@@ -145,6 +200,46 @@ def build_nam(
     return NamModel(nets, head.weights, np.zeros(out_dim), task)
 
 
+def _dropout_masks(model: NamModel, batch: int, mode: str, rng) -> list[np.ndarray | None]:
+    """Inverted-dropout masks, (K, batch, out) for each hidden layer; None for
+    the output layer, and for every layer outside training or without dropout.
+
+    One draw, feature-major then layer then row: the order in which K separate
+    nets, run one after another, would consume the same stream.
+    """
+    masks: list[np.ndarray | None] = [None] * len(model.bank_weights)
+    if mode != TRAIN or model.dropout_rate == 0.0:
+        return masks
+    widths = [w.shape[1] for w in model.bank_weights[:-1]]
+    draws = as_rng(rng).random((model.n_features, batch * sum(widths)))
+    keep = 1.0 - model.dropout_rate
+    offset = 0
+    for i, width in enumerate(widths):
+        block = draws[:, offset : offset + batch * width]
+        masks[i] = (block.reshape(model.n_features, batch, width) < keep) / keep
+        offset += batch * width
+    return masks
+
+
+def _layer_output(kind: str, z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """A layer's activation with its dropout mask applied: the next layer's input."""
+    h = activate(kind, z)
+    if mask is not None:
+        h = h * mask
+    return h
+
+
+def _column_sums(dz: np.ndarray) -> np.ndarray:
+    """Per-feature sums over the batch of a (K, batch, out) array.
+
+    A single unit sums pairwise, as numpy sums one column of a feature net;
+    wider layers add row by row.
+    """
+    if dz.shape[2] == 1:
+        return np.ascontiguousarray(dz[:, :, 0]).sum(axis=1)[:, None]
+    return dz.sum(axis=1)
+
+
 def nam_forward(
     model: NamModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
 ) -> tuple[np.ndarray, np.ndarray, NamCache]:
@@ -161,16 +256,24 @@ def nam_forward(
         raise ShapeMismatchError(
             f"input shape {x.shape} incompatible with {model.n_features} features"
         )
-    gen = as_rng(rng)
-    outputs = np.empty((x.shape[0], model.n_features))
-    caches: list[ForwardCache] = []
-    for k, net in enumerate(model.feature_nets):
-        out, cache = net.mlp.forward(x[:, k : k + 1], mode, gen)
-        outputs[:, k] = out[:, 0]
-        caches.append(cache)
+    masks = _dropout_masks(model, x.shape[0], mode, rng)
+    # feature k's column as a strided (batch, 1) view, as a lone feature net sees it
+    h = x.T[:, :, None]
+    preacts = []
+    for i, (w, b, kind) in enumerate(zip(model.bank_weights, model.bank_biases, model.activations)):
+        if kind == EXU:
+            ew = np.exp(np.clip(w, -LOGIT_CLAMP, LOGIT_CLAMP))
+            z = np.matmul(h, ew.transpose(0, 2, 1))
+            z -= (b * ew.sum(axis=2))[:, None, :]
+        else:
+            z = np.matmul(h, w.transpose(0, 2, 1))
+            z += b[:, None, :]
+        preacts.append(z)
+        h = _layer_output(kind, z, masks[i])
+    outputs = np.ascontiguousarray(h[:, :, 0].T)
     terms = outputs[:, None, :] * model.output_weights[None, :, :]
     logits = terms.sum(axis=2) + model.output_bias
-    cache = NamCache(outputs, caches, model.version)
+    cache = NamCache(x, preacts, masks, outputs, model.version)
     if squeeze:
         return logits[0], terms[0], cache
     return logits, terms, cache
@@ -181,7 +284,9 @@ def nam_backward(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients for every FeatureNet and the output head, plus dLoss/dInput.
 
-    The gradient for FeatureNet k flows only through its own additive term.
+    The gradients fill one vector laid out like `params`; the returned list
+    holds views of it aligned with `param_tensors()`. The gradient for
+    FeatureNet k flows only through its own additive term.
     """
     if cache.version != model.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
@@ -190,16 +295,35 @@ def nam_backward(
         g = g[None, :]
     if g.shape != (cache.feature_outputs.shape[0], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
-    d_outputs = g @ model.output_weights  # (batch, K)
-    grads: list[np.ndarray] = []
-    d_input = np.empty_like(cache.feature_outputs)
-    for k, net in enumerate(model.feature_nets):
-        net_grads, dx = net.mlp.backward(cache.net_caches[k], d_outputs[:, k : k + 1])
-        grads.extend(net_grads)
-        d_input[:, k] = dx[:, 0]
-    grads.append(g.T @ cache.feature_outputs)  # output_weights grad
-    grads.append(g.sum(axis=0))  # output_bias grad
-    return grads, d_input
+    grad = np.empty_like(model.params)
+    dws, dbs = model.bank_views(grad)
+    # feature k's upstream gradient as a strided (batch, 1) view
+    dh = (g @ model.output_weights).T[:, :, None]
+    for i in range(len(model.bank_weights) - 1, -1, -1):
+        kind = model.activations[i]
+        if cache.masks[i] is not None:
+            dh = dh * cache.masks[i]
+        dz = activation_grad(kind, cache.preacts[i], dh)
+        if i == 0:
+            h = cache.x.T[:, :, None]
+        else:
+            h = _layer_output(model.activations[i - 1], cache.preacts[i - 1], cache.masks[i - 1])
+        col = _column_sums(dz)
+        if kind == EXU:
+            w, b = model.bank_weights[i], model.bank_biases[i]
+            ew = np.exp(np.clip(w, -LOGIT_CLAMP, LOGIT_CLAMP))
+            shifted = np.matmul(dz.transpose(0, 2, 1), h) - b[:, :, None] * col[:, :, None]
+            np.multiply(ew, shifted, out=dws[i])
+            np.multiply(-ew.sum(axis=2), col, out=dbs[i])
+            dh = np.matmul(dz, ew)
+        else:
+            np.matmul(dz.transpose(0, 2, 1), h, out=dws[i])
+            dbs[i][...] = col
+            dh = np.matmul(dz, model.bank_weights[i])
+    grads = model.tensor_views(grad)
+    np.matmul(g.T, cache.feature_outputs, out=grads[-2])
+    grads[-1][...] = g.sum(axis=0)
+    return grads, np.ascontiguousarray(dh[:, :, 0].T)
 
 
 def predict_proba(model, x: np.ndarray) -> np.ndarray:

@@ -110,3 +110,36 @@ def per_tensor_optimizer_step(
         v_hat = vi / (1.0 - beta2**step)
         out.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
     return out
+
+
+def per_feature_nam_forward(model, x: np.ndarray, mode: str = "infer", rng=0):
+    """A NAM's forward pass as K separate nets, one `Mlp.forward` per feature.
+
+    Returns (logits, terms, feature_outputs, per-feature caches) for a
+    (batch, K) input; `rng` is one generator shared by the features in order.
+    """
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    outputs = np.empty((x.shape[0], model.n_features))
+    caches = []
+    for k, net in enumerate(model.feature_nets):
+        out, cache = net.mlp.forward(x[:, k : k + 1], mode, gen)
+        outputs[:, k] = out[:, 0]
+        caches.append(cache)
+    terms = outputs[:, None, :] * model.output_weights[None, :, :]
+    logits = terms.sum(axis=2) + model.output_bias
+    return logits, terms, outputs, caches
+
+
+def per_feature_nam_backward(model, outputs: np.ndarray, caches: list, dlogits: np.ndarray):
+    """The matching backward pass, one `Mlp.backward` per feature: gradients in
+    `param_tensors()` order and dLoss/dInput."""
+    d_outputs = dlogits @ model.output_weights
+    grads = []
+    d_input = np.empty_like(outputs)
+    for k, net in enumerate(model.feature_nets):
+        net_grads, dx = net.mlp.backward(caches[k], d_outputs[:, k : k + 1])
+        grads.extend(net_grads)
+        d_input[:, k] = dx[:, 0]
+    grads.append(dlogits.T @ outputs)
+    grads.append(dlogits.sum(axis=0))
+    return grads, d_input

@@ -58,6 +58,18 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [({"batch_size": "32"}, "batch_size"),
+         ({"federation": {"rounds": True}}, "federation.rounds")],
+    )
+    def test_mistyped_config_value_exits_1_naming_key(self, tmp_path, iris_csv, capsys,
+                                                      overrides, key):
+        config = fast_iris_config(tmp_path, iris_csv, "typed", **overrides)
+        assert main(["train", "--config", str(config)]) == 1
+        assert f"config error: {key} must be of type int" in capsys.readouterr().err
+        assert not (tmp_path / "typed").exists()
+
     def test_invalid_federation_value_exits_1(self, tmp_path, iris_csv):
         config = fast_iris_config(tmp_path, iris_csv, "bad",
                                   federation={"rounds": 0, "num_clients": 3, "local_epochs": 1})
@@ -76,6 +88,7 @@ class TestTrain:
         column = lines[0].split(",")[1]
         err = capsys.readouterr().err
         assert f"non-finite cell '{cell}' in row 5, column '{column}'" in err
+        assert f"{bad_csv}: non-finite cell" in err
         assert not (tmp_path / "bad").exists()
 
     def test_cli_overrides(self, tmp_path, iris_csv):
@@ -128,7 +141,8 @@ class TestExplain:
 
     @pytest.mark.parametrize(
         "tamper",
-        ["truncated_nam", "truncated_dnn", "weight_row_removed", "nan_weight", "unknown_activation"],
+        ["truncated_nam", "truncated_dnn", "weight_row_removed", "nan_weight", "unknown_activation",
+         "mixed_feature_nets"],
     )
     def test_malformed_model_exits_2_naming_file(self, tmp_path, iris_csv, capsys, tamper):
         config = fast_iris_config(tmp_path, iris_csv, "c")
@@ -144,6 +158,9 @@ class TestExplain:
             del doc["feature_nets"][1]["layers"][1]["weights"][0]
         elif tamper == "nan_weight":
             doc["feature_nets"][2]["layers"][0]["weights"][0][0] = float("nan")
+        elif tamper == "mixed_feature_nets":  # feature net 1 loses a hidden layer
+            del doc["feature_nets"][1]["layers"][1]
+            del doc["feature_nets"][1]["activations"][1]
         else:
             doc["feature_nets"][0]["activations"][0] = "sigmoid"
         model.write_text(json.dumps(doc))

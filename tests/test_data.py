@@ -111,6 +111,12 @@ class TestPreprocess:
         with pytest.raises(DataError, match="missing value in row 3, column 'b'"):
             load_dataset(path, HEART)
 
+    def test_missing_target_value_names_file_and_row(self, tmp_path):
+        path = write_csv(tmp_path / "h.csv", ["a", "target"], [[1, 0], [2, ""], [3, 1]])
+        with pytest.raises(DataError) as info:
+            load_dataset(path, HEART)
+        assert str(info.value) == f"{path}: missing target value in row 3"
+
     def test_heart_target_must_be_binary(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", ["a", "target"], [[1, 2], [2, 1]])
         with pytest.raises(DataError, match="0/1"):

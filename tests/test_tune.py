@@ -137,6 +137,28 @@ def test_config_round_trip_and_unknown_keys():
         config_from_dict({"federation": {"round": 7}})
 
 
+@pytest.mark.parametrize(
+    "doc,key",
+    [({"model": {"dropout": True}}, "model.dropout"),
+     ({"jobs": 2.0}, "jobs"),
+     ({"svg": 1}, "svg"),
+     ({"dataset": {"target_col": 3}}, "dataset.target_col"),
+     ({"grid": {"batch_size": [16, "32"]}}, "grid.batch_size"),
+     ({"control": {"early_stop_patience": False}}, "control.early_stop_patience")],
+)
+def test_config_value_types_checked(doc, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be of type"):
+        config_from_dict(doc)
+
+
+def test_config_accepts_int_for_float_and_null_for_optional():
+    config = config_from_dict({"optimizer": {"learning_rate": 1}, "grid": {"dropout": [0, 0.5]},
+                               "dataset": {"target_col": None}})
+    assert config.optimizer.learning_rate == 1
+    assert config.grid.dropout == [0, 0.5]
+    assert config.dataset.target_col is None
+
+
 def test_config_file_round_trip(tmp_path):
     from fednam.config import load_config, save_config
 
