@@ -30,11 +30,10 @@ from .interpret import (
     contribution_scores,
     export_reports,
     global_interpret,
-    sample_shape_curve,
+    model_curves,
 )
 from .metrics import accuracy, compute_metrics, macro_ovr_auc, roc_auc
 from .nam import (
-    FeatureNet,
     NamModel,
     build_nam,
     decompose_prediction,

@@ -31,7 +31,7 @@ from .interpret import (
     InterpretBundle,
 )
 from .nam import NamModel, load_model, save_model
-from .tune import grid_search, make_optimizer_factory, run_from_config
+from .tune import config_at, grid_search, make_optimizer_factory, run_from_config
 
 __all__ = ["main"]
 
@@ -159,13 +159,8 @@ def cmd_tune(config: RunConfig) -> int:
             for t in failed:
                 writer.writerow([t.trial_id, t.error])
 
-    best_config = replace(
-        config,
-        model=replace(config.model, dropout=winner.dropout, hidden_layers=winner.hidden_layers),
-        optimizer=replace(config.optimizer, learning_rate=winner.learning_rate),
-        batch_size=winner.batch_size,
-    )
-    save_config(best_config, out / "best.json")
+    point = (winner.dropout, winner.learning_rate, winner.hidden_layers, winner.batch_size)
+    save_config(config_at(config, point), out / "best.json")
     _write_run_info(out, "tune")
     print(
         f"best trial {winner.trial_id}: dropout={winner.dropout} lr={winner.learning_rate} "

@@ -4,64 +4,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import BINARY, INFER, MULTICLASS, RELU, Mlp, as_rng, make_mlp
-from .nn.mlp import FlatParams
-from .nam import _mlp_from_dict, _mlp_to_dict, MODEL_SCHEMA_VERSION
+from .errors import ShapeMismatchError
+from .nam import MODEL_SCHEMA_VERSION, bank_from_dicts, bank_to_dicts
+from .nn import BINARY, IDENTITY, INFER, RELU, BankCache, NetBank, bank_backward, bank_forward, xavier_bank
 
 
-class DnnModel(FlatParams):
-    """Mlp wrapper exposing the same training surface as NamModel; its
-    parameter vector is the Mlp's."""
+class DnnModel(NetBank):
+    """One dense net from all features to the logits: a bank of one net,
+    with the same training surface as NamModel."""
 
     kind = "dnn"
 
-    def __init__(self, mlp: Mlp, task: str):
-        if task not in (BINARY, MULTICLASS):
-            raise ValueError(f"unknown task {task!r}")
-        self.mlp = mlp
-        self.task = task
+    def __init__(self, weights, biases, activations, dropout_rate, task):
+        super().__init__(weights, biases, activations, dropout_rate, task)
+        if self.weights[0].shape[0] != 1:
+            raise ShapeMismatchError("a DnnModel is a bank of exactly one net")
 
     @property
     def n_features(self) -> int:
-        return self.mlp.in_dim
+        return self.weights[0].shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.mlp.out_dim
+        return self.weights[-1].shape[1]
 
-    @property
-    def params(self) -> np.ndarray:
-        return self.mlp.params
+    def forward_batch(
+        self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
+    ) -> tuple[np.ndarray, BankCache]:
+        return dnn_forward(self, x, mode, rng)
 
-    @property
-    def layout(self) -> tuple:
-        """What two models must share for their parameter vectors to be averaged."""
-        shapes = tuple(layer.weights.shape for layer in self.mlp.layers)
-        return (self.kind, self.task, shapes, tuple(self.mlp.activations))
-
-    def param_tensors(self) -> list[np.ndarray]:
-        return self.mlp.param_tensors()
-
-    def set_params(self, vector: np.ndarray) -> None:
-        self.mlp.set_params(vector)
-
-    def copy(self) -> "DnnModel":
-        return DnnModel(self.mlp.copy(), self.task)
-
-    def forward_batch(self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0):
-        return self.mlp.forward(x, mode, rng)
-
-    def backward_batch(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
-        grads, _ = self.mlp.backward(cache, dlogits)
+    def backward_batch(self, cache: BankCache, dlogits: np.ndarray) -> list[np.ndarray]:
+        grads, _ = dnn_backward(self, cache, dlogits)
         return grads
 
     def input_gradients(self, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-        _, cache = self.mlp.forward(x, INFER)
-        _, dx = self.mlp.backward(cache, output_grad)
+        _, cache = dnn_forward(self, x, INFER)
+        _, dx = dnn_backward(self, cache, output_grad)
         return dx
 
     def to_dict(self, feature_names: list[str]) -> dict:
-        doc = _mlp_to_dict(self.mlp)
+        doc = bank_to_dicts(self)[0]
         doc.update(
             schema_version=MODEL_SCHEMA_VERSION,
             kind=self.kind,
@@ -71,22 +53,43 @@ class DnnModel(FlatParams):
         return doc
 
 
+def dnn_forward(
+    model: DnnModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
+) -> tuple[np.ndarray, BankCache]:
+    """Logits for a (batch, n_features) input, and the cache for backward."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ShapeMismatchError(f"input shape {x.shape} incompatible with in_dim {model.n_features}")
+    h, cache = bank_forward(model, x[None], mode, rng)
+    return h[0], cache
+
+
+def dnn_backward(
+    model: DnnModel, cache: BankCache, dlogits: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradients as views of one vector aligned with `param_tensors()`, and dLoss/dInput."""
+    g = np.asarray(dlogits, dtype=np.float64)
+    expected = (cache.x.shape[1], model.out_dim)
+    if g.shape != expected:
+        raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
+    grads = model.split(np.empty_like(model.params))
+    dx = bank_backward(model, cache, g[None], grads)
+    return grads, dx[0]
+
+
 def build_dnn(
     n_features: int,
     task: str,
     n_classes: int = 2,
     hidden_layers: int = 2,
     hidden_units: int = 64,
-    hidden_activation: str = RELU,
-    dropout_rate: float = 0.0,
     rng: int | np.random.Generator = 0,
 ) -> DnnModel:
+    """Xavier-initialized ReLU net without dropout."""
     out_dim = 1 if task == BINARY else n_classes
-    mlp = make_mlp(
-        n_features, [hidden_units] * hidden_layers, out_dim, hidden_activation, dropout_rate, as_rng(rng)
-    )
-    return DnnModel(mlp, task)
+    weights, biases = xavier_bank(1, [n_features, *[hidden_units] * hidden_layers, out_dim], rng)
+    return DnnModel(weights, biases, [RELU] * hidden_layers + [IDENTITY], 0.0, task)
 
 
 def dnn_from_dict(doc: dict) -> tuple[DnnModel, list[str]]:
-    return DnnModel(_mlp_from_dict(doc), doc["task"]), list(doc["feature_names"])
+    return DnnModel(*bank_from_dicts([doc]), doc["task"]), list(doc["feature_names"])

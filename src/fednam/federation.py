@@ -19,8 +19,14 @@ from .control import STOP, STOP_ERROR, ControlConfig, early_stop_update, schedul
 from .data import Dataset
 from .errors import ConfigError, DataError, ShapeMismatchError, TrainingError
 from .metrics import accuracy, compute_metrics
-from .nam import predict_proba
-from .nn import INFER, TRAIN, OptimizerState, batch_loss_and_grad, optimizer_step
+from .nn import (
+    INFER,
+    TRAIN,
+    OptimizerState,
+    batch_loss_and_grad,
+    class_probabilities,
+    optimizer_step,
+)
 from .nn.layers import as_rng
 
 WEIGHT_AVERAGE = "weight_average"
@@ -167,8 +173,7 @@ def evaluate_model(model, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) 
     """Inference-mode loss, accuracy, and AUC of any predictor on (x, y)."""
     logits, _ = model.forward_batch(x, INFER)
     loss, _ = batch_loss_and_grad(logits, y, model.task)
-    probs = predict_proba(model, x)
-    out = compute_metrics(probs, y, model.task, threshold)
+    out = compute_metrics(class_probabilities(logits, model.task), y, model.task, threshold)
     out["loss"] = loss
     return out
 
@@ -177,7 +182,7 @@ def _loss_and_accuracy(model, x: np.ndarray, y: np.ndarray, threshold: float) ->
     """Round-log client stats; tiny shards make AUC meaningless so it is skipped."""
     logits, _ = model.forward_batch(x, INFER)
     loss, _ = batch_loss_and_grad(logits, y, model.task)
-    return loss, accuracy(predict_proba(model, x), y, model.task, threshold)
+    return loss, accuracy(class_probabilities(logits, model.task), y, model.task, threshold)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .dnn import build_dnn
 from .errors import DataError, ShapeMismatchError
 from .federation import ClientState, EnsembleModel
-from .nam import NamModel, effective_shape, nam_forward
+from .nam import NamModel, nam_forward
 from .nn import INFER
 
 GRID_POINTS = 101
@@ -78,40 +78,37 @@ def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
     return [(float(col.min()), float(col.max())) for col in x_train.T]
 
 
-def sample_shape_curve(
-    model: NamModel,
-    feature_index: int,
-    class_index: int,
-    value_range: tuple[float, float],
-    owner: str,
-    n_points: int = GRID_POINTS,
-) -> ShapeCurve:
-    """Evaluate one effective shape on an evenly spaced grid and center it."""
-    lo, hi = value_range
-    if lo > hi:
-        raise DataError(f"invalid range ({lo}, {hi}) for feature {feature_index}")
-    if lo == hi:
-        warnings.warn(f"feature {feature_index} has a degenerate range; single-point curve")
-        grid = np.array([lo])
-    else:
-        grid = np.linspace(lo, hi, n_points)
-    raw = effective_shape(model, feature_index, class_index, grid)
-    center = float(raw.mean())
-    return ShapeCurve(feature_index, class_index, grid, raw - center, owner, center)
-
-
 def model_curves(
     model: NamModel,
     ranges: list[tuple[float, float]],
     owner: str,
     n_points: int = GRID_POINTS,
 ) -> list[ShapeCurve]:
-    """Curves for every (feature, class) pair of one model, fixed ordering."""
-    return [
-        sample_shape_curve(model, k, c, ranges[k], owner, n_points)
-        for k in range(model.n_features)
-        for c in range(model.out_dim)
-    ]
+    """Curves for every (feature, class) pair of one model, fixed ordering.
+
+    One forward pass evaluates every feature on an evenly spaced grid over its
+    range. A feature with a degenerate range gets a single-point curve from a
+    one-row pass, since a row's outputs depend on the size of its batch.
+    """
+    for k, (lo, hi) in enumerate(ranges):
+        if lo > hi:
+            raise DataError(f"invalid range ({lo}, {hi}) for feature {k}")
+        if lo == hi:
+            warnings.warn(f"feature {k} has a degenerate range; single-point curve")
+    grid = np.column_stack([np.linspace(lo, hi, n_points) for lo, hi in ranges])
+    _, terms, _ = nam_forward(model, grid, INFER)
+    if any(lo == hi for lo, hi in ranges):
+        _, low_terms, _ = nam_forward(model, np.array([[lo for lo, _ in ranges]]), INFER)
+    curves = []
+    for k, (lo, hi) in enumerate(ranges):
+        if lo == hi:
+            xs, raw = np.array([lo]), low_terms[:, :, k]
+        else:
+            xs, raw = grid[:, k].copy(), terms[:, :, k]
+        for c in range(model.out_dim):
+            center = float(raw[:, c].mean())
+            curves.append(ShapeCurve(k, c, xs, raw[:, c] - center, owner, center))
+    return curves
 
 
 def average_shape_functions(per_client_curves: list[list[ShapeCurve]]) -> list[ShapeCurve]:

@@ -1,43 +1,44 @@
+from .bank import INFER, TRAIN, BankCache, NetBank, bank_backward, bank_forward, xavier_bank
 from .layers import (
     ACTIVATIONS,
     EXU,
     IDENTITY,
     LOGIT_CLAMP,
     RELU,
-    LayerParams,
     activate,
     as_rng,
     sigmoid,
     softmax,
     xavier_init,
 )
-from .losses import BINARY, MULTICLASS, batch_loss_and_grad, loss_and_grad
-from .mlp import INFER, TRAIN, ForwardCache, Mlp, make_mlp
+from .losses import BINARY, MULTICLASS, batch_loss_and_grad, class_probabilities, loss_and_grad
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
 __all__ = [
     "ACTIVATIONS",
     "ADAM",
     "BINARY",
+    "BankCache",
     "EXU",
-    "ForwardCache",
     "IDENTITY",
     "INFER",
     "LOGIT_CLAMP",
-    "LayerParams",
     "MULTICLASS",
-    "Mlp",
+    "NetBank",
     "OptimizerState",
     "RELU",
     "SGD",
     "TRAIN",
     "activate",
     "as_rng",
+    "bank_backward",
+    "bank_forward",
     "batch_loss_and_grad",
+    "class_probabilities",
     "loss_and_grad",
-    "make_mlp",
     "optimizer_step",
     "sigmoid",
     "softmax",
+    "xavier_bank",
     "xavier_init",
 ]

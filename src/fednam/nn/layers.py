@@ -1,8 +1,6 @@
-"""Dense layer parameters, activations, and Xavier initialization."""
+"""Activations and Xavier initialization of dense layers."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,40 +23,13 @@ def as_rng(rng: int | np.random.Generator, *tags: int) -> np.random.Generator:
     return np.random.default_rng([int(rng), *tags])
 
 
-@dataclass
-class LayerParams:
-    """Weights (out_dim x in_dim) and biases (out_dim) of one dense layer."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeMismatchError(f"weights must be 2-D, got shape {self.weights.shape}")
-        if self.biases.shape != (self.weights.shape[0],):
-            raise ShapeMismatchError(
-                f"biases shape {self.biases.shape} does not match out_dim {self.weights.shape[0]}"
-            )
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-
-def xavier_init(in_dim: int, out_dim: int, rng: int | np.random.Generator) -> LayerParams:
-    """Uniform Xavier/Glorot weights in [-sqrt(6/(in+out)), +sqrt(6/(in+out))], zero biases."""
+def xavier_init(in_dim: int, out_dim: int, rng: int | np.random.Generator) -> np.ndarray:
+    """Uniform Xavier/Glorot (out_dim, in_dim) weights in [-sqrt(6/(in+out)), +sqrt(6/(in+out))]."""
     if in_dim < 1 or out_dim < 1:
         raise ShapeMismatchError(f"layer dims must be >= 1, got ({in_dim}, {out_dim})")
     gen = as_rng(rng)
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    weights = gen.uniform(-bound, bound, size=(out_dim, in_dim))
-    return LayerParams(weights=weights, biases=np.zeros(out_dim))
+    return gen.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -98,37 +69,3 @@ def activation_grad(kind: str, z: np.ndarray, upstream: np.ndarray) -> np.ndarra
     if kind == IDENTITY:
         return upstream
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def layer_forward(params: LayerParams, kind: str, x: np.ndarray) -> np.ndarray:
-    """Pre-activation of one layer for a (batch, in_dim) input.
-
-    Standard layers compute x @ W.T + b. ExU layers compute
-    sum_i exp(W_ji) * (x_i - b_j): the per-unit bias shifts the input and the
-    weights enter through their exponential.
-    """
-    if x.shape[-1] != params.in_dim:
-        raise ShapeMismatchError(
-            f"input has {x.shape[-1]} features, layer expects {params.in_dim}"
-        )
-    if kind == EXU:
-        ew = np.exp(np.clip(params.weights, -LOGIT_CLAMP, LOGIT_CLAMP))
-        return x @ ew.T - params.biases * ew.sum(axis=1)
-    return x @ params.weights.T + params.biases
-
-
-def layer_backward(
-    params: LayerParams, kind: str, x: np.ndarray, dz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (dW, db, dx) for one layer given dLoss/dPreactivation."""
-    if kind == EXU:
-        ew = np.exp(np.clip(params.weights, -LOGIT_CLAMP, LOGIT_CLAMP))
-        col = dz.sum(axis=0)
-        dw = ew * (dz.T @ x - params.biases[:, None] * col[:, None])
-        db = -ew.sum(axis=1) * col
-        dx = dz @ ew
-        return dw, db, dx
-    dw = dz.T @ x
-    db = dz.sum(axis=0)
-    dx = dz @ params.weights
-    return dw, db, dx

@@ -72,3 +72,9 @@ def batch_loss_and_grad(logits: np.ndarray, targets: np.ndarray, task: str) -> t
         grad[np.arange(n), y] -= 1.0
         return float(losses.mean()), grad / n
     raise ValueError(f"unknown task {task!r}")
+
+
+def class_probabilities(logits: np.ndarray, task: str) -> np.ndarray:
+    """P(class 1) per row of (batch, 1) binary logits, or the row-wise softmax
+    of multiclass logits."""
+    return sigmoid(logits[:, 0]) if task == BINARY else softmax(logits)

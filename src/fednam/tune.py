@@ -80,17 +80,22 @@ def enumerate_grid(grid: GridConfig) -> list[tuple[float, float, int, int]]:
     return list(product(grid.dropout, grid.learning_rate, grid.hidden_layers, grid.batch_size))
 
 
-def _run_trial(args) -> TrialResult:
-    trial_id, point, dataset, config = args
+def config_at(config: RunConfig, point: tuple[float, float, int, int]) -> RunConfig:
+    """`config` with one grid point's dropout, learning rate, depth and batch size."""
     dropout, lr, layers, batch = point
-    trial_config = replace(
+    return replace(
         config,
         model=replace(config.model, dropout=dropout, hidden_layers=layers),
         optimizer=replace(config.optimizer, learning_rate=lr),
         batch_size=batch,
     )
+
+
+def _run_trial(args) -> TrialResult:
+    trial_id, point, dataset, config = args
+    dropout, lr, layers, batch = point
     try:
-        result = run_from_config(dataset, trial_config)
+        result = run_from_config(dataset, config_at(config, point))
         per_client = []
         for client in result.clients:
             rows = client.val_rows if client.val_rows.size else client.train_rows

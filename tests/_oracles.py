@@ -112,34 +112,123 @@ def per_tensor_optimizer_step(
     return out
 
 
-def per_feature_nam_forward(model, x: np.ndarray, mode: str = "infer", rng=0):
-    """A NAM's forward pass as K separate nets, one `Mlp.forward` per feature.
+def dense_net_forward(weights, biases, activations, dropout_rate, x, mode="infer", gen=None):
+    """One dense net on a (batch, in) input, layer by layer in plain NumPy.
 
-    Returns (logits, terms, feature_outputs, per-feature caches) for a
+    `weights[i]` is (out, in) and `biases[i]` is (out,). ReLU, ExU (capped at 1,
+    weights entering through exp, bias shifting the input) or identity per
+    layer; inverted dropout after hidden layers in train mode, one
+    `gen.random` draw per layer. Returns the output and per-layer
+    (input, pre-activation, mask) traces.
+    """
+    h, trace = x, []
+    for i, (w, b, kind) in enumerate(zip(weights, biases, activations)):
+        if kind == "exu":
+            ew = np.exp(np.clip(w, -30.0, 30.0))
+            z = h @ ew.T - b * ew.sum(axis=1)
+            a = np.clip(z, 0.0, 1.0)
+        else:
+            z = h @ w.T + b
+            a = np.maximum(z, 0.0) if kind == "relu" else z
+        mask = None
+        if mode == "train" and dropout_rate > 0.0 and i < len(weights) - 1:
+            keep = 1.0 - dropout_rate
+            mask = (gen.random(a.shape) < keep) / keep
+            a = a * mask
+        trace.append((h, z, mask))
+        h = a
+    return h, trace
+
+
+def dense_net_backward(weights, biases, activations, trace, g):
+    """The matching backward pass: [dW0, db0, dW1, db1, ...] and dLoss/dInput."""
+    grads = [None] * (2 * len(weights))
+    for i in range(len(weights) - 1, -1, -1):
+        h, z, mask = trace[i]
+        if mask is not None:
+            g = g * mask
+        kind = activations[i]
+        if kind == "relu":
+            dz = g * (z > 0.0)
+        elif kind == "exu":
+            dz = g * ((z > 0.0) & (z < 1.0))
+        else:
+            dz = g
+        if kind == "exu":
+            ew = np.exp(np.clip(weights[i], -30.0, 30.0))
+            col = dz.sum(axis=0)
+            grads[2 * i] = ew * (dz.T @ h - biases[i][:, None] * col[:, None])
+            grads[2 * i + 1] = -ew.sum(axis=1) * col
+            g = dz @ ew
+        else:
+            grads[2 * i] = dz.T @ h
+            grads[2 * i + 1] = dz.sum(axis=0)
+            g = dz @ weights[i]
+    return grads, g
+
+
+def _net(model, k):
+    """Net k of a model's stacked layers, as per-layer 2-D weights and 1-D biases."""
+    return [w[k] for w in model.weights], [b[k] for b in model.biases]
+
+
+def per_feature_nam_forward(model, x: np.ndarray, mode: str = "infer", rng=0):
+    """A NAM's forward pass as K separate nets, one `dense_net_forward` per feature.
+
+    Returns (logits, terms, feature_outputs, per-feature traces) for a
     (batch, K) input; `rng` is one generator shared by the features in order.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     outputs = np.empty((x.shape[0], model.n_features))
-    caches = []
-    for k, net in enumerate(model.feature_nets):
-        out, cache = net.mlp.forward(x[:, k : k + 1], mode, gen)
+    traces = []
+    for k in range(model.n_features):
+        out, trace = dense_net_forward(
+            *_net(model, k), model.activations, model.dropout_rate, x[:, k : k + 1], mode, gen
+        )
         outputs[:, k] = out[:, 0]
-        caches.append(cache)
+        traces.append(trace)
     terms = outputs[:, None, :] * model.output_weights[None, :, :]
     logits = terms.sum(axis=2) + model.output_bias
-    return logits, terms, outputs, caches
+    return logits, terms, outputs, traces
 
 
-def per_feature_nam_backward(model, outputs: np.ndarray, caches: list, dlogits: np.ndarray):
-    """The matching backward pass, one `Mlp.backward` per feature: gradients in
-    `param_tensors()` order and dLoss/dInput."""
+def per_feature_nam_backward(model, outputs: np.ndarray, traces: list, dlogits: np.ndarray):
+    """The matching backward pass, one `dense_net_backward` per feature:
+    gradients stacked in `param_tensors()` order, and dLoss/dInput."""
     d_outputs = dlogits @ model.output_weights
-    grads = []
+    per_feature = []
     d_input = np.empty_like(outputs)
-    for k, net in enumerate(model.feature_nets):
-        net_grads, dx = net.mlp.backward(caches[k], d_outputs[:, k : k + 1])
-        grads.extend(net_grads)
+    for k in range(model.n_features):
+        weights, biases = _net(model, k)
+        grads, dx = dense_net_backward(weights, biases, model.activations, traces[k],
+                                       d_outputs[:, k : k + 1])
+        per_feature.append(grads)
         d_input[:, k] = dx[:, 0]
-    grads.append(dlogits.T @ outputs)
-    grads.append(dlogits.sum(axis=0))
-    return grads, d_input
+    stacked = [np.stack(tensors) for tensors in zip(*per_feature)]
+    return stacked + [dlogits.T @ outputs, dlogits.sum(axis=0)], d_input
+
+
+def per_layer_dnn_forward(model, x: np.ndarray, mode: str = "infer", rng=0):
+    """A dense model's forward pass through `dense_net_forward`: (logits, traces)."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    return dense_net_forward(*_net(model, 0), model.activations, model.dropout_rate, x, mode, gen)
+
+
+def per_layer_dnn_backward(model, trace: list, dlogits: np.ndarray):
+    """Gradients shaped like `param_tensors()` (a leading axis of one net), and dLoss/dInput."""
+    grads, dx = dense_net_backward(*_net(model, 0), model.activations, trace, dlogits)
+    return [g[None] for g in grads], dx
+
+
+def per_feature_curves(model, ranges, n_points: int = 101):
+    """(grid, values, center) per (feature, class), feature-major: each feature's
+    net evaluated alone on its grid, a single point for a degenerate range."""
+    out = []
+    for k, (lo, hi) in enumerate(ranges):
+        grid = np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+        f, _ = dense_net_forward(*_net(model, k), model.activations, 0.0, grid[:, None])
+        for c in range(model.output_weights.shape[0]):
+            raw = model.output_weights[c, k] * f[:, 0]
+            center = float(raw.mean())
+            out.append((grid, raw - center, center))
+    return out

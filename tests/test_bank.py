@@ -1,8 +1,9 @@
-"""The stacked feature bank against K separate feature nets, bit for bit.
+"""The stacked bank against separate nets, bit for bit.
 
-`nam_forward`/`nam_backward` run layer i of all K feature nets as one batched
-matmul over (K, out, in) views of the parameter vector. The oracle runs the
-same nets one feature at a time through `Mlp.forward`/`Mlp.backward`.
+`bank_forward`/`bank_backward` run layer i of all K nets as one batched
+matmul over (K, out, in) views of the parameter vector: K feature nets for the
+additive model, one net for the dense model. The oracles in `_oracles.py` run
+the same nets one at a time, layer by layer, in plain NumPy.
 """
 
 import numpy as np
@@ -10,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_feature_nam_backward, per_feature_nam_forward
+from _oracles import (
+    per_feature_curves,
+    per_feature_nam_backward,
+    per_feature_nam_forward,
+    per_layer_dnn_backward,
+    per_layer_dnn_forward,
+)
+from fednam.dnn import DnnModel
 from fednam.errors import ShapeMismatchError
-from fednam.nam import FeatureNet, NamModel, build_nam, nam_backward, nam_forward
-from fednam.nn import BINARY, EXU, INFER, MULTICLASS, RELU, TRAIN, make_mlp
+from fednam.interpret import model_curves
+from fednam.nam import bank_from_dicts, bank_to_dicts, build_nam, nam_backward, nam_forward
+from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, xavier_bank
 
 
 def same_bits(a, b) -> bool:
@@ -82,26 +91,86 @@ def test_gradients_are_views_of_one_vector(case):
 
 def test_bank_views_share_the_parameter_vector():
     model = build_nam(4, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=0)
-    assert [w.shape for w in model.bank_weights] == [(4, 5, 1), (4, 5, 5), (4, 1, 5)]
-    assert [b.shape for b in model.bank_biases] == [(4, 5), (4, 5), (4, 1)]
-    for i, layer in enumerate(model.feature_nets[2].mlp.layers):
-        assert np.shares_memory(model.bank_weights[i], model.params)
-        assert np.array_equal(model.bank_weights[i][2], layer.weights)
-        assert np.array_equal(model.bank_biases[i][2], layer.biases)
+    assert [w.shape for w in model.weights] == [(4, 5, 1), (4, 5, 5), (4, 1, 5)]
+    assert [b.shape for b in model.biases] == [(4, 5), (4, 5), (4, 1)]
+    layer_major = [t for pair in zip(model.weights, model.biases) for t in pair]
+    tensors = model.param_tensors()
+    assert len(tensors) == 8
+    offset = 0
+    for t, view in zip(tensors, [*layer_major, model.output_weights, model.output_bias]):
+        assert t.base is model.params and t.flags.c_contiguous
+        assert np.array_equal(t, view)
+        assert np.array_equal(t.reshape(-1), model.params[offset : offset + t.size])
+        offset += t.size
+    assert offset == model.params.size
     model.set_params(np.arange(model.params.size, dtype=np.float64))
-    assert np.array_equal(model.bank_weights[1][3], model.feature_nets[3].mlp.layers[1].weights)
+    assert np.array_equal(model.weights[1], model.param_tensors()[2])
 
 
 def test_heterogeneous_feature_nets_rejected():
-    nets = [
-        FeatureNet(make_mlp(1, [4, 4], 1, RELU, rng=0), 0),
-        FeatureNet(make_mlp(1, [4], 1, RELU, rng=1), 1),
-    ]
+    nets = bank_to_dicts(build_nam(2, BINARY, hidden_layers=2, hidden_units=4, rng=0))
+    fewer_layers = [nets[0], {**nets[1], "layers": nets[1]["layers"][:2],
+                              "activations": [RELU, IDENTITY]}]
     with pytest.raises(ShapeMismatchError, match="feature net 1"):
-        NamModel(nets, np.ones((1, 2)), np.zeros(1), BINARY)
-    mixed_units = [
-        FeatureNet(make_mlp(1, [4], 1, RELU, rng=0), 0),
-        FeatureNet(make_mlp(1, [4], 1, EXU, rng=1), 1),
-    ]
-    with pytest.raises(ShapeMismatchError):
-        NamModel(mixed_units, np.ones((1, 2)), np.zeros(1), BINARY)
+        bank_from_dicts(fewer_layers)
+    mixed_units = [nets[0], {**nets[1], "activations": [EXU, EXU, IDENTITY]}]
+    with pytest.raises(ShapeMismatchError, match="feature net 1"):
+        bank_from_dicts(mixed_units)
+    wider = bank_to_dicts(build_nam(2, BINARY, hidden_layers=2, hidden_units=5, rng=0))
+    with pytest.raises(ValueError):
+        bank_from_dicts([nets[0], wider[1]])
+
+
+@st.composite
+def dense_cases(draw):
+    task = draw(st.sampled_from([BINARY, MULTICLASS]))
+    out_dim = 1 if task == BINARY else draw(st.integers(3, 4))
+    hidden = [draw(st.integers(1, 12)) for _ in range(draw(st.integers(1, 3)))]
+    dims = [draw(st.integers(1, 8)), *hidden, out_dim]
+    dropout = draw(st.sampled_from([0.0, 0.3]))
+    weights, biases = xavier_bank(1, dims, draw(st.integers(0, 10_000)))
+    model = DnnModel(weights, biases, [RELU] * len(hidden) + [IDENTITY], dropout, task)
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
+    batch = draw(st.integers(1, 400))
+    x = rng.normal(size=(batch, dims[0]))
+    mode = TRAIN if dropout > 0.0 else INFER
+    return model, x, mode, seed, rng.normal(size=(batch, out_dim))
+
+
+@given(dense_cases())
+@settings(max_examples=100, deadline=None)
+def test_dense_model_matches_per_layer_net(case):
+    model, x, mode, seed, dlogits = case
+    want_logits, trace = per_layer_dnn_forward(model, x, mode, np.random.default_rng(seed))
+    logits, cache = model.forward_batch(x, mode, np.random.default_rng(seed))
+    assert same_bits(logits, want_logits)
+
+    want_grads, want_dx = per_layer_dnn_backward(model, trace, dlogits)
+    grads = model.backward_batch(cache, dlogits)
+    assert [g.shape for g in grads] == [t.shape for t in model.param_tensors()]
+    for got, want in zip(grads, want_grads):
+        assert same_bits(got, want)
+    if mode == INFER:
+        assert same_bits(model.input_gradients(x, dlogits), want_dx)
+
+
+@pytest.mark.parametrize("activation", [RELU, EXU])
+@pytest.mark.parametrize("task,n_classes", [(BINARY, 2), (MULTICLASS, 3)])
+@pytest.mark.parametrize("layers,units", [(2, 9), (3, 20)])
+def test_curves_match_per_feature_nets(activation, task, n_classes, layers, units):
+    model = build_nam(4, task, n_classes=n_classes, hidden_layers=layers, hidden_units=units,
+                      hidden_activation=activation, rng=5)
+    rng = np.random.default_rng(6)
+    model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
+    ranges = [(-1.7, 2.3), (0.4, 0.4), (-3.0, -0.5), (0.0, 1.9)]  # feature 1 is degenerate
+    with pytest.warns(UserWarning, match="feature 1 has a degenerate range"):
+        curves = model_curves(model, ranges, "c")
+    want = per_feature_curves(model, ranges)
+    assert len(curves) == len(want) == 4 * model.out_dim
+    for curve, (grid, values, center) in zip(curves, want):
+        assert same_bits(curve.grid, grid)
+        assert same_bits(curve.values, values)
+        assert curve.center == center
+    assert [len(c.grid) for c in curves[:: model.out_dim]] == [101, 1, 101, 101]

@@ -142,7 +142,7 @@ class TestExplain:
     @pytest.mark.parametrize(
         "tamper",
         ["truncated_nam", "truncated_dnn", "weight_row_removed", "nan_weight", "unknown_activation",
-         "mixed_feature_nets"],
+         "mixed_feature_nets", "feature_count_mismatch"],
     )
     def test_malformed_model_exits_2_naming_file(self, tmp_path, iris_csv, capsys, tamper):
         config = fast_iris_config(tmp_path, iris_csv, "c")
@@ -161,6 +161,10 @@ class TestExplain:
         elif tamper == "mixed_feature_nets":  # feature net 1 loses a hidden layer
             del doc["feature_nets"][1]["layers"][1]
             del doc["feature_nets"][1]["activations"][1]
+        elif tamper == "feature_count_mismatch":  # three nets and head columns, four names
+            del doc["feature_nets"][3]
+            for row in doc["output_weights"]:
+                del row[3]
         else:
             doc["feature_nets"][0]["activations"][0] = "sigmoid"
         model.write_text(json.dumps(doc))

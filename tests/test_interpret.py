@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from _models import linear_nam, one_layer
 from _oracles import finite_diff_grads, max_rel_err, pointwise_mean
 from fednam.data import HEART, SplitSpec, load_dataset
 from fednam.dnn import build_dnn
@@ -18,55 +19,48 @@ from fednam.interpret import (
     input_gradient_attributions,
     model_curves,
     render_shapes_svg,
-    sample_shape_curve,
 )
-from fednam.nam import NamModel, build_nam, FeatureNet
-from fednam.nn import BINARY, IDENTITY, LayerParams, Mlp, OptimizerState
+from fednam.nam import build_nam, nam_forward
+from fednam.nn import BINARY, IDENTITY, OptimizerState
 from conftest import write_csv, synthetic_heart_rows, HEART_COLUMNS
-
-
-def identity_net(k, scale=1.0):
-    return FeatureNet(Mlp([LayerParams(np.array([[scale]]), np.zeros(1))], [IDENTITY]), k)
-
-
-def linear_nam(scales, out_weights, bias=0.0):
-    nets = [identity_net(k, s) for k, s in enumerate(scales)]
-    return NamModel(nets, np.array([out_weights], dtype=float),
-                    np.array([bias]), BINARY)
 
 
 class TestShapeCurves:
     def test_zero_net_flat_curve(self):
         model = linear_nam([0.0], [1.0])
-        curve = sample_shape_curve(model, 0, 0, (-1.0, 1.0), "client1")
+        [curve] = model_curves(model, [(-1.0, 1.0)], "client1")
         assert np.all(curve.values == 0.0)
         assert len(curve.grid) == 101
 
     def test_identity_shape_already_centered(self):
         model = linear_nam([1.0], [1.0])
-        curve = sample_shape_curve(model, 0, 0, (-1.0, 1.0), "client1")
+        [curve] = model_curves(model, [(-1.0, 1.0)], "client1")
         assert np.allclose(curve.values, curve.grid, atol=1e-15)
         assert curve.center == pytest.approx(0.0, abs=1e-15)
 
     def test_centering_over_random_models(self):
         for seed in range(100):
             model = build_nam(1, BINARY, hidden_layers=1, hidden_units=6, rng=seed)
-            curve = sample_shape_curve(model, 0, 0, (-2.0, 2.0), "x")
+            [curve] = model_curves(model, [(-2.0, 2.0)], "x")
             assert abs(curve.values.mean()) <= 1e-9
 
     def test_curve_plus_center_reproduces_model(self):
-        from fednam.nam import effective_shape
-
         model = build_nam(2, BINARY, hidden_layers=2, hidden_units=6, rng=3)
-        curve = sample_shape_curve(model, 1, 0, (-1.5, 2.5), "x")
-        raw = effective_shape(model, 1, 0, curve.grid)
-        assert np.all(np.abs((curve.values + curve.center) - raw) <= 1e-9)
+        curve = model_curves(model, [(0.0, 1.0), (-1.5, 2.5)], "x")[1]
+        x = np.column_stack([np.zeros_like(curve.grid), curve.grid])
+        _, terms, _ = nam_forward(model, x)
+        assert np.all(np.abs((curve.values + curve.center) - terms[:, 0, 1]) <= 1e-9)
 
     def test_degenerate_range_single_point(self):
-        model = linear_nam([1.0], [1.0])
-        with pytest.warns(UserWarning, match="degenerate"):
-            curve = sample_shape_curve(model, 0, 0, (2.0, 2.0), "x")
-        assert len(curve.grid) == 1
+        model = linear_nam([1.0, 1.0], [1.0, 1.0])
+        with pytest.warns(UserWarning, match="feature 1 has a degenerate range"):
+            curves = model_curves(model, [(0.0, 1.0), (2.0, 2.0)], "x")
+        assert [len(c.grid) for c in curves] == [101, 1]
+        assert curves[1].grid[0] == 2.0 and curves[1].center == 2.0
+
+    def test_inverted_range_rejected(self):
+        with pytest.raises(DataError, match="feature 0"):
+            model_curves(linear_nam([1.0], [1.0]), [(1.0, -1.0)], "x")
 
 
 class TestAverageShapeFunctions:
@@ -180,20 +174,14 @@ class TestAttributions:
         # to w_k * mean(x_k) over the rows
         rng = np.random.default_rng(1)
         w = np.array([[0.7, -1.3, 0.4]])
-        mlp = Mlp([LayerParams(w, np.zeros(1))], [IDENTITY])
-        from fednam.dnn import DnnModel
-
-        model = DnnModel(mlp, BINARY)
+        model = one_layer(w, np.zeros(1), IDENTITY)
         x = rng.normal(size=(200, 3))
         report = input_gradient_attributions(model, x, ["a", "b", "c"])
         expected = w[0] * x.mean(axis=0)
         assert np.allclose(report.values, expected, atol=1e-12)
 
     def test_zero_network_zero_attributions(self):
-        mlp = Mlp([LayerParams(np.zeros((1, 3)), np.zeros(1))], [IDENTITY])
-        from fednam.dnn import DnnModel
-
-        model = DnnModel(mlp, BINARY)
+        model = one_layer(np.zeros((1, 3)), np.zeros(1), IDENTITY)
         report = input_gradient_attributions(model, np.ones((10, 3)), ["a", "b", "c"])
         assert np.all(report.values == 0.0)
 

@@ -1,52 +1,54 @@
+"""The dense multilayer perceptron: the stacked bank with a single net (K = 1)."""
+
 import numpy as np
 import pytest
 
+from _models import dense_net, one_layer
+from fednam.dnn import DnnModel
 from fednam.errors import ShapeMismatchError, StaleCacheError
-from fednam.nn import EXU, IDENTITY, INFER, RELU, TRAIN, LayerParams, Mlp, make_mlp
-
-
-def single_layer(weights, biases, activation):
-    return Mlp([LayerParams(np.array(weights, dtype=float), np.array(biases, dtype=float))], [activation])
+from fednam.nn import EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN
 
 
 class TestForward:
     def test_zero_weights_pass_bias(self):
-        mlp = single_layer([[0.0]], [0.5], IDENTITY)
-        out, _ = mlp.forward(np.array([7.0]))
-        assert out[0] == 0.5
+        model = one_layer([[0.0]], [0.5], IDENTITY)
+        out, _ = model.forward_batch(np.array([[7.0]]))
+        assert out[0, 0] == 0.5
 
     def test_relu_clamps_negative(self):
-        mlp = single_layer([[2.0]], [0.0], RELU)
-        out, _ = mlp.forward(np.array([-3.0]))
-        assert out[0] == 0.0
+        model = one_layer([[2.0]], [0.0], RELU)
+        out, _ = model.forward_batch(np.array([[-3.0]]))
+        assert out[0, 0] == 0.0
 
     def test_exu_identity_point(self):
-        mlp = single_layer([[0.0]], [0.0], EXU)
-        out, _ = mlp.forward(np.array([0.4]))
-        assert out[0] == pytest.approx(0.4)
+        model = one_layer([[0.0]], [0.0], EXU)
+        out, _ = model.forward_batch(np.array([[0.4]]))
+        assert out[0, 0] == pytest.approx(0.4)
 
     def test_shape_error(self):
-        mlp = make_mlp(3, [4], 2, rng=0)
+        model = dense_net([3, 4, 2])
         with pytest.raises(ShapeMismatchError):
-            mlp.forward(np.zeros(5))
+            model.forward_batch(np.zeros((1, 5)))
+        with pytest.raises(ShapeMismatchError):
+            model.forward_batch(np.zeros(3))
 
     def test_batch_shape(self):
-        mlp = make_mlp(3, [4], 2, rng=0)
-        out, _ = mlp.forward(np.zeros((8, 3)))
+        model = dense_net([3, 4, 2])
+        out, _ = model.forward_batch(np.zeros((8, 3)))
         assert out.shape == (8, 2)
 
     def test_infer_deterministic_under_dropout_config(self):
-        mlp = make_mlp(2, [16, 16], 1, dropout_rate=0.5, rng=1)
-        x = np.array([0.3, -0.8])
-        a, _ = mlp.forward(x, INFER, rng=1)
-        b, _ = mlp.forward(x, INFER, rng=2)
+        model = dense_net([2, 16, 16, 1], dropout_rate=0.5, rng=1)
+        x = np.array([[0.3, -0.8]])
+        a, _ = model.forward_batch(x, INFER, rng=1)
+        b, _ = model.forward_batch(x, INFER, rng=2)
         assert np.array_equal(a, b)
 
     def test_train_mode_differs_with_seed(self):
-        mlp = make_mlp(2, [16, 16], 1, dropout_rate=0.5, rng=1)
-        x = np.array([0.3, -0.8])
-        a, _ = mlp.forward(x, TRAIN, rng=1)
-        b, _ = mlp.forward(x, TRAIN, rng=2)
+        model = dense_net([2, 16, 16, 1], dropout_rate=0.5, rng=1)
+        x = np.array([[0.3, -0.8]])
+        a, _ = model.forward_batch(x, TRAIN, rng=1)
+        b, _ = model.forward_batch(x, TRAIN, rng=2)
         assert not np.array_equal(a, b)
 
 
@@ -55,57 +57,57 @@ class TestDropout:
         # inverted dropout: E[train-mode hidden activation] == infer-mode activation
         rng = np.random.default_rng(0)
         w = rng.normal(size=(6, 4))
-        mlp = Mlp(
-            [LayerParams(w, np.zeros(6)), LayerParams(np.eye(6), np.zeros(6))],
-            [RELU, IDENTITY],
-            dropout_rate=0.3,
+        model = DnnModel(
+            [w[None], np.eye(6)[None]], [np.zeros((1, 6)), np.zeros((1, 6))],
+            [RELU, IDENTITY], 0.3, MULTICLASS,
         )
-        x = rng.normal(size=4)
-        infer_out, _ = mlp.forward(x, INFER)
+        x = rng.normal(size=(1, 4))
+        infer_out, _ = model.forward_batch(x, INFER)
         total = np.zeros_like(infer_out)
         n = 10_000
         for seed in range(n):
-            out, _ = mlp.forward(x, TRAIN, rng=seed)
+            out, _ = model.forward_batch(x, TRAIN, rng=seed)
             total += out
         mc = total / n
         scale = np.abs(infer_out).max()
         assert np.all(np.abs(mc - infer_out) <= 0.02 * scale)
 
     def test_no_dropout_on_output_layer(self):
-        mlp = Mlp([LayerParams(np.eye(3), np.zeros(3))], [IDENTITY], dropout_rate=0.9)
-        x = np.array([1.0, 2.0, 3.0])
-        out, _ = mlp.forward(x, TRAIN, rng=0)
+        model = DnnModel([np.eye(3)[None]], [np.zeros((1, 3))], [IDENTITY], 0.9, MULTICLASS)
+        x = np.array([[1.0, 2.0, 3.0]])
+        out, _ = model.forward_batch(x, TRAIN, rng=0)
         assert np.array_equal(out, x)
 
 
 class TestBackwardBasics:
     def test_product_rule(self):
-        mlp = single_layer([[3.0]], [0.0], IDENTITY)
-        out, cache = mlp.forward(np.array([2.0]))
-        assert out[0] == 6.0
-        grads, dx = mlp.backward(cache, np.array([1.0]))
-        assert grads[0][0, 0] == 2.0  # dL/dw = x
-        assert dx[0] == 3.0  # dL/dx = w
+        model = one_layer([[3.0]], [0.0], IDENTITY)
+        out, cache = model.forward_batch(np.array([[2.0]]))
+        assert out[0, 0] == 6.0
+        grads = model.backward_batch(cache, np.array([[1.0]]))
+        assert grads[0][0, 0, 0] == 2.0  # dL/dw = x
+        assert model.input_gradients(np.array([[2.0]]), np.array([[1.0]]))[0, 0] == 3.0  # dL/dx = w
 
     def test_zero_output_grad(self):
-        mlp = make_mlp(3, [5, 5], 2, rng=0)
-        _, cache = mlp.forward(np.zeros(3))
-        grads, dx = mlp.backward(cache, np.zeros(2))
+        model = dense_net([3, 5, 5, 2])
+        _, cache = model.forward_batch(np.zeros((1, 3)))
+        grads = model.backward_batch(cache, np.zeros((1, 2)))
         assert all(np.all(g == 0.0) for g in grads)
-        assert np.all(dx == 0.0)
+        assert np.all(model.input_gradients(np.zeros((1, 3)), np.zeros((1, 2))) == 0.0)
 
     def test_stale_cache_rejected(self):
-        mlp = make_mlp(2, [4], 1, rng=0)
-        _, cache = mlp.forward(np.array([0.1, 0.2]))
-        mlp.set_param_tensors([t.copy() for t in mlp.param_tensors()])
+        model = dense_net([2, 4, 1])
+        _, cache = model.forward_batch(np.array([[0.1, 0.2]]))
+        model.set_param_tensors([t.copy() for t in model.param_tensors()])
         with pytest.raises(StaleCacheError):
-            mlp.backward(cache, np.array([1.0]))
+            model.backward_batch(cache, np.array([[1.0]]))
 
     def test_param_tensor_roundtrip_preserves_shapes(self):
-        mlp = make_mlp(2, [4, 3], 1, rng=0)
-        tensors = mlp.param_tensors()
+        model = dense_net([2, 4, 3, 1])
+        tensors = model.param_tensors()
         shapes = [t.shape for t in tensors]
-        mlp.set_param_tensors([t * 2 for t in tensors])
-        assert [t.shape for t in mlp.param_tensors()] == shapes
+        assert shapes == [(1, 4, 2), (1, 4), (1, 3, 4), (1, 3), (1, 1, 3), (1, 1)]
+        model.set_param_tensors([t * 2 for t in tensors])
+        assert [t.shape for t in model.param_tensors()] == shapes
         with pytest.raises(ShapeMismatchError):
-            mlp.set_param_tensors(tensors[:-1])
+            model.set_param_tensors(tensors[:-1])

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _models import linear_nam
 from _oracles import finite_diff_grads, max_rel_err
+from fednam.dnn import build_dnn
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from fednam.nam import (
-    FeatureNet,
-    NamModel,
     build_nam,
     decompose_prediction,
     load_model,
@@ -19,23 +19,12 @@ from fednam.nam import (
     predict_proba,
     save_model,
 )
-from fednam.nn import BINARY, IDENTITY, MULTICLASS, LayerParams, Mlp, batch_loss_and_grad
-
-
-def identity_feature_net(k: int, scale: float = 1.0) -> FeatureNet:
-    layer = LayerParams(np.array([[scale]]), np.zeros(1))
-    return FeatureNet(Mlp([layer], [IDENTITY]), feature_index=k)
-
-
-def zero_feature_net(k: int) -> FeatureNet:
-    layer = LayerParams(np.zeros((1, 1)), np.zeros(1))
-    return FeatureNet(Mlp([layer], [IDENTITY]), feature_index=k)
+from fednam.nn import BINARY, MULTICLASS, batch_loss_and_grad
 
 
 class TestForward:
     def test_zero_shapes_bias_only(self):
-        model = NamModel([zero_feature_net(0), zero_feature_net(1)],
-                         np.ones((1, 2)), np.array([0.5]), BINARY)
+        model = linear_nam([0.0, 0.0], [1.0, 1.0], 0.5)
         logits, terms, _ = nam_forward(model, np.array([3.0, -2.0]))
         assert logits[0] == 0.5
         assert np.all(terms == 0.0)
@@ -44,8 +33,7 @@ class TestForward:
         )
 
     def test_linear_composition(self):
-        model = NamModel([identity_feature_net(0, 1.0), identity_feature_net(1, 2.0)],
-                         np.ones((1, 2)), np.zeros(1), BINARY)
+        model = linear_nam([1.0, 2.0], [1.0, 1.0])
         logits, terms, _ = nam_forward(model, np.array([3.0, 4.0]))
         assert logits[0] == 11.0
         assert list(terms[0]) == [3.0, 8.0]
@@ -149,15 +137,13 @@ class TestBackward:
 
 class TestDecompose:
     def test_zero_model(self):
-        model = NamModel([zero_feature_net(0), zero_feature_net(1)],
-                         np.ones((1, 2)), np.array([0.25]), BINARY)
+        model = linear_nam([0.0, 0.0], [1.0, 1.0], 0.25)
         breakdown = decompose_prediction(model, np.array([1.0, 2.0]))
         assert all(np.all(t.values == 0.0) for t in breakdown.terms)
         assert breakdown.bias[0] == 0.25
 
     def test_ordering_and_reconstruction(self):
-        model = NamModel([identity_feature_net(0, 1.0), identity_feature_net(1, 2.0)],
-                         np.ones((1, 2)), np.zeros(1), BINARY)
+        model = linear_nam([1.0, 2.0], [1.0, 1.0])
         breakdown = decompose_prediction(model, np.array([3.0, 4.0]), ["a", "b"])
         assert breakdown.terms[0].feature_name == "b"
         total = breakdown.bias + sum(t.values for t in breakdown.terms)
@@ -196,6 +182,15 @@ class TestSerialization:
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="expected 1, found 999"):
+            load_model(path)
+
+    def test_dense_model_feature_count_mismatch(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_dnn(3, BINARY, hidden_layers=1, hidden_units=4, rng=0), ["a", "b", "c"], path)
+        doc = json.loads(path.read_text())
+        doc["feature_names"].append("d")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"model file {path} names 4 features"):
             load_model(path)
 
     def test_corrupted_file(self, tmp_path):

@@ -35,9 +35,8 @@ def models(draw):
 def assert_views(model):
     tensors = model.param_tensors()
     assert all(np.shares_memory(t, model.params) for t in tensors)
+    assert all(t.base is model.params and t.flags.c_contiguous for t in tensors)
     assert np.array_equal(np.concatenate(tensors, axis=None), model.params)
-    for net in getattr(model, "feature_nets", []):
-        assert np.shares_memory(net.mlp.params, model.params)
 
 
 def client(cid, model, n):
@@ -78,16 +77,16 @@ def test_set_params_writes_views_and_stales_caches(model, seed):
         model.backward_batch(cache, np.ones_like(logits))
 
 
-def test_feature_slices_in_feature_order():
+def test_layer_stacks_in_layer_order():
     model = build_nam(3, BINARY, hidden_layers=2, hidden_units=4, rng=0)
+    stacks = [t for pair in zip(model.weights, model.biases) for t in pair]
+    assert [t.shape for t in stacks] == [(3, 4, 1), (3, 4), (3, 4, 4), (3, 4), (3, 1, 4), (3, 1)]
     offset = 0
-    for net in model.feature_nets:
-        size = net.mlp.params.size
-        assert net.mlp.params.base is model.params
-        assert np.array_equal(net.mlp.params, model.params[offset : offset + size])
-        offset += size
-    head = model.output_weights.size + model.output_bias.size
-    assert offset + head == model.params.size
+    for t in [*stacks, model.output_weights, model.output_bias]:
+        assert t.base is model.params
+        assert np.array_equal(t.reshape(-1), model.params[offset : offset + t.size])
+        offset += t.size
+    assert offset == model.params.size
 
 
 def test_set_params_rejects_wrong_length():
