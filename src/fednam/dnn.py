@@ -6,7 +6,18 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .nam import MODEL_SCHEMA_VERSION, bank_from_dicts, bank_to_dicts
-from .nn import BINARY, IDENTITY, INFER, RELU, BankCache, NetBank, bank_backward, bank_forward, xavier_bank
+from .nn import (
+    BINARY,
+    IDENTITY,
+    INFER,
+    RELU,
+    BankCache,
+    NetBank,
+    bank_backward,
+    bank_forward,
+    inference_cache,
+    xavier_bank,
+)
 
 
 class DnnModel(NetBank):
@@ -38,8 +49,7 @@ class DnnModel(NetBank):
         return grads
 
     def input_gradients(self, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-        _, cache = dnn_forward(self, x, INFER)
-        _, dx = dnn_backward(self, cache, output_grad)
+        _, dx = dnn_backward(self, dnn_inference_cache(self, x), output_grad)
         return dx
 
     def to_dict(self, feature_names: list[str]) -> dict:
@@ -57,11 +67,22 @@ def dnn_forward(
     model: DnnModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
 ) -> tuple[np.ndarray, BankCache]:
     """Logits for a (batch, n_features) input, and the cache for backward."""
+    h, cache = bank_forward(model, _bank_input(model, x), mode, rng)
+    return h[0], cache
+
+
+def dnn_inference_cache(model: DnnModel, x: np.ndarray) -> BankCache:
+    """An inference cache on a (batch, n_features) input, without a forward
+    pass: the first `dnn_backward` from it runs the net, and later ones reuse that."""
+    return inference_cache(model, _bank_input(model, x))
+
+
+def _bank_input(model: DnnModel, x: np.ndarray) -> np.ndarray:
+    """A (batch, n_features) input as the (1, batch, n_features) input of the bank."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ShapeMismatchError(f"input shape {x.shape} incompatible with in_dim {model.n_features}")
-    h, cache = bank_forward(model, x[None], mode, rng)
-    return h[0], cache
+    return x[None]
 
 
 def dnn_backward(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dnn import build_dnn
+from .dnn import build_dnn, dnn_backward, dnn_inference_cache
 from .errors import DataError, ShapeMismatchError
 from .federation import ClientState, EnsembleModel
 from .nam import NamModel, nam_forward
@@ -246,14 +246,25 @@ def baseline_attributions(
     return model, report, stats
 
 
-def _logit_input_gradients(model, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
+def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
+    """(classes, rows, features) gradients of each logit by the input, for a
+    DnnModel or the mean over an ensemble's members.
+
+    Each net runs forward once: every class backpropagates from one cache.
+    """
     if isinstance(model, EnsembleModel):
-        stacked = [_logit_input_gradients(m, x, output_grad) for m in model.members]
+        stacked = [_class_input_gradients(m, x) for m in model.members]
         total = stacked[0].copy()
         for g in stacked[1:]:
             total += g
         return total / len(stacked)
-    return model.input_gradients(x, output_grad)
+    cache = dnn_inference_cache(model, x)
+    grads = np.empty((model.out_dim, *x.shape))
+    for c in range(model.out_dim):
+        onehot = np.zeros((x.shape[0], model.out_dim))
+        onehot[:, c] = 1.0
+        _, grads[c] = dnn_backward(model, cache, onehot)
+    return grads
 
 
 def input_gradient_attributions(model, x: np.ndarray, feature_names: list[str]) -> AttributionReport:
@@ -261,13 +272,7 @@ def input_gradient_attributions(model, x: np.ndarray, feature_names: list[str]) 
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("attributions need a non-empty (rows, features) matrix")
-    n, out_dim = x.shape[0], model.out_dim
-    per_class = np.empty((out_dim, x.shape[1]))
-    for c in range(out_dim):
-        onehot = np.zeros((n, out_dim))
-        onehot[:, c] = 1.0
-        grads = _logit_input_gradients(model, x, onehot)
-        per_class[c] = (grads * x).mean(axis=0)
+    per_class = np.array([(grads * x).mean(axis=0) for grads in _class_input_gradients(model, x)])
     return AttributionReport(list(feature_names), per_class.mean(axis=0))
 
 

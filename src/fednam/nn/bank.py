@@ -20,6 +20,8 @@ from .losses import BINARY, MULTICLASS
 
 TRAIN = "train"
 INFER = "infer"
+# Inference runs the rows through the layers in blocks of this many.
+INFER_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -28,10 +30,12 @@ class BankCache:
 
     Each layer's input is recomputed from the previous layer's cached
     pre-activation and dropout mask, so only the first layer's input is stored.
+    An inference pass stores no pre-activations; the first backward from its
+    cache recomputes them in one pass over `x` and keeps them here.
     """
 
     x: np.ndarray  # (K, batch, in) input of the first layer
-    preacts: list[np.ndarray]  # per layer, (K, batch, out)
+    preacts: list[np.ndarray] | None  # per layer, (K, batch, out); None until computed
     masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     version: int
 
@@ -144,15 +148,15 @@ def xavier_bank(k: int, dims: list[int], rng: int | np.random.Generator):
     return weights, [np.zeros(w.shape[:2]) for w in weights]
 
 
-def _dropout_masks(bank: NetBank, batch: int, mode: str, rng) -> list[np.ndarray | None]:
-    """Inverted-dropout masks, (K, batch, out) for each hidden layer; None for
-    the output layer, and for every layer outside training or without dropout.
+def _dropout_masks(bank: NetBank, batch: int, rng) -> list[np.ndarray | None]:
+    """Training's inverted-dropout masks, (K, batch, out) for each hidden
+    layer; None for the output layer, and for every layer without dropout.
 
     One draw, net-major then layer then row: the order in which K separate
     nets, run one after another, would consume the same stream.
     """
     masks: list[np.ndarray | None] = [None] * len(bank.weights)
-    if mode != TRAIN or bank.dropout_rate == 0.0:
+    if bank.dropout_rate == 0.0:
         return masks
     k = bank.weights[0].shape[0]
     widths = [w.shape[1] for w in bank.weights[:-1]]
@@ -185,17 +189,10 @@ def _column_sums(dz: np.ndarray) -> np.ndarray:
     return dz.sum(axis=1)
 
 
-def bank_forward(
-    bank: NetBank, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
-) -> tuple[np.ndarray, BankCache]:
-    """Run the K nets on a (K, batch, in) input, one batched matmul per layer.
-
-    Standard layers compute h @ W.T + b. ExU layers compute
-    sum_i exp(W_ji) * (h_i - b_j): the per-unit bias shifts the input and the
-    weights enter through their exponential. Returns the (K, batch, out)
-    output and the cache for `bank_backward`.
-    """
-    masks = _dropout_masks(bank, x.shape[1], mode, rng)
+def _run_layers(
+    bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The bank's output on a (K, rows, in) input, and each layer's pre-activation."""
     h, preacts = x, []
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
         if kind == EXU:
@@ -207,7 +204,44 @@ def bank_forward(
             z += b[:, None, :]
         preacts.append(z)
         h = _layer_output(kind, z, mask)
-    return h, BankCache(x, preacts, masks, bank.version)
+    return h, preacts
+
+
+def inference_cache(bank: NetBank, x: np.ndarray) -> BankCache:
+    """The cache of an inference pass on x, which runs nothing: the first
+    `bank_backward` from it runs the layers once and keeps their pre-activations."""
+    return BankCache(x, None, [None] * len(bank.weights), bank.version)
+
+
+def bank_forward(
+    bank: NetBank, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
+) -> tuple[np.ndarray, BankCache]:
+    """Run the K nets on a (K, batch, in) input, one batched matmul per layer.
+
+    Standard layers compute h @ W.T + b. ExU layers compute
+    sum_i exp(W_ji) * (h_i - b_j): the per-unit bias shifts the input and the
+    weights enter through their exponential. Returns the (K, batch, out)
+    output and the cache for `bank_backward`.
+
+    TRAIN runs all rows at once, with dropout, and caches every layer's
+    pre-activation. INFER runs blocks of INFER_BLOCK_ROWS rows and caches none.
+    The rows left over join the last block, since BLAS takes other kernels
+    for small products: a short block would not be bit-equal to the same rows
+    of one pass over the batch.
+    """
+    if mode == TRAIN:
+        masks = _dropout_masks(bank, x.shape[1], rng)
+        h, preacts = _run_layers(bank, x, masks)
+        return h, BankCache(x, preacts, masks, bank.version)
+    if mode != INFER:
+        raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
+    cache = inference_cache(bank, x)
+    rows = x.shape[1]
+    ends = [*range(INFER_BLOCK_ROWS, rows - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), rows]
+    h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
+    for start, end in zip([0, *ends], ends):
+        h[:, start:end], _ = _run_layers(bank, x[:, start:end], cache.masks)
+    return h, cache
 
 
 def bank_backward(
@@ -217,10 +251,13 @@ def bank_backward(
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
     views laid out like `param_tensors()`, and returns dLoss/dInput,
-    (K, batch, in). Dropout masks from the forward pass are reused.
+    (K, batch, in). Dropout masks from the forward pass are reused; an
+    inference cache's pre-activations are computed here, in one pass.
     """
     if cache.version != bank.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
+    if cache.preacts is None:
+        _, cache.preacts = _run_layers(bank, cache.x, cache.masks)
     for i in range(len(bank.weights) - 1, -1, -1):
         kind = bank.activations[i]
         if cache.masks[i] is not None:

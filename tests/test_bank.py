@@ -18,11 +18,12 @@ from _oracles import (
     per_layer_dnn_backward,
     per_layer_dnn_forward,
 )
-from fednam.dnn import DnnModel
-from fednam.errors import ShapeMismatchError
+from fednam.dnn import DnnModel, build_dnn, dnn_backward
+from fednam.errors import ShapeMismatchError, StaleCacheError
 from fednam.interpret import model_curves
 from fednam.nam import bank_from_dicts, bank_to_dicts, build_nam, nam_backward, nam_forward
 from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, xavier_bank
+from fednam.nn.bank import INFER_BLOCK_ROWS
 
 
 def same_bits(a, b) -> bool:
@@ -174,3 +175,67 @@ def test_curves_match_per_feature_nets(activation, task, n_classes, layers, unit
         assert same_bits(curve.values, values)
         assert curve.center == center
     assert [len(c.grid) for c in curves[:: model.out_dim]] == [101, 1, 101, 101]
+
+
+@st.composite
+def blocked_cases(draw):
+    """A model without dropout and a batch whose size straddles a multiple of
+    the inference block, with hidden widths on both sides of 32, where BLAS
+    takes other kernels for small products."""
+    task = draw(st.sampled_from([BINARY, MULTICLASS]))
+    n_classes = 2 if task == BINARY else draw(st.integers(3, 4))
+    units = draw(st.sampled_from([1, 2, 12, 20, 33, 64]))
+    layers = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        model = build_nam(draw(st.integers(1, 6)), task, n_classes=n_classes, hidden_layers=layers,
+                          hidden_units=units, hidden_activation=draw(st.sampled_from([RELU, EXU])),
+                          rng=seed)
+    else:
+        model = build_dnn(draw(st.integers(1, 40)), task, n_classes=n_classes, hidden_layers=layers,
+                          hidden_units=units, rng=seed)
+    rng = np.random.default_rng(seed)
+    model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
+    offset = draw(st.sampled_from([-1, 0, 1, 2, 5, 18, 19, 400, 401, 600, INFER_BLOCK_ROWS - 1]))
+    batch = draw(st.integers(1, 3)) * INFER_BLOCK_ROWS + offset
+    x = rng.normal(size=(batch, model.n_features))
+    return model, x, rng.normal(size=(batch, model.out_dim))
+
+
+def _backward(model, cache, dlogits):
+    if model.kind == "nam":
+        return nam_backward(model, cache, dlogits)
+    return dnn_backward(model, cache, dlogits)
+
+
+@given(blocked_cases())
+@settings(max_examples=60, deadline=None)
+def test_blocked_inference_matches_one_pass(case):
+    model, x, dlogits = case
+    want, train_cache = model.forward_batch(x, TRAIN)
+    got, cache = model.forward_batch(x, INFER)
+    assert same_bits(got, want)
+    bank = cache.bank if model.kind == "nam" else cache
+    assert bank.preacts is None and bank.masks == [None] * len(model.weights)
+    if model.kind == "nam":
+        assert same_bits(cache.feature_outputs, train_cache.feature_outputs)
+
+    want_grads, want_dx = _backward(model, train_cache, dlogits)
+    grads, dx = _backward(model, cache, dlogits)
+    for g, w in zip(grads, want_grads):
+        assert same_bits(g, w)
+    assert same_bits(dx, want_dx)
+    if model.kind == "dnn":
+        assert same_bits(model.input_gradients(x, dlogits), want_dx)
+
+    _, cache = model.forward_batch(x, INFER)
+    model.set_params(model.params)
+    with pytest.raises(StaleCacheError):
+        _backward(model, cache, dlogits)
+
+
+@pytest.mark.parametrize("model", [build_nam(3, BINARY, rng=0), build_dnn(3, MULTICLASS, n_classes=3, rng=0)])
+@pytest.mark.parametrize("mode", ["Train", "training", "eval", ""])
+def test_unknown_forward_mode_rejected(model, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        model.forward_batch(np.zeros((4, 3)), mode)

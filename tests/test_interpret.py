@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from _oracles import finite_diff_grads, max_rel_err, pointwise_mean
 from fednam.data import HEART, SplitSpec, load_dataset
 from fednam.dnn import build_dnn
 from fednam.errors import DataError, ShapeMismatchError
-from fednam.federation import ClientState, FederationConfig
+from fednam.federation import ClientState, EnsembleModel, FederationConfig
 from fednam.interpret import (
     GLOBAL_OWNER,
     average_shape_functions,
@@ -21,7 +22,7 @@ from fednam.interpret import (
     render_shapes_svg,
 )
 from fednam.nam import build_nam, nam_forward
-from fednam.nn import BINARY, IDENTITY, OptimizerState
+from fednam.nn import BINARY, IDENTITY, MULTICLASS, OptimizerState
 from conftest import write_csv, synthetic_heart_rows, HEART_COLUMNS
 
 
@@ -168,6 +169,19 @@ class TestGlobalInterpret:
         assert len(bundle.global_curves) == 2
 
 
+def test_contribution_scores_keep_no_activations():
+    """An inference pass over many rows holds one block's activations at a time."""
+    model = build_nam(11, BINARY, rng=0)
+    x = np.random.default_rng(0).normal(size=(50_000, 11))
+    tracemalloc.start()
+    try:
+        contribution_scores(model, x, GLOBAL_OWNER, [f"f{k}" for k in range(11)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
+
+
 class TestAttributions:
     def test_linear_model_closed_form(self):
         # logit = sum w_k x_k has constant gradient w, so grad*input averages
@@ -196,6 +210,36 @@ class TestAttributions:
         grads = model.input_gradients(x, np.ones((3, 1)))
         numeric = finite_diff_grads(logit_sum, [x])
         assert max_rel_err([grads], numeric) < 1e-4
+
+    def test_each_net_runs_forward_once_for_all_classes(self, monkeypatch):
+        import fednam.nn.bank as bank
+
+        runs = []
+        run_layers = bank._run_layers
+
+        def counted(net, x, masks):
+            runs.append(x.shape)
+            return run_layers(net, x, masks)
+
+        monkeypatch.setattr(bank, "_run_layers", counted)
+        members = [build_dnn(5, MULTICLASS, n_classes=3, hidden_units=12, rng=seed) for seed in (1, 2)]
+        x = np.random.default_rng(3).normal(size=(50, 5))
+        report = input_gradient_attributions(members[0], x, list("abcde"))
+        assert runs == [(1, 50, 5)]
+        runs.clear()
+        ensemble = input_gradient_attributions(EnsembleModel(members), x, list("abcde"))
+        assert runs == [(1, 50, 5)] * 2
+
+        # the mean over classes of mean(dlogit_c/dx * x), one class at a time
+        per_class = []
+        for c in range(3):
+            onehot = np.zeros((50, 3))
+            onehot[:, c] = 1.0
+            grads = [m.input_gradients(x, onehot) for m in members]
+            per_class.append([(g * x).mean(axis=0) for g in (grads[0], (grads[0] + grads[1]) / 2)])
+        want = np.array(per_class).mean(axis=0)
+        assert report.values.tobytes() == want[0].tobytes()
+        assert ensemble.values.tobytes() == want[1].tobytes()
 
     def test_federated_baseline_pipeline(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", HEART_COLUMNS, synthetic_heart_rows(160))
