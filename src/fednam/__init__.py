@@ -36,11 +36,9 @@ from .metrics import accuracy, compute_metrics, macro_ovr_auc, roc_auc
 from .nam import (
     NamModel,
     build_nam,
-    decompose_prediction,
     load_model,
     nam_backward,
     nam_forward,
-    predict_proba,
     save_model,
 )
 from .tune import TrialResult, grid_search, run_from_config

@@ -8,9 +8,9 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .control import ControlConfig
-from .data import DATASET_KINDS, SplitSpec
+from .data import DATASET_KINDS, SplitConfig
 from .errors import ConfigError
-from .federation import FederationConfig
+from .federation import FederationSection
 from .nn import ADAM, SGD
 from .nn.layers import EXU, RELU
 
@@ -25,29 +25,6 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-
-
-@dataclass
-class SplitConfig:
-    test_fraction: float = 0.20
-    val_fraction: float = 0.10
-    stratified: bool = True
-
-    def to_spec(self, seed: int) -> SplitSpec:
-        return SplitSpec(self.test_fraction, self.val_fraction, self.stratified, seed)
-
-
-@dataclass
-class FederationSection:
-    num_clients: int = 3
-    rounds: int = 50
-    local_epochs: int = 5
-    aggregation: str = "both"
-
-    def to_config(self, seed: int) -> FederationConfig:
-        return FederationConfig(
-            self.num_clients, self.rounds, self.local_epochs, self.aggregation, seed
-        )
 
 
 @dataclass

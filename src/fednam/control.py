@@ -102,6 +102,11 @@ class ControlConfig:
     lr_patience: int = 10
     min_lr: float = 1e-5
 
+    def __post_init__(self) -> None:
+        # the hooks check their own settings; build one of each to run those checks now
+        self.make_early_stop()
+        self.make_schedule()
+
     def make_early_stop(self) -> EarlyStopState:
         return EarlyStopState(patience=self.early_stop_patience, min_delta=self.min_delta)
 

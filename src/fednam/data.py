@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +39,28 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.columns)
-
 
 @dataclass
-class SplitSpec:
+class SplitConfig:
+    """The split settings of a run config; the seed comes from the run."""
+
     test_fraction: float = 0.20
     val_fraction: float = 0.10  # of each client shard
     stratified: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0,1), got {self.val_fraction}")
+
+    def to_spec(self, seed: int) -> SplitSpec:
+        return SplitSpec(**asdict(self), seed=seed)
+
+
+@dataclass
+class SplitSpec(SplitConfig):
+    seed: int = 0
 
 
 @dataclass
@@ -67,9 +72,6 @@ class Scaler:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std + self.mean
 
 
 @dataclass
@@ -83,7 +85,7 @@ class Dataset:
     scaler: Scaler
     train_idx: np.ndarray
     test_idx: np.ndarray
-    class_names: list[str] = field(default_factory=list)
+    class_names: list[str]
 
     @property
     def X_train(self) -> np.ndarray:
@@ -103,7 +105,7 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_names) if self.class_names else int(self.y.max()) + 1
+        return len(self.class_names)
 
 
 def _sniff_delimiter(header_line: str) -> str:

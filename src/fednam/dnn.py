@@ -42,15 +42,13 @@ class DnnModel(NetBank):
     def forward_batch(
         self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
     ) -> tuple[np.ndarray, BankCache]:
-        return dnn_forward(self, x, mode, rng)
+        """Logits for a (batch, n_features) input, and the cache for backward."""
+        h, cache = bank_forward(self, _bank_input(self, x), mode, rng)
+        return h[0], cache
 
     def backward_batch(self, cache: BankCache, dlogits: np.ndarray) -> list[np.ndarray]:
         grads, _ = dnn_backward(self, cache, dlogits)
         return grads
-
-    def input_gradients(self, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
-        _, dx = dnn_backward(self, dnn_inference_cache(self, x), output_grad)
-        return dx
 
     def to_dict(self, feature_names: list[str]) -> dict:
         doc = bank_to_dicts(self)[0]
@@ -61,14 +59,6 @@ class DnnModel(NetBank):
             feature_names=list(feature_names),
         )
         return doc
-
-
-def dnn_forward(
-    model: DnnModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
-) -> tuple[np.ndarray, BankCache]:
-    """Logits for a (batch, n_features) input, and the cache for backward."""
-    h, cache = bank_forward(model, _bank_input(model, x), mode, rng)
-    return h[0], cache
 
 
 def dnn_inference_cache(model: DnnModel, x: np.ndarray) -> BankCache:

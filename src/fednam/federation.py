@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +42,13 @@ _TAG_LOCAL_TRAIN = 51
 
 
 @dataclass
-class FederationConfig:
+class FederationSection:
+    """The federation settings of a run config; the seed comes from the run."""
+
     num_clients: int = 3
     rounds: int = 50
     local_epochs: int = 5
     aggregation: str = BOTH
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -58,6 +59,14 @@ class FederationConfig:
             raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+
+    def to_config(self, seed: int) -> FederationConfig:
+        return FederationConfig(**asdict(self), seed=seed)
+
+
+@dataclass
+class FederationConfig(FederationSection):
+    seed: int = 0
 
 
 @dataclass
@@ -75,6 +84,11 @@ class ClientState:
     @property
     def n_samples(self) -> int:
         return len(self.x)
+
+    @property
+    def monitor_rows(self) -> np.ndarray:
+        """The rows a client validates on: its validation rows, else its training rows."""
+        return self.val_rows if self.val_rows.size else self.train_rows
 
 
 @dataclass
@@ -112,18 +126,10 @@ class EnsembleModel:
         self.members = members
         self.task = members[0].task
 
-    @property
-    def n_features(self) -> int:
-        return self.members[0].n_features
-
-    @property
-    def out_dim(self) -> int:
-        return self.members[0].out_dim
-
-    def forward_batch(self, x, mode=INFER, rng=0):
+    def forward_batch(self, x, mode=INFER):
         total = None
         for m in self.members:
-            logits, _ = m.forward_batch(x, INFER)
+            logits, _ = m.forward_batch(x, mode)
             total = logits if total is None else total + logits
         return total / len(self.members), None
 
@@ -213,7 +219,7 @@ def local_train(
     gen = as_rng(rng)
     model = client.model
     x, y = client.x, client.y
-    monitor_rows = client.val_rows if client.val_rows.size else client.train_rows
+    monitor_rows = client.monitor_rows
 
     stopper = control.make_early_stop()
     schedule = control.make_schedule()
@@ -303,9 +309,8 @@ def make_clients(
 def _pooled_validation(clients: list[ClientState]) -> tuple[np.ndarray, np.ndarray]:
     xs, ys = [], []
     for client in clients:
-        rows = client.val_rows if client.val_rows.size else client.train_rows
-        xs.append(client.x[rows])
-        ys.append(client.y[rows])
+        xs.append(client.x[client.monitor_rows])
+        ys.append(client.y[client.monitor_rows])
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -350,7 +355,7 @@ def run_federation(
                 failure = TrainingError(f"round {round_index}: {exc}")
                 failure.partial_logs = logs  # completed rounds survive the abort
                 raise failure from exc
-            rows = client.val_rows if client.val_rows.size else client.train_rows
+            rows = client.monitor_rows
             val_loss, val_acc = _loss_and_accuracy(
                 client.model, client.x[rows], client.y[rows], threshold
             )

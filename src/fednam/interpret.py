@@ -18,7 +18,7 @@ import numpy as np
 
 from .dnn import build_dnn, dnn_backward, dnn_inference_cache
 from .errors import DataError, ShapeMismatchError
-from .federation import ClientState, EnsembleModel
+from .federation import ClientState, EnsembleModel, evaluate_model, run_federation
 from .nam import NamModel, nam_forward
 from .nn import INFER
 
@@ -78,12 +78,7 @@ def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
     return [(float(col.min()), float(col.max())) for col in x_train.T]
 
 
-def model_curves(
-    model: NamModel,
-    ranges: list[tuple[float, float]],
-    owner: str,
-    n_points: int = GRID_POINTS,
-) -> list[ShapeCurve]:
+def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str) -> list[ShapeCurve]:
     """Curves for every (feature, class) pair of one model, fixed ordering.
 
     One forward pass evaluates every feature on an evenly spaced grid over its
@@ -95,7 +90,7 @@ def model_curves(
             raise DataError(f"invalid range ({lo}, {hi}) for feature {k}")
         if lo == hi:
             warnings.warn(f"feature {k} has a degenerate range; single-point curve")
-    grid = np.column_stack([np.linspace(lo, hi, n_points) for lo, hi in ranges])
+    grid = np.column_stack([np.linspace(lo, hi, GRID_POINTS) for lo, hi in ranges])
     _, terms, _ = nam_forward(model, grid, INFER)
     if any(lo == hi for lo, hi in ranges):
         _, low_terms, _ = nam_forward(model, np.array([[lo for lo, _ in ranges]]), INFER)
@@ -152,7 +147,7 @@ def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
     """(rows, classes, features) additive terms for NamModel or a NAM ensemble."""
     if isinstance(model, NamModel):
         _, terms, _ = nam_forward(model, x, INFER)
-        return terms if terms.ndim == 3 else terms[None, ...]
+        return terms
     if isinstance(model, EnsembleModel):
         stacks = [_per_feature_terms(m, x) for m in model.members]
         total = stacks[0].copy()
@@ -217,8 +212,6 @@ def baseline_attributions(
 ):
     """Train the joint-input DNN with the same federation loop and attribute
     its test predictions by input*gradient. Returns (model, report, metrics)."""
-    from .federation import evaluate_model, run_federation
-
     def factory(rng):
         return build_dnn(
             n_features=dataset.X.shape[1],
@@ -284,7 +277,6 @@ def export_reports(
     bundle: InterpretBundle,
     out_dir: str | Path,
     scaler=None,
-    attribution: AttributionReport | None = None,
     metrics: dict[str, float] | None = None,
     svg: bool = False,
 ) -> list[Path]:
@@ -306,37 +298,20 @@ def export_reports(
                 writer.writerow([report.owner, name, _fmt(report.scores[k]), report.rank_of(name)])
     written.append(path)
 
-    path = out / "shapes.csv"
-    all_curves = [*bundle.client_curves, *bundle.global_curves]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["owner", "feature", "class", "x", "value"])
-        for curve in all_curves:
-            name = bundle.feature_names[curve.feature_index]
-            for x, v in zip(curve.grid, curve.values):
-                writer.writerow([curve.owner, name, curve.class_index, _fmt(x), _fmt(v)])
-    written.append(path)
-
+    shape_files = [("shapes.csv", "x", None)]
     if scaler is not None:
-        path = out / "shapes_raw_units.csv"
+        shape_files.append(("shapes_raw_units.csv", "x_raw", scaler))
+    for filename, x_column, units in shape_files:
+        path = out / filename
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["owner", "feature", "class", "x_raw", "value"])
-            for curve in all_curves:
+            writer.writerow(["owner", "feature", "class", x_column, "value"])
+            for curve in [*bundle.client_curves, *bundle.global_curves]:
                 k = curve.feature_index
                 name = bundle.feature_names[k]
-                raw_x = curve.grid * scaler.std[k] + scaler.mean[k]
-                for x, v in zip(raw_x, curve.values):
+                xs = curve.grid if units is None else curve.grid * units.std[k] + units.mean[k]
+                for x, v in zip(xs, curve.values):
                     writer.writerow([curve.owner, name, curve.class_index, _fmt(x), _fmt(v)])
-        written.append(path)
-
-    if attribution is not None:
-        path = out / "attributions.csv"
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["feature", "avg_attribution"])
-            for name, value in zip(attribution.feature_names, attribution.values):
-                writer.writerow([name, _fmt(value)])
         written.append(path)
 
     if metrics is not None:

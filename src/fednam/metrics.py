@@ -12,17 +12,9 @@ from .nn import BINARY, MULTICLASS
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their block."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    return ranks
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of each block's last member
+    return 0.5 * ((ends - counts + 1) + ends)[block]
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -23,7 +23,6 @@ from .nn import (
     as_rng,
     bank_backward,
     bank_forward,
-    class_probabilities,
     xavier_bank,
     xavier_init,
 )
@@ -89,6 +88,17 @@ class NamModel(NetBank):
         grads, _ = nam_backward(self, cache, dlogits)
         return grads
 
+    def to_dict(self, feature_names: list[str]) -> dict:
+        return {
+            "schema_version": MODEL_SCHEMA_VERSION,
+            "kind": self.kind,
+            "task": self.task,
+            "feature_names": list(feature_names),
+            "feature_nets": bank_to_dicts(self),
+            "output_weights": self.output_weights.tolist(),
+            "output_bias": self.output_bias.tolist(),
+        }
+
 
 def build_nam(
     n_features: int,
@@ -112,15 +122,12 @@ def build_nam(
 def nam_forward(
     model: NamModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
 ) -> tuple[np.ndarray, np.ndarray, NamCache]:
-    """Logits, per-feature terms, and caches for a (batch, K) or (K,) input.
+    """Logits, per-feature terms, and caches for a (batch, K) input.
 
-    terms[..., c, k] == output_weights[c, k] * f_k(x_k) and
+    terms[i, c, k] == output_weights[c, k] * f_k(x[i, k]) and
     logits == output_bias + terms.sum over k, exactly.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ShapeMismatchError(
             f"input shape {x.shape} incompatible with {model.n_features} features"
@@ -130,10 +137,7 @@ def nam_forward(
     outputs = np.ascontiguousarray(h[:, :, 0].T)
     terms = outputs[:, None, :] * model.output_weights[None, :, :]
     logits = terms.sum(axis=2) + model.output_bias
-    cache = NamCache(bank, outputs)
-    if squeeze:
-        return logits[0], terms[0], cache
-    return logits, terms, cache
+    return logits, terms, NamCache(bank, outputs)
 
 
 def nam_backward(
@@ -146,8 +150,6 @@ def nam_backward(
     feature net k flows only through its own additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.shape != (cache.feature_outputs.shape[0], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
     grads = model.split(np.empty_like(model.params))
@@ -156,46 +158,6 @@ def nam_backward(
     np.matmul(g.T, cache.feature_outputs, out=grads[-2])
     grads[-1][...] = g.sum(axis=0)
     return grads, np.ascontiguousarray(dh[:, :, 0].T)
-
-
-def predict_proba(model, x: np.ndarray) -> np.ndarray:
-    """Class probabilities in inference mode: sigmoid (binary) or softmax (multiclass).
-
-    Binary returns P(class 1) per row; multiclass returns one row per input.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    batch = x[None, :] if squeeze else x
-    logits, _ = model.forward_batch(batch, INFER)
-    probs = class_probabilities(logits, model.task)
-    return probs[0] if squeeze else probs
-
-
-@dataclass
-class PredictionTerm:
-    feature_index: int
-    feature_name: str
-    values: np.ndarray  # (C_out,) contribution of this feature to each logit
-
-
-@dataclass
-class PredictionBreakdown:
-    terms: list[PredictionTerm]  # sorted by descending mean |value|
-    bias: np.ndarray
-    logits: np.ndarray
-
-
-def decompose_prediction(
-    model: NamModel, x: np.ndarray, feature_names: list[str] | None = None
-) -> PredictionBreakdown:
-    """Exact per-feature additive breakdown of one prediction, largest terms first."""
-    logits, terms, _ = nam_forward(model, np.asarray(x, dtype=np.float64), INFER)
-    names = feature_names or [f"feature_{k}" for k in range(model.n_features)]
-    if len(names) != model.n_features:
-        raise ShapeMismatchError("feature_names length does not match model")
-    entries = [PredictionTerm(k, names[k], terms[:, k]) for k in range(model.n_features)]
-    entries.sort(key=lambda t: (-float(np.abs(t.values).mean()), t.feature_index))
-    return PredictionBreakdown(entries, model.output_bias.copy(), logits)
 
 
 def bank_to_dicts(bank: NetBank) -> list[dict]:
@@ -230,18 +192,6 @@ def bank_from_dicts(nets: list[dict]) -> tuple[list[np.ndarray], list[np.ndarray
     return weights, biases, list(first["activations"]), float(first["dropout_rate"])
 
 
-def nam_to_dict(model: NamModel, feature_names: list[str]) -> dict:
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": model.kind,
-        "task": model.task,
-        "feature_names": list(feature_names),
-        "feature_nets": bank_to_dicts(model),
-        "output_weights": model.output_weights.tolist(),
-        "output_bias": model.output_bias.tolist(),
-    }
-
-
 def nam_from_dict(doc: dict) -> tuple[NamModel, list[str]]:
     model = NamModel(
         *bank_from_dicts(doc["feature_nets"]),
@@ -255,11 +205,7 @@ def nam_from_dict(doc: dict) -> tuple[NamModel, list[str]]:
 def save_model(model, feature_names: list[str], path: str | Path) -> None:
     """Write the model as JSON; floats use shortest round-trip decimals, so the
     on-disk form restores bit-identical doubles."""
-    if model.kind == "nam":
-        doc = nam_to_dict(model, feature_names)
-    else:
-        doc = model.to_dict(feature_names)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    Path(path).write_text(json.dumps(model.to_dict(feature_names), indent=1, sort_keys=True))
 
 
 def load_model(path: str | Path):

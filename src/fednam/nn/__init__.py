@@ -11,7 +11,7 @@ from .layers import (
     softmax,
     xavier_init,
 )
-from .losses import BINARY, MULTICLASS, batch_loss_and_grad, class_probabilities, loss_and_grad
+from .losses import BINARY, MULTICLASS, batch_loss_and_grad, class_probabilities
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "batch_loss_and_grad",
     "class_probabilities",
     "inference_cache",
-    "loss_and_grad",
     "optimizer_step",
     "sigmoid",
     "softmax",

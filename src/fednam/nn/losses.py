@@ -11,39 +11,6 @@ BINARY = "binary"
 MULTICLASS = "multiclass"
 
 
-def loss_and_grad(logits: np.ndarray, target: int, task: str) -> tuple[float, np.ndarray]:
-    """Per-example cross-entropy loss and dLoss/dLogits.
-
-    Binary expects a single logit and target in {0, 1}; the gradient is
-    sigmoid(z) - y. Multiclass expects C logits and target in {0..C-1}; the
-    gradient is softmax(z) - onehot(y).
-    """
-    z = np.atleast_1d(np.asarray(logits, dtype=np.float64))
-    if task == BINARY:
-        if z.shape != (1,):
-            raise ShapeMismatchError(f"binary task expects 1 logit, got shape {z.shape}")
-        if target not in (0, 1):
-            raise ValueError(f"binary target must be 0 or 1, got {target!r}")
-        zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-        loss = float(np.logaddexp(0.0, zc[0]) - target * zc[0])
-        grad = sigmoid(zc) - target
-        return loss, grad
-    if task == MULTICLASS:
-        n_classes = z.shape[0]
-        if n_classes < 2:
-            raise ShapeMismatchError("multiclass task expects at least 2 logits")
-        if not 0 <= int(target) < n_classes:
-            raise ValueError(f"target {target!r} out of range for {n_classes} classes")
-        zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-        shifted = zc - zc.max()
-        lse = np.log(np.exp(shifted).sum()) + zc.max()
-        loss = float(lse - zc[int(target)])
-        grad = softmax(zc)
-        grad[int(target)] -= 1.0
-        return loss, grad
-    raise ValueError(f"unknown task {task!r}")
-
-
 def batch_loss_and_grad(logits: np.ndarray, targets: np.ndarray, task: str) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch; gradient has the batch mean folded in."""
     z = np.asarray(logits, dtype=np.float64)

@@ -98,7 +98,7 @@ def _run_trial(args) -> TrialResult:
         result = run_from_config(dataset, config_at(config, point))
         per_client = []
         for client in result.clients:
-            rows = client.val_rows if client.val_rows.size else client.train_rows
+            rows = client.monitor_rows
             stats = evaluate_model(
                 result.global_predictor, client.x[rows], client.y[rows], config.threshold
             )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fednam.dnn import DnnModel
+from fednam.dnn import DnnModel, dnn_backward, dnn_inference_cache
 from fednam.nam import NamModel
 from fednam.nn import BINARY, IDENTITY, MULTICLASS, RELU, xavier_bank
 
@@ -26,3 +26,9 @@ def linear_nam(scales, output_weights, bias: float = 0.0) -> NamModel:
     weights = np.array(scales, dtype=float).reshape(-1, 1, 1)
     return NamModel([weights], [np.zeros((len(scales), 1))], [IDENTITY], 0.0,
                     np.array([output_weights], dtype=float), np.array([bias]), BINARY)
+
+
+def input_gradients(model: DnnModel, x, dlogits):
+    """dLoss/dInput of a dense model at input `x` for upstream gradient `dlogits`."""
+    _, dx = dnn_backward(model, dnn_inference_cache(model, x), dlogits)
+    return dx

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from fednam.errors import ShapeMismatchError
+from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS, sigmoid, softmax
+
 
 def finite_diff_grads(loss_fn, tensors: list[np.ndarray], eps: float = 1e-5) -> list[np.ndarray]:
     """Central-difference gradient of a scalar loss w.r.t. each tensor, in place."""
@@ -232,3 +235,52 @@ def per_feature_curves(model, ranges, n_points: int = 101):
             center = float(raw.mean())
             out.append((grid, raw - center, center))
     return out
+
+
+def loss_and_grad(logits: np.ndarray, target: int, task: str) -> tuple[float, np.ndarray]:
+    """Per-example cross-entropy loss and dLoss/dLogits, the reference that
+    `batch_loss_and_grad` is checked against.
+
+    Binary expects a single logit and target in {0, 1}; the gradient is
+    sigmoid(z) - y. Multiclass expects C logits and target in {0..C-1}; the
+    gradient is softmax(z) - onehot(y).
+    """
+    z = np.atleast_1d(np.asarray(logits, dtype=np.float64))
+    if task == BINARY:
+        if z.shape != (1,):
+            raise ShapeMismatchError(f"binary task expects 1 logit, got shape {z.shape}")
+        if target not in (0, 1):
+            raise ValueError(f"binary target must be 0 or 1, got {target!r}")
+        zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+        loss = float(np.logaddexp(0.0, zc[0]) - target * zc[0])
+        grad = sigmoid(zc) - target
+        return loss, grad
+    if task == MULTICLASS:
+        n_classes = z.shape[0]
+        if n_classes < 2:
+            raise ShapeMismatchError("multiclass task expects at least 2 logits")
+        if not 0 <= int(target) < n_classes:
+            raise ValueError(f"target {target!r} out of range for {n_classes} classes")
+        zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+        shifted = zc - zc.max()
+        lse = np.log(np.exp(shifted).sum()) + zc.max()
+        loss = float(lse - zc[int(target)])
+        grad = softmax(zc)
+        grad[int(target)] -= 1.0
+        return loss, grad
+    raise ValueError(f"unknown task {task!r}")
+
+
+def loop_midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties given their block's mean rank, one block at a time."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
+        i = j + 1
+    return ranks

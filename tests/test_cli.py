@@ -24,18 +24,43 @@ def fast_iris_config(tmp_path: Path, iris_csv: Path, out: str, **overrides) -> P
     return path
 
 
+def files_under(out: Path) -> set[str]:
+    """Every file a command wrote, as paths relative to its --out directory."""
+    return {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+
+
+# every file but run_info.json must be byte-identical across runs, so a
+# command writes exactly these and nothing else
+REPORT_FILES = {"contributions.csv", "shapes.csv", "shapes_raw_units.csv", "run_info.json"}
+TRAIN_FILES = REPORT_FILES | {"model.json", "rounds.csv", "metrics.csv", "config.json"}
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize(
+    "control,message",
+    [({"early_stop_patience": 0}, "patience must be >= 1, got 0"),
+     ({"lr_patience": 0}, "patience must be >= 1, got 0"),
+     ({"lr_factor": 2.0}, "factor must be in (0,1), got 2.0")],
+    ids=["early_stop_patience", "lr_patience", "lr_factor"],
+)
+def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys,
+                                                      command, control, message):
+    config = fast_iris_config(tmp_path, iris_csv, "ctl", control=control)
+    assert main([command, "--config", str(config)]) == 1
+    assert f"config error: invalid control: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ctl").exists()
+
+
 class TestTrain:
     def test_writes_expected_artifacts(self, tmp_path, iris_csv):
         config = fast_iris_config(tmp_path, iris_csv, "run")
         assert main(["train", "--config", str(config)]) == 0
         out = tmp_path / "run"
-        for name in ("model.json", "rounds.csv", "metrics.csv", "contributions.csv",
-                     "shapes.csv", "shapes_raw_units.csv", "config.json", "run_info.json"):
-            assert (out / name).exists(), name
+        clients = {f"clients/client_{i}.json" for i in range(3)}
+        assert files_under(out) == TRAIN_FILES | clients
         with open(out / "metrics.csv") as f:
             rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(f)}
         assert set(rows) == {"accuracy", "auc"}
-        assert (out / "clients" / "client_0.json").exists()
 
     def test_missing_csv_exits_2_with_filename(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -74,6 +99,15 @@ class TestTrain:
         config = fast_iris_config(tmp_path, iris_csv, "bad",
                                   federation={"rounds": 0, "num_clients": 3, "local_epochs": 1})
         assert main(["train", "--config", str(config)]) == 1
+
+    def test_invalid_aggregation_reported_before_reading_data(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dataset": {"kind": "iris", "csv": "/no/such/file.csv"},
+                                      "federation": {"aggregation": "median"},
+                                      "out_dir": str(tmp_path / "o")}))
+        assert main(["train", "--config", str(config)]) == 1
+        assert "config error: aggregation must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_2_with_row_and_column(self, tmp_path, iris_csv, capsys, cell):
@@ -114,6 +148,7 @@ class TestExplain:
             rows = list(csv.DictReader(f))
         assert len(rows) == 4 * 3 * 101  # features x classes x grid, owner=global
         assert {r["owner"] for r in rows} == {"global"}
+        assert files_under(explain_out) == REPORT_FILES
 
     def test_ranking_matches_train_time(self, tmp_path, iris_csv):
         config, out = self.trained(tmp_path, iris_csv)
@@ -206,6 +241,7 @@ class TestTune:
             "client1_val_acc", "client2_val_acc", "mean_val_acc",
             "global_test_acc", "global_test_auc",
         }
+        assert files_under(tmp_path / "tune_out") == {"trials.csv", "best.json", "run_info.json"}
 
     def test_rerun_identical_trials_csv(self, tmp_path, iris_csv):
         grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01],
@@ -236,6 +272,12 @@ class TestTune:
         assert main(["tune", "--config", str(config)]) == 3
         assert "all grid trials failed" in capsys.readouterr().err
 
+    def test_invalid_federation_value_exits_1_before_any_trial(self, tmp_path, iris_csv, capsys):
+        config = fast_iris_config(tmp_path, iris_csv, "tbad", federation={"rounds": 0})
+        assert main(["tune", "--config", str(config)]) == 1
+        assert "config error: rounds must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "tbad").exists()
+
 
 class TestBenchmark:
     def test_schema_and_determinism(self, tmp_path, iris_csv):
@@ -250,6 +292,7 @@ class TestBenchmark:
         assert len(model_rows) == 2
         assert {r["name"] for r in model_rows} == {"fednam", "dnn"}
         assert len(attribution_rows) == 4  # one per iris feature
+        assert files_under(tmp_path / "b1") == {"benchmark.csv", "run_info.json"}
         assert (tmp_path / "b1" / "benchmark.csv").read_bytes() == (
             tmp_path / "b2" / "benchmark.csv"
         ).read_bytes()

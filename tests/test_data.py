@@ -19,15 +19,15 @@ from fednam.nn import BINARY, MULTICLASS
 class TestLoadCsv:
     def test_iris_dimensions(self, iris_csv):
         table = load_csv(iris_csv)
-        assert (table.n_rows, table.n_cols) == (150, 5)
+        assert (table.n_rows, len(table.columns)) == (150, 5)
 
     def test_heart_dimensions(self, heart_csv):
         table = load_csv(heart_csv)
-        assert (table.n_rows, table.n_cols) == (1025, 14)
+        assert (table.n_rows, len(table.columns)) == (1025, 14)
 
     def test_wine_dimensions(self, wine_csv):
         table = load_csv(wine_csv)
-        assert (table.n_rows, table.n_cols) == (1599, 12)
+        assert (table.n_rows, len(table.columns)) == (1599, 12)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -185,4 +185,4 @@ class TestNoLeakage:
         z = scaler.transform(x)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-6)
-        assert np.allclose(scaler.inverse(z), x)
+        assert np.allclose(z * scaler.std + scaler.mean, x)

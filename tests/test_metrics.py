@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import pairwise_auc
-from fednam.metrics import accuracy, compute_metrics, macro_ovr_auc, roc_auc
+from _oracles import loop_midranks, pairwise_auc
+from fednam.metrics import _midranks, accuracy, compute_metrics, macro_ovr_auc, roc_auc
 from fednam.nn import BINARY, MULTICLASS
 
 
@@ -39,6 +41,29 @@ class TestRocAuc:
             # quantized scores force plenty of ties
             scores = np.round(rng.random(n), 2)
             assert roc_auc(scores, labels) == pairwise_auc(scores, labels)
+
+
+# few distinct values, signed zeros among them, so most scores tie
+tied_scores = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0]),
+                       min_size=2, max_size=60)
+
+
+@given(tied_scores, st.data())
+@settings(max_examples=300, deadline=None)
+def test_flipped_labels_give_one_minus_auc(scores, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                         max_size=len(scores))))
+    labels[0], labels[1] = 0, 1  # both classes present
+    scores = np.array(scores)
+    assert abs(roc_auc(scores, 1 - labels) - (1.0 - roc_auc(scores, labels))) <= 1e-12
+
+
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -np.inf, np.inf]),
+                          st.floats(-3, 3, allow_nan=False)), max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_midranks_equal_block_by_block_ranks(values):
+    values = np.array(values, dtype=np.float64)
+    assert _midranks(values).tobytes() == loop_midranks(values).tobytes()
 
 
 class TestAccuracy:

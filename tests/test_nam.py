@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,11 +11,9 @@ from fednam.dnn import build_dnn
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from fednam.nam import (
     build_nam,
-    decompose_prediction,
     load_model,
     nam_backward,
     nam_forward,
-    predict_proba,
     save_model,
 )
 from fednam.nn import BINARY, MULTICLASS, batch_loss_and_grad
@@ -25,63 +22,60 @@ from fednam.nn import BINARY, MULTICLASS, batch_loss_and_grad
 class TestForward:
     def test_zero_shapes_bias_only(self):
         model = linear_nam([0.0, 0.0], [1.0, 1.0], 0.5)
-        logits, terms, _ = nam_forward(model, np.array([3.0, -2.0]))
-        assert logits[0] == 0.5
+        logits, terms, _ = nam_forward(model, np.array([[3.0, -2.0]]))
+        assert logits[0, 0] == 0.5
         assert np.all(terms == 0.0)
-        assert predict_proba(model, np.array([3.0, -2.0])) == pytest.approx(
-            1.0 / (1.0 + math.exp(-0.5))
-        )
 
     def test_linear_composition(self):
         model = linear_nam([1.0, 2.0], [1.0, 1.0])
-        logits, terms, _ = nam_forward(model, np.array([3.0, 4.0]))
-        assert logits[0] == 11.0
-        assert list(terms[0]) == [3.0, 8.0]
+        logits, terms, _ = nam_forward(model, np.array([[3.0, 4.0]]))
+        assert logits[0, 0] == 11.0
+        assert list(terms[0, 0]) == [3.0, 8.0]
 
     def test_length_mismatch(self):
         model = build_nam(3, BINARY, rng=0)
         with pytest.raises(ShapeMismatchError):
             nam_forward(model, np.zeros(4))
+        with pytest.raises(ShapeMismatchError):  # a single row still needs its batch axis
+            nam_forward(model, np.zeros(3))
 
     def test_additivity_on_random_models(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
             model = build_nam(4, BINARY, hidden_layers=2, hidden_units=8, rng=seed)
             for _ in range(200):
-                x = rng.normal(size=4)
+                x = rng.normal(size=(1, 4))
                 logits, terms, _ = nam_forward(model, x)
-                recon = model.output_bias + terms.sum(axis=1)
-                denom = max(abs(float(logits[0])), 1e-12)
-                assert abs(float(logits[0] - recon[0])) / denom <= 1e-9
+                recon = model.output_bias + terms.sum(axis=2)
+                denom = max(abs(float(logits[0, 0])), 1e-12)
+                assert abs(float(logits[0, 0] - recon[0, 0])) / denom <= 1e-9
 
     def test_multiclass_shapes(self):
         model = build_nam(4, MULTICLASS, n_classes=3, hidden_layers=1, hidden_units=4, rng=1)
         logits, terms, _ = nam_forward(model, np.zeros((6, 4)))
         assert logits.shape == (6, 3)
         assert terms.shape == (6, 3, 4)
-        probs = predict_proba(model, np.zeros((6, 4)))
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestStructure:
     def test_univariance(self):
         model = build_nam(3, BINARY, hidden_layers=2, hidden_units=6, rng=3)
-        a = np.array([0.5, -1.0, 2.0])
-        b = np.array([9.9, -1.0, -7.7])  # agrees only on coordinate 1
+        a = np.array([[0.5, -1.0, 2.0]])
+        b = np.array([[9.9, -1.0, -7.7]])  # agrees only on coordinate 1
         _, terms_a, _ = nam_forward(model, a)
         _, terms_b, _ = nam_forward(model, b)
-        assert terms_a[0, 1] == terms_b[0, 1]
+        assert terms_a[0, 0, 1] == terms_b[0, 0, 1]
 
     def test_intervention_locality(self):
         model = build_nam(4, BINARY, hidden_layers=2, hidden_units=6, rng=4)
-        x = np.array([0.1, 0.2, 0.3, 0.4])
+        x = np.array([[0.1, 0.2, 0.3, 0.4]])
         x2 = x.copy()
-        x2[2] = -5.0
+        x2[0, 2] = -5.0
         _, t1, _ = nam_forward(model, x)
         _, t2, _ = nam_forward(model, x2)
         for k in (0, 1, 3):
-            assert t1[0, k] == t2[0, k]
-        assert t1[0, 2] != t2[0, 2]
+            assert t1[0, 0, k] == t2[0, 0, k]
+        assert t1[0, 0, 2] != t2[0, 0, 2]
 
     def test_gradient_isolation(self):
         model = build_nam(3, BINARY, hidden_layers=1, hidden_units=5, rng=5)
@@ -135,31 +129,6 @@ class TestBackward:
         assert max_rel_err(grads, numeric) < 1e-4
 
 
-class TestDecompose:
-    def test_zero_model(self):
-        model = linear_nam([0.0, 0.0], [1.0, 1.0], 0.25)
-        breakdown = decompose_prediction(model, np.array([1.0, 2.0]))
-        assert all(np.all(t.values == 0.0) for t in breakdown.terms)
-        assert breakdown.bias[0] == 0.25
-
-    def test_ordering_and_reconstruction(self):
-        model = linear_nam([1.0, 2.0], [1.0, 1.0])
-        breakdown = decompose_prediction(model, np.array([3.0, 4.0]), ["a", "b"])
-        assert breakdown.terms[0].feature_name == "b"
-        total = breakdown.bias + sum(t.values for t in breakdown.terms)
-        assert total[0] == breakdown.logits[0]
-
-    def test_self_consistency_over_random_inputs(self):
-        rng = np.random.default_rng(9)
-        model = build_nam(5, BINARY, hidden_layers=2, hidden_units=6, rng=9)
-        for _ in range(1000):
-            x = rng.normal(size=5)
-            breakdown = decompose_prediction(model, x)
-            recon = breakdown.bias + sum(t.values for t in breakdown.terms)
-            denom = max(abs(float(breakdown.logits[0])), 1e-12)
-            assert abs(float(recon[0] - breakdown.logits[0])) / denom <= 1e-9
-
-
 class TestSerialization:
     def test_bit_exact_roundtrip(self, tmp_path):
         model = build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=10)
@@ -204,7 +173,7 @@ class TestSerialization:
 @settings(max_examples=30, deadline=None)
 def test_additivity_property(seed):
     model = build_nam(3, BINARY, hidden_layers=1, hidden_units=4, rng=seed % 7)
-    x = np.random.default_rng(seed).normal(size=3)
+    x = np.random.default_rng(seed).normal(size=(1, 3))
     logits, terms, _ = nam_forward(model, x)
-    recon = model.output_bias + terms.sum(axis=1)
-    assert abs(float(logits[0] - recon[0])) <= 1e-9 * max(abs(float(logits[0])), 1e-12)
+    recon = model.output_bias + terms.sum(axis=2)
+    assert abs(float(logits[0, 0] - recon[0, 0])) <= 1e-9 * max(abs(float(logits[0, 0])), 1e-12)
