@@ -28,7 +28,6 @@ from .interpret import (
     average_shape_functions,
     baseline_attributions,
     contribution_scores,
-    export_reports,
     global_interpret,
     model_curves,
 )

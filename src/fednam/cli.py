@@ -1,8 +1,9 @@
 """Command-line entry point: train, explain, tune, benchmark.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 training failure.
-Everything a command writes lands under its --out directory; timestamps are
-confined to run_info.json so repeated runs stay byte-identical.
+Everything a command writes lands under its --out directory, and this module
+writes all of it; timestamps are confined to run_info.json so repeated runs
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, save_config
-from .data import Dataset, load_dataset
+from .data import Dataset, Scaler, load_dataset
 from .errors import ConfigError, DataError, FedNamError, TrainingError
-from .federation import evaluate_model, write_round_logs
+from .federation import RoundLog, evaluate_model
 from .interpret import (
     GLOBAL_OWNER,
-    _fmt,
     baseline_attributions,
     contribution_scores,
-    export_reports,
     global_interpret,
     model_curves,
+    render_shapes_svg,
     training_feature_ranges,
     InterpretBundle,
 )
@@ -34,6 +34,73 @@ from .nam import NamModel, load_model, save_model
 from .tune import config_at, grid_search, make_optimizer_factory, run_from_config
 
 __all__ = ["main"]
+
+
+def _fmt(x: float) -> str:
+    """Shortest round-trip decimal form: re-parsing a file restores the exact double."""
+    return repr(float(x))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_round_logs(logs: list[RoundLog], path: Path) -> None:
+    """rounds.csv: one row per round and client."""
+    _write_csv(
+        path,
+        ["round", "client_id", "train_loss", "val_loss", "val_acc", "global_val_acc", "global_val_auc"],
+        (
+            [log.round_index, entry.client_id, _fmt(entry.train_loss), _fmt(entry.val_loss),
+             _fmt(entry.val_acc), _fmt(log.global_val_acc), _fmt(log.global_val_auc)]
+            for log in logs
+            for entry in log.clients
+        ),
+    )
+
+
+def export_reports(
+    bundle: InterpretBundle,
+    out: Path,
+    scaler: Scaler,
+    metrics: dict[str, float] | None = None,
+    svg: bool = False,
+) -> None:
+    """Write contributions.csv, shapes.csv and shapes_raw_units.csv, plus
+    metrics.csv when metrics are given and shapes.svg when asked."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out / "contributions.csv",
+        ["owner", "feature", "score", "rank"],
+        (
+            [report.owner, name, _fmt(report.scores[k]), report.rank_of(name)]
+            for report in [*bundle.client_contributions, bundle.global_contribution]
+            for k, name in enumerate(report.feature_names)
+        ),
+    )
+    curves = [*bundle.client_curves, *bundle.global_curves]
+
+    def shape_rows(units: Scaler | None):
+        for curve in curves:
+            k = curve.feature_index
+            xs = curve.grid if units is None else curve.grid * units.std[k] + units.mean[k]
+            for x, v in zip(xs, curve.values):
+                yield [curve.owner, bundle.feature_names[k], curve.class_index, _fmt(x), _fmt(v)]
+
+    _write_csv(out / "shapes.csv", ["owner", "feature", "class", "x", "value"], shape_rows(None))
+    _write_csv(
+        out / "shapes_raw_units.csv",
+        ["owner", "feature", "class", "x_raw", "value"],
+        shape_rows(scaler),
+    )
+    if metrics is not None:
+        rows = [[key, _fmt(metrics[key])] for key in sorted(metrics)]
+        _write_csv(out / "metrics.csv", ["metric", "value"], rows)
+    if svg:
+        (out / "shapes.svg").write_text(render_shapes_svg(bundle))
 
 
 def _load_run_dataset(config: RunConfig) -> Dataset:
@@ -127,37 +194,22 @@ def cmd_tune(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     n_clients = config.federation.num_clients
-    with open(out / "trials.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        client_cols = [f"client{i + 1}_val_acc" for i in range(n_clients)]
-        writer.writerow(
-            ["trial_id", "dropout", "lr", "layers", "batch"]
-            + client_cols
-            + ["mean_val_acc", "global_test_acc", "global_test_auc"]
-        )
-        for t in trials:
-            accs = [_fmt(a) for a in t.per_client_val_acc]
-            accs += [""] * (n_clients - len(accs))
-            writer.writerow(
-                [
-                    t.trial_id,
-                    _fmt(t.dropout),
-                    _fmt(t.learning_rate),
-                    t.hidden_layers,
-                    t.batch_size,
-                    *accs,
-                    _fmt(t.mean_val_acc),
-                    _fmt(t.global_test_acc),
-                    _fmt(t.global_test_auc),
-                ]
-            )
-    failed = [t for t in trials if t.error is not None]
+    _write_csv(
+        out / "trials.csv",
+        ["trial_id", "dropout", "lr", "layers", "batch"]
+        + [f"client{i + 1}_val_acc" for i in range(n_clients)]
+        + ["mean_val_acc", "global_test_acc", "global_test_auc"],
+        (
+            [t.trial_id, _fmt(t.dropout), _fmt(t.learning_rate), t.hidden_layers, t.batch_size]
+            + [_fmt(a) for a in t.per_client_val_acc]
+            + [""] * (n_clients - len(t.per_client_val_acc))
+            + [_fmt(t.mean_val_acc), _fmt(t.global_test_acc), _fmt(t.global_test_auc)]
+            for t in trials
+        ),
+    )
+    failed = [[t.trial_id, t.error] for t in trials if t.error is not None]
     if failed:
-        with open(out / "trial_errors.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["trial_id", "error"])
-            for t in failed:
-                writer.writerow([t.trial_id, t.error])
+        _write_csv(out / "trial_errors.csv", ["trial_id", "error"], failed)
 
     point = (winner.dropout, winner.learning_rate, winner.hidden_layers, winner.batch_size)
     save_config(config_at(config, point), out / "best.json")
@@ -188,13 +240,16 @@ def cmd_benchmark(config: RunConfig) -> int:
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "benchmark.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row_type", "name", "test_accuracy", "test_auc", "avg_attribution"])
-        writer.writerow(["model", "fednam", _fmt(nam_stats["accuracy"]), _fmt(nam_stats["auc"]), ""])
-        writer.writerow(["model", "dnn", _fmt(dnn_stats["accuracy"]), _fmt(dnn_stats["auc"]), ""])
-        for name, value in zip(attribution.feature_names, attribution.values):
-            writer.writerow(["attribution", name, "", "", _fmt(value)])
+    _write_csv(
+        out / "benchmark.csv",
+        ["row_type", "name", "test_accuracy", "test_auc", "avg_attribution"],
+        [
+            ["model", "fednam", _fmt(nam_stats["accuracy"]), _fmt(nam_stats["auc"]), ""],
+            ["model", "dnn", _fmt(dnn_stats["accuracy"]), _fmt(dnn_stats["auc"]), ""],
+        ]
+        + [["attribution", name, "", "", _fmt(value)]
+           for name, value in zip(attribution.feature_names, attribution.values)],
+    )
     _write_run_info(out, "benchmark")
     gap = abs(nam_stats["accuracy"] - dnn_stats["accuracy"])
     print(

@@ -37,8 +37,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.unit_kind not in (RELU, EXU):
             raise ConfigError(f"model.unit_kind must be 'relu' or 'exu', got {self.unit_kind!r}")
-        if self.hidden_layers < 1 or self.hidden_units < 1:
-            raise ConfigError("model.hidden_layers and hidden_units must be >= 1")
+        for key in ("hidden_layers", "hidden_units"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout must be in [0,1), got {self.dropout}")
 
@@ -155,10 +156,6 @@ def config_from_dict(doc: dict) -> RunConfig:
     return _build(RunConfig, doc)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return asdict(config)
-
-
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -171,4 +168,4 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=1, sort_keys=True))
+    Path(path).write_text(json.dumps(asdict(config), indent=1, sort_keys=True))

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 CONTINUE = "continue"
 STOP = "stop"
 STOP_ERROR = "stop_error"
@@ -103,9 +105,19 @@ class ControlConfig:
     min_lr: float = 1e-5
 
     def __post_init__(self) -> None:
-        # the hooks check their own settings; build one of each to run those checks now
-        self.make_early_stop()
-        self.make_schedule()
+        # the hooks check their own settings: build a hook from each key alone, to
+        # run those checks now and name the key that a check rejects
+        for key, hook, field in (
+            ("early_stop_patience", EarlyStopState, "patience"),
+            ("min_delta", EarlyStopState, "min_delta"),
+            ("lr_factor", LrSchedule, "factor"),
+            ("lr_patience", LrSchedule, "patience"),
+            ("min_lr", LrSchedule, "min_lr"),
+        ):
+            try:
+                hook(**{field: getattr(self, key)})
+            except ValueError as exc:
+                raise ConfigError(f"control.{key}: {exc}") from exc
 
     def make_early_stop(self) -> EarlyStopState:
         return EarlyStopState(patience=self.early_stop_patience, min_delta=self.min_delta)

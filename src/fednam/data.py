@@ -50,9 +50,9 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0,1), got {self.test_fraction}")
+            raise ConfigError(f"split.test_fraction must be in (0,1), got {self.test_fraction}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in [0,1), got {self.val_fraction}")
+            raise ConfigError(f"split.val_fraction must be in [0,1), got {self.val_fraction}")
 
     def to_spec(self, seed: int) -> SplitSpec:
         return SplitSpec(**asdict(self), seed=seed)

@@ -7,11 +7,9 @@ bit-for-bit, which `train_centralized` exists to demonstrate.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -52,13 +50,15 @@ class FederationSection:
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
+            raise ConfigError(f"federation.num_clients must be >= 1, got {self.num_clients}")
         if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+            raise ConfigError(f"federation.rounds must be >= 1, got {self.rounds}")
         if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
+            raise ConfigError(f"federation.local_epochs must be >= 1, got {self.local_epochs}")
         if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+            raise ConfigError(
+                f"federation.aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
+            )
 
     def to_config(self, seed: int) -> FederationConfig:
         return FederationConfig(**asdict(self), seed=seed)
@@ -149,18 +149,14 @@ def partition_clients(
     if n < num_clients:
         raise DataError(f"cannot split {n} rows across {num_clients} clients")
     rng = np.random.default_rng([seed, _TAG_PARTITION])
-    shards: list[list[int]] = [[] for _ in range(num_clients)]
-    cursor = 0
     if stratified:
         groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
     else:
         groups = [np.arange(n)]
-    for members in groups:
-        members = members[rng.permutation(len(members))]
-        for idx in members:
-            shards[cursor % num_clients].append(int(idx))
-            cursor += 1
-    return [np.sort(np.array(s, dtype=np.int64)) for s in shards]
+    # the cursor runs on across groups, so dealing the shuffled groups laid end
+    # to end gives shard c every num_clients-th row from position c
+    order = np.concatenate([members[rng.permutation(len(members))] for members in groups])
+    return [np.sort(order[c::num_clients]) for c in range(num_clients)]
 
 
 def _carve_validation(n_rows: int, val_fraction: float, seed: int, client_id: int):
@@ -378,8 +374,6 @@ def run_federation(
         logs.append(
             RoundLog(round_index, entries, global_stats["accuracy"], global_stats["auc"])
         )
-
-    predictor = global_model if parameter_averaging else EnsembleModel([c.model for c in clients])
     return FederationResult(global_model, predictor, clients, logs)
 
 
@@ -403,25 +397,3 @@ def train_centralized(
         rng = np.random.default_rng([config.seed, _TAG_LOCAL_TRAIN, round_index, 0])
         local_train(client, config.local_epochs, batch_size, control, rng)
     return client.model
-
-
-def write_round_logs(logs: list[RoundLog], path: str | Path) -> None:
-    """CSV export: round,client_id,train_loss,val_loss,val_acc,global_val_acc,global_val_auc."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["round", "client_id", "train_loss", "val_loss", "val_acc", "global_val_acc", "global_val_auc"]
-        )
-        for log in logs:
-            for entry in log.clients:
-                writer.writerow(
-                    [
-                        log.round_index,
-                        entry.client_id,
-                        repr(float(entry.train_loss)),
-                        repr(float(entry.val_loss)),
-                        repr(float(entry.val_acc)),
-                        repr(float(log.global_val_acc)),
-                        repr(float(log.global_val_auc)),
-                    ]
-                )

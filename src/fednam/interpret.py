@@ -9,10 +9,8 @@ importance.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -269,68 +267,11 @@ def input_gradient_attributions(model, x: np.ndarray, feature_names: list[str]) 
     return AttributionReport(list(feature_names), per_class.mean(axis=0))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+SVG_PANEL = 160  # panel side, px
+SVG_PAD = 28  # gap around panels, px
 
 
-def export_reports(
-    bundle: InterpretBundle,
-    out_dir: str | Path,
-    scaler=None,
-    metrics: dict[str, float] | None = None,
-    svg: bool = False,
-) -> list[Path]:
-    """Write contributions.csv, shapes.csv (plus raw-unit grid), and friends.
-
-    All numerics use shortest round-trip decimal form, so re-parsing the files
-    restores the exact doubles.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    path = out / "contributions.csv"
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["owner", "feature", "score", "rank"])
-        for report in [*bundle.client_contributions, bundle.global_contribution]:
-            for k, name in enumerate(report.feature_names):
-                writer.writerow([report.owner, name, _fmt(report.scores[k]), report.rank_of(name)])
-    written.append(path)
-
-    shape_files = [("shapes.csv", "x", None)]
-    if scaler is not None:
-        shape_files.append(("shapes_raw_units.csv", "x_raw", scaler))
-    for filename, x_column, units in shape_files:
-        path = out / filename
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["owner", "feature", "class", x_column, "value"])
-            for curve in [*bundle.client_curves, *bundle.global_curves]:
-                k = curve.feature_index
-                name = bundle.feature_names[k]
-                xs = curve.grid if units is None else curve.grid * units.std[k] + units.mean[k]
-                for x, v in zip(xs, curve.values):
-                    writer.writerow([curve.owner, name, curve.class_index, _fmt(x), _fmt(v)])
-        written.append(path)
-
-    if metrics is not None:
-        path = out / "metrics.csv"
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["metric", "value"])
-            for key in sorted(metrics):
-                writer.writerow([key, _fmt(metrics[key])])
-        written.append(path)
-
-    if svg:
-        path = out / "shapes.svg"
-        path.write_text(render_shapes_svg(bundle))
-        written.append(path)
-    return written
-
-
-def render_shapes_svg(bundle: InterpretBundle, panel: int = 160, pad: int = 28) -> str:
+def render_shapes_svg(bundle: InterpretBundle) -> str:
     """Small-multiples grid: one panel per (feature, class); client curves thin
     gray, the global curve thick black. Decorative output, not golden-tested."""
     panels: dict[tuple[int, int], list[ShapeCurve]] = {}
@@ -339,8 +280,8 @@ def render_shapes_svg(bundle: InterpretBundle, panel: int = 160, pad: int = 28) 
     keys = sorted(panels)
     cols = max(1, min(4, len(keys)))
     rows = (len(keys) + cols - 1) // cols
-    width = cols * (panel + pad) + pad
-    height = rows * (panel + pad) + pad
+    width = cols * (SVG_PANEL + SVG_PAD) + SVG_PAD
+    height = rows * (SVG_PANEL + SVG_PAD) + SVG_PAD
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -349,8 +290,8 @@ def render_shapes_svg(bundle: InterpretBundle, panel: int = 160, pad: int = 28) 
     for idx, key in enumerate(keys):
         curves = panels[key]
         col, row = idx % cols, idx // cols
-        x0 = pad + col * (panel + pad)
-        y0 = pad + row * (panel + pad)
+        x0 = SVG_PAD + col * (SVG_PANEL + SVG_PAD)
+        y0 = SVG_PAD + row * (SVG_PANEL + SVG_PAD)
         lo = min(float(c.values.min()) for c in curves)
         hi = max(float(c.values.max()) for c in curves)
         span = (hi - lo) or 1.0
@@ -358,7 +299,7 @@ def render_shapes_svg(bundle: InterpretBundle, panel: int = 160, pad: int = 28) 
         ghi = max(float(c.grid.max()) for c in curves)
         gspan = (ghi - glo) or 1.0
         parts.append(
-            f'<rect x="{x0}" y="{y0}" width="{panel}" height="{panel}" '
+            f'<rect x="{x0}" y="{y0}" width="{SVG_PANEL}" height="{SVG_PANEL}" '
             'fill="none" stroke="#ccc"/>'
         )
         label = bundle.feature_names[key[0]]
@@ -369,8 +310,8 @@ def render_shapes_svg(bundle: InterpretBundle, panel: int = 160, pad: int = 28) 
         )
         for curve in curves:
             pts = " ".join(
-                f"{x0 + (gx - glo) / gspan * panel:.2f},"
-                f"{y0 + panel - (gv - lo) / span * panel:.2f}"
+                f"{x0 + (gx - glo) / gspan * SVG_PANEL:.2f},"
+                f"{y0 + SVG_PANEL - (gv - lo) / span * SVG_PANEL:.2f}"
                 for gx, gv in zip(curve.grid, curve.values)
             )
             if curve.owner == GLOBAL_OWNER:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -67,11 +67,12 @@ class TrialResult:
     learning_rate: float
     hidden_layers: int
     batch_size: int
-    per_client_val_acc: list[float]
-    mean_val_acc: float
-    global_val_auc: float
-    global_test_acc: float
-    global_test_auc: float
+    # a failed trial keeps these defaults and sets `error`
+    per_client_val_acc: list[float] = field(default_factory=list)
+    mean_val_acc: float = math.nan
+    global_val_auc: float = math.nan
+    global_test_acc: float = math.nan
+    global_test_auc: float = math.nan
     error: str | None = None
 
 
@@ -93,7 +94,6 @@ def config_at(config: RunConfig, point: tuple[float, float, int, int]) -> RunCon
 
 def _run_trial(args) -> TrialResult:
     trial_id, point, dataset, config = args
-    dropout, lr, layers, batch = point
     try:
         result = run_from_config(dataset, config_at(config, point))
         per_client = []
@@ -107,11 +107,8 @@ def _run_trial(args) -> TrialResult:
             result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
         )
         return TrialResult(
-            trial_id=trial_id,
-            dropout=dropout,
-            learning_rate=lr,
-            hidden_layers=layers,
-            batch_size=batch,
+            trial_id,
+            *point,
             per_client_val_acc=per_client,
             mean_val_acc=float(np.mean(per_client)),
             global_val_auc=result.round_logs[-1].global_val_auc,
@@ -119,19 +116,7 @@ def _run_trial(args) -> TrialResult:
             global_test_auc=test_stats["auc"],
         )
     except FedNamError as exc:
-        return TrialResult(
-            trial_id=trial_id,
-            dropout=dropout,
-            learning_rate=lr,
-            hidden_layers=layers,
-            batch_size=batch,
-            per_client_val_acc=[],
-            mean_val_acc=float("nan"),
-            global_val_auc=float("nan"),
-            global_test_acc=float("nan"),
-            global_test_auc=float("nan"),
-            error=str(exc),
-        )
+        return TrialResult(trial_id, *point, error=str(exc))
 
 
 def _selection_key(trial: TrialResult):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from fednam.cli import main
+from fednam.errors import TrainingError
 from fednam.nam import build_nam, save_model
 from fednam.nn import MULTICLASS
 
@@ -29,25 +30,49 @@ def files_under(out: Path) -> set[str]:
     return {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
 
 
+def csv_headers(out: Path) -> dict[str, list[str]]:
+    """The header row of every CSV a command wrote, by path under --out."""
+    headers = {}
+    for name in files_under(out):
+        if name.endswith(".csv"):
+            with open(out / name, newline="") as f:
+                headers[name] = next(csv.reader(f))
+    return headers
+
+
 # every file but run_info.json must be byte-identical across runs, so a
 # command writes exactly these and nothing else
 REPORT_FILES = {"contributions.csv", "shapes.csv", "shapes_raw_units.csv", "run_info.json"}
 TRAIN_FILES = REPORT_FILES | {"model.json", "rounds.csv", "metrics.csv", "config.json"}
 
+ROUNDS_HEADER = ["round", "client_id", "train_loss", "val_loss", "val_acc", "global_val_acc",
+                 "global_val_auc"]
+REPORT_HEADERS = {
+    "contributions.csv": ["owner", "feature", "score", "rank"],
+    "shapes.csv": ["owner", "feature", "class", "x", "value"],
+    "shapes_raw_units.csv": ["owner", "feature", "class", "x_raw", "value"],
+}
+TRAIN_HEADERS = REPORT_HEADERS | {"rounds.csv": ROUNDS_HEADER, "metrics.csv": ["metric", "value"]}
+
 
 @pytest.mark.parametrize("command", ["train", "tune"])
 @pytest.mark.parametrize(
-    "control,message",
-    [({"early_stop_patience": 0}, "patience must be >= 1, got 0"),
-     ({"lr_patience": 0}, "patience must be >= 1, got 0"),
-     ({"lr_factor": 2.0}, "factor must be in (0,1), got 2.0")],
-    ids=["early_stop_patience", "lr_patience", "lr_factor"],
+    "overrides,message",
+    [({"control": {"early_stop_patience": 0}},
+      "control.early_stop_patience: patience must be >= 1, got 0"),
+     ({"control": {"lr_patience": 0}}, "control.lr_patience: patience must be >= 1, got 0"),
+     ({"control": {"lr_factor": 2.0}}, "control.lr_factor: factor must be in (0,1), got 2.0"),
+     ({"federation": {"rounds": 0}}, "federation.rounds must be >= 1, got 0"),
+     ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be in (0,1), got 1.5")],
+    ids=["early_stop_patience", "lr_patience", "lr_factor", "federation.rounds",
+         "split.test_fraction"],
 )
 def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys,
-                                                      command, control, message):
-    config = fast_iris_config(tmp_path, iris_csv, "ctl", control=control)
+                                                      command, overrides, message):
+    """A range error names its section.key, and no --out directory is made."""
+    config = fast_iris_config(tmp_path, iris_csv, "ctl", **overrides)
     assert main([command, "--config", str(config)]) == 1
-    assert f"config error: invalid control: {message}" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "ctl").exists()
 
 
@@ -58,9 +83,35 @@ class TestTrain:
         out = tmp_path / "run"
         clients = {f"clients/client_{i}.json" for i in range(3)}
         assert files_under(out) == TRAIN_FILES | clients
+        assert csv_headers(out) == TRAIN_HEADERS
         with open(out / "metrics.csv") as f:
             rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(f)}
         assert set(rows) == {"accuracy", "auc"}
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_training_failure_keeps_completed_rounds(self, tmp_path, iris_csv, monkeypatch):
+        import fednam.federation as federation_module
+
+        real_local_train = federation_module.local_train
+        calls = {"n": 0}
+
+        def flaky_local_train(client, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 7:  # first client of round 3
+                raise TrainingError(f"client {client.client_id}: injected failure")
+            return real_local_train(client, *args, **kwargs)
+
+        monkeypatch.setattr(federation_module, "local_train", flaky_local_train)
+        config = fast_iris_config(tmp_path, iris_csv, "failed")
+        assert main(["train", "--config", str(config)]) == 3
+        out = tmp_path / "failed"
+        assert files_under(out) == {"rounds.csv"}
+        assert csv_headers(out) == {"rounds.csv": ROUNDS_HEADER}
+        with open(out / "rounds.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["round"], r["client_id"]) for r in rows] == [
+            (str(r), str(c)) for r in (1, 2) for c in range(3)
+        ]
 
     def test_missing_csv_exits_2_with_filename(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -106,7 +157,7 @@ class TestTrain:
                                       "federation": {"aggregation": "median"},
                                       "out_dir": str(tmp_path / "o")}))
         assert main(["train", "--config", str(config)]) == 1
-        assert "config error: aggregation must be one of" in capsys.readouterr().err
+        assert "config error: federation.aggregation must be one of" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -149,6 +200,7 @@ class TestExplain:
         assert len(rows) == 4 * 3 * 101  # features x classes x grid, owner=global
         assert {r["owner"] for r in rows} == {"global"}
         assert files_under(explain_out) == REPORT_FILES
+        assert csv_headers(explain_out) == REPORT_HEADERS
 
     def test_ranking_matches_train_time(self, tmp_path, iris_csv):
         config, out = self.trained(tmp_path, iris_csv)
@@ -236,15 +288,17 @@ class TestTune:
         with open(tmp_path / "tune_out" / "trials.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
-        assert set(rows[0]) == {
+        assert files_under(tmp_path / "tune_out") == {"trials.csv", "best.json", "run_info.json"}
+        assert csv_headers(tmp_path / "tune_out") == {"trials.csv": [
             "trial_id", "dropout", "lr", "layers", "batch",
             "client1_val_acc", "client2_val_acc", "mean_val_acc",
             "global_test_acc", "global_test_auc",
-        }
-        assert files_under(tmp_path / "tune_out") == {"trials.csv", "best.json", "run_info.json"}
+        ]}
 
+    @pytest.mark.filterwarnings("ignore")
     def test_rerun_identical_trials_csv(self, tmp_path, iris_csv):
-        grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01],
+        # lr=1e280 fails its trials, which then go to trial_errors.csv too
+        grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01, 1e280],
                 "hidden_layers": [1], "batch_size": [16]}
         a = fast_iris_config(tmp_path, iris_csv, "t1", grid=grid,
                              federation={"num_clients": 2, "rounds": 2, "local_epochs": 1})
@@ -252,9 +306,11 @@ class TestTune:
                              federation={"num_clients": 2, "rounds": 2, "local_epochs": 1})
         assert main(["tune", "--config", str(a)]) == 0
         assert main(["tune", "--config", str(b)]) == 0
-        assert (tmp_path / "t1" / "trials.csv").read_bytes() == (
-            tmp_path / "t2" / "trials.csv"
-        ).read_bytes()
+        for name in ("trials.csv", "trial_errors.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+        assert csv_headers(tmp_path / "t1")["trial_errors.csv"] == ["trial_id", "error"]
+        with open(tmp_path / "t1" / "trial_errors.csv") as f:
+            assert [r["trial_id"] for r in csv.DictReader(f)] == ["1", "3"]
 
     def test_default_grid_yields_24_trials(self, tmp_path, iris_csv):
         config = fast_iris_config(tmp_path, iris_csv, "t24",
@@ -275,7 +331,7 @@ class TestTune:
     def test_invalid_federation_value_exits_1_before_any_trial(self, tmp_path, iris_csv, capsys):
         config = fast_iris_config(tmp_path, iris_csv, "tbad", federation={"rounds": 0})
         assert main(["tune", "--config", str(config)]) == 1
-        assert "config error: rounds must be >= 1, got 0" in capsys.readouterr().err
+        assert "config error: federation.rounds must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "tbad").exists()
 
 
@@ -293,6 +349,9 @@ class TestBenchmark:
         assert {r["name"] for r in model_rows} == {"fednam", "dnn"}
         assert len(attribution_rows) == 4  # one per iris feature
         assert files_under(tmp_path / "b1") == {"benchmark.csv", "run_info.json"}
+        assert csv_headers(tmp_path / "b1") == {"benchmark.csv": [
+            "row_type", "name", "test_accuracy", "test_auc", "avg_attribution",
+        ]}
         assert (tmp_path / "b1" / "benchmark.csv").read_bytes() == (
             tmp_path / "b2" / "benchmark.csv"
         ).read_bytes()

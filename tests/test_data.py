@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import WINE_COLUMNS, write_csv
 from fednam.data import (
@@ -150,6 +154,21 @@ class TestSplits:
         with pytest.warns(UserWarning, match="unstratified"):
             train, test = train_test_split(y, SplitSpec(test_fraction=0.2, seed=1))
         assert len(train) + len(test) == 10
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_test_split_has_round_n_times_fraction_rows(self, data):
+        n = data.draw(st.integers(2, 400))
+        fraction = data.draw(st.floats(0.01, 0.99))
+        assume(1 <= round(n * fraction) <= n - 1)
+        y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        split = SplitSpec(test_fraction=fraction, stratified=data.draw(st.booleans()),
+                          seed=data.draw(st.integers(0, 2**32 - 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a 1-member class falls back to unstratified
+            train, test = train_test_split(y, split)
+        assert len(test) == round(n * fraction)
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
 
     def test_invalid_fractions_rejected(self):
         with pytest.raises(ConfigError):

@@ -87,6 +87,24 @@ class TestPartition:
         with pytest.raises(DataError):
             partition_clients(np.array([0, 1]), 3, seed=0)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shards_disjoint_exhaustive_and_balanced(self, data):
+        n = data.draw(st.integers(1, 300))
+        num_clients = data.draw(st.integers(1, min(n, 12)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        stratified = data.draw(st.booleans())
+        shards = partition_clients(labels, num_clients, data.draw(st.integers(0, 2**32 - 1)),
+                                   stratified)
+        assert len(shards) == num_clients
+        assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(n))
+        sizes = [len(shard) for shard in shards]
+        assert max(sizes) - min(sizes) <= 1
+        if stratified:
+            for c in np.unique(labels):
+                counts = [np.count_nonzero(labels[shard] == c) for shard in shards]
+                assert max(counts) - min(counts) <= 1
+
 
 class TestLocalTrain:
     def test_tiny_lr_leaves_params_nearly_unchanged(self):

@@ -6,7 +6,8 @@ import pytest
 
 from _models import input_gradients, linear_nam, one_layer
 from _oracles import finite_diff_grads, max_rel_err, pointwise_mean
-from fednam.data import HEART, SplitSpec, load_dataset
+from fednam.cli import export_reports
+from fednam.data import HEART, Scaler, SplitSpec, load_dataset
 from fednam.dnn import build_dnn
 from fednam.errors import DataError, ShapeMismatchError
 from fednam.federation import ClientState, EnsembleModel, FederationConfig
@@ -15,7 +16,6 @@ from fednam.interpret import (
     average_shape_functions,
     baseline_attributions,
     contribution_scores,
-    export_reports,
     global_interpret,
     input_gradient_attributions,
     model_curves,
@@ -255,13 +255,15 @@ class TestAttributions:
 
 
 class TestExport:
+    SCALER = Scaler(mean=np.array([1.0, -2.0]), std=np.array([0.5, 3.0]))
+
     def build_bundle(self):
         clients, x = TestGlobalInterpret().make_clients()
         return global_interpret(clients, clients[0].model, x, ["a", "b"]), x
 
     def test_contribution_row_count(self, tmp_path):
         bundle, _ = self.build_bundle()
-        export_reports(bundle, tmp_path)
+        export_reports(bundle, tmp_path, self.SCALER)
         with open(tmp_path / "contributions.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2 * (3 + 1)  # features x (clients + global)
@@ -270,7 +272,7 @@ class TestExport:
 
     def test_shapes_roundtrip_full_precision(self, tmp_path):
         bundle, _ = self.build_bundle()
-        export_reports(bundle, tmp_path)
+        export_reports(bundle, tmp_path, self.SCALER)
         by_key = {}
         with open(tmp_path / "shapes.csv") as f:
             for row in csv.DictReader(f):
@@ -281,10 +283,15 @@ class TestExport:
             name = bundle.feature_names[curve.feature_index]
             parsed = np.array(by_key[(GLOBAL_OWNER, name, curve.class_index)])
             assert np.array_equal(parsed, curve.values)
+        with open(tmp_path / "shapes_raw_units.csv") as f:
+            x_raw = [float(r["x_raw"]) for r in csv.DictReader(f)
+                     if (r["owner"], r["feature"], r["class"]) == (GLOBAL_OWNER, "b", "0")]
+        [curve] = [c for c in bundle.global_curves if (c.feature_index, c.class_index) == (1, 0)]
+        assert np.array_equal(x_raw, curve.grid * 3.0 - 2.0)
 
     def test_svg_renders(self, tmp_path):
         bundle, _ = self.build_bundle()
-        export_reports(bundle, tmp_path, svg=True)
+        export_reports(bundle, tmp_path, self.SCALER, svg=True)
         text = (tmp_path / "shapes.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
         assert render_shapes_svg(bundle).startswith("<svg")
@@ -302,7 +309,7 @@ class TestExport:
         )
         bundle = global_interpret(result.clients, result.global_model,
                                   dataset.X_train, dataset.feature_names)
-        export_reports(bundle, tmp_path)
+        export_reports(bundle, tmp_path, dataset.scaler)
         with open(tmp_path / "contributions.csv") as f:
             rows = list(csv.reader(f))
         assert len(rows) - 1 == 13 * 4
