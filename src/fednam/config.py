@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -66,9 +67,27 @@ class GridConfig:
     batch_size: list[int] = field(default_factory=lambda: [16, 32])
 
     def __post_init__(self) -> None:
-        for name in ("dropout", "learning_rate", "hidden_layers", "batch_size"):
-            if not getattr(self, name):
+        # each value gets the check of the field it sets in a trial's config
+        checks = {
+            "dropout": lambda v: ModelConfig(dropout=v),
+            "learning_rate": lambda v: OptimizerConfig(learning_rate=v),
+            "hidden_layers": lambda v: ModelConfig(hidden_layers=v),
+            "batch_size": _check_batch_size,
+        }
+        for name, check in checks.items():
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"grid.{name} must be non-empty")
+            for value in values:
+                try:
+                    check(value)
+                except ConfigError as exc:
+                    raise ConfigError(f"grid.{name}: {exc}") from exc
+
+
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass
@@ -88,8 +107,7 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        _check_batch_size(self.batch_size)
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0,1)")
         if self.jobs < 1:
@@ -122,6 +140,12 @@ def _type_matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _finite(value) -> bool:
+    """Whether a JSON value holds no NaN or infinite float, itself or in its list."""
+    values = value if isinstance(value, list) else [value]
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 def _build(cls, doc: dict, where: str | None = None):
     """Instantiate a config dataclass from a JSON object, checking keys and value types.
 
@@ -137,13 +161,16 @@ def _build(cls, doc: dict, where: str | None = None):
         raise ConfigError(f"unknown {label}: {sorted(unknown)}")
     kwargs = {}
     for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
         if where is None and key in _SECTIONS:
             value = _build(_SECTIONS[key], value, key)
         elif not _type_matches(value, hints[key]):
             hint = hints[key]
             expected = str(hint) if get_origin(hint) or get_args(hint) else hint.__name__
-            name = f"{where}.{key}" if where else key
             raise ConfigError(f"{name} must be of type {expected}, got {json.dumps(value)}")
+        elif not _finite(value):
+            # JSON's NaN and Infinity load as floats that pass every range check
+            raise ConfigError(f"{name} must be finite, got {json.dumps(value)}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

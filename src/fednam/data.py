@@ -9,8 +9,9 @@ Three tabular dataset kinds are understood out of the box:
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,33 @@ WINE_QUALITY_THRESHOLD = 6
 
 @dataclass
 class RawTable:
-    """Parsed CSV: header names plus string cells, rectangular, and the file they came from."""
+    """A parsed CSV: header names, the data cells, and the file they came from.
+
+    `values` holds every cell as a float when all of them are finite numbers,
+    and is None otherwise. `rows` holds the stripped string cells: read with
+    the file when `values` is None, else read from the file on first use, for
+    a target whose class names are its cell texts.
+    """
 
     columns: list[str]
-    rows: list[list[str]]
     path: str
+    delimiter: str
+    values: np.ndarray | None = None
+    _rows: list[list[str]] | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.values) if self.values is not None else len(self._rows)
+
+    @property
+    def rows(self) -> list[list[str]]:
+        if self._rows is None:
+            with open(self.path, newline="", encoding="utf-8") as f:
+                rows = _scan_rows(f, self.path, self.delimiter, len(self.columns))
+            if len(rows) != self.n_rows:
+                raise DataError(f"{self.path}: file changed while it was read")
+            self._rows = rows
+        return self._rows
 
 
 @dataclass
@@ -116,9 +135,14 @@ def _sniff_delimiter(header_line: str) -> str:
 
 
 def load_csv(path: str | Path) -> RawTable:
-    """Parse a comma-separated file with a header row into a RawTable.
+    """Parse a delimited file with a header row into a RawTable.
 
-    Ragged rows and empty files are rejected with the offending line number.
+    The data rows are read once as floats by NumPy's C parser, which takes
+    the same decimal strings as `float()` and rounds them the same way. A
+    file it cannot read that way (quoted or non-numeric cells, blank-only
+    lines, ragged rows, non-finite values) is read again row by row as
+    strings; ragged rows and files without data rows are rejected there,
+    with the offending line number.
     """
     path = Path(path)
     if not path.exists():
@@ -129,68 +153,104 @@ def load_csv(path: str | Path) -> RawTable:
             raise DataError(f"{path}: empty file")
         delim = _sniff_delimiter(first)
         f.seek(0)
-        reader = csv.reader(f, delimiter=delim)
-        columns = [c.strip().strip('"') for c in next(reader)]
-        rows: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns):
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} cells, expected {len(columns)}"
-                )
-            rows.append([c.strip() for c in row])
+        columns = [c.strip().strip('"') for c in next(csv.reader(f, delimiter=delim))]
+        values = _read_numbers(f, delim, len(columns))
+        if values is not None:
+            return RawTable(columns, str(path), delim, values=values)
+        f.seek(0)
+        rows = _scan_rows(f, str(path), delim, len(columns))
+    return RawTable(columns, str(path), delim, _rows=rows)
+
+
+def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
+    """The rest of an open CSV file as a (rows, width) float matrix, or None
+    unless it has data rows, each of `width` finite numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file warns of empty input
+            values = np.loadtxt(f, delimiter=delim, comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if values.shape[0] > 0 and values.shape[1] == width and np.isfinite(values).all():
+        return values
+    return None
+
+
+def _scan_rows(f, path: str, delim: str, width: int) -> list[list[str]]:
+    """The stripped string cells of every data row of an open CSV file.
+
+    Blank and whitespace-only lines are skipped; a row of other than `width`
+    cells, or a file without data rows, raises DataError.
+    """
+    reader = csv.reader(f, delimiter=delim)
+    next(reader)  # the header
+    rows: list[list[str]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise DataError(f"{path}: line {lineno} has {len(row)} cells, expected {width}")
+        rows.append([c.strip() for c in row])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return RawTable(columns, rows, str(path))
+    return rows
 
 
 def _parse_feature_matrix(table: RawTable, feature_cols: list[str]) -> np.ndarray:
     """Features as a (rows, K) float matrix; a missing, non-numeric or non-finite
     cell raises DataError naming its row and column."""
     idx = [table.columns.index(c) for c in feature_cols]
-    cells = (float(row[col]) for row in table.rows for col in idx)
+    if table.values is not None:
+        return table.values[:, idx]
+    count = table.n_rows * len(idx)
     try:
-        out = np.fromiter(cells, dtype=np.float64, count=table.n_rows * len(idx))
-        if np.isfinite(out).all():
-            return out.reshape(table.n_rows, len(idx))
+        out = np.fromiter((float(row[col]) for row in table.rows for col in idx), np.float64, count)
     except ValueError:
-        pass
-    # error path: report the first offending cell in row-major order
-    for i, row in enumerate(table.rows):
-        for j, col in enumerate(idx):
-            cell = row[col]
-            where = f"in row {i + 2}, column {feature_cols[j]!r}"
-            if cell == "":
-                raise DataError(f"{table.path}: missing value {where}")
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataError(f"{table.path}: non-numeric cell {cell!r} {where}") from exc
-            if not np.isfinite(value):
-                raise DataError(f"{table.path}: non-finite cell {cell!r} {where}")
-    raise AssertionError("unreachable: a cell failed to parse but none was found")
+        out = None
+    if out is None or not np.isfinite(out).all():
+        # parse again, checking each cell, to report the first bad one in row-major order
+        cells = (
+            _feature_value(table.path, row[col], i + 2, feature_cols[j])
+            for i, row in enumerate(table.rows)
+            for j, col in enumerate(idx)
+        )
+        out = np.fromiter(cells, np.float64, count)
+    return out.reshape(table.n_rows, len(idx))
+
+
+def _feature_value(path: str, cell: str, row: int, column: str) -> float:
+    where = f"in row {row}, column {column!r}"
+    if cell == "":
+        raise DataError(f"{path}: missing value {where}")
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric cell {cell!r} {where}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"{path}: non-finite cell {cell!r} {where}")
+    return value
 
 
 def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, list[str]]:
     col = table.columns.index(target_col)
-    raw = [row[col] for row in table.rows]
-    for i, cell in enumerate(raw):
-        if cell == "":
-            raise DataError(f"{table.path}: missing target value in row {i + 2}")
     if kind == IRIS:
+        raw = _target_cells(table, col)
         classes = sorted(set(raw))
         mapping = {name: i for i, name in enumerate(classes)}
         y = np.array([mapping[v] for v in raw], dtype=np.int64)
         if len(classes) == 2:
             return y, BINARY, classes
         return y, MULTICLASS, classes
-    try:
-        values = np.array([float(v) for v in raw])
-    except ValueError as exc:
-        raise DataError(
-            f"{table.path}: target column {target_col!r} must be numeric for {kind}"
-        ) from exc
+    if table.values is not None:
+        values = table.values[:, col]
+    else:
+        raw = _target_cells(table, col)
+        try:
+            values = np.array([float(v) for v in raw])
+        except ValueError as exc:
+            raise DataError(
+                f"{table.path}: target column {target_col!r} must be numeric for {kind}"
+            ) from exc
     if kind == WINE:
         y = (values >= WINE_QUALITY_THRESHOLD).astype(np.int64)
         return y, BINARY, ["low", "high"]
@@ -199,6 +259,14 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
     if not np.isin(y, (0, 1)).all() or not np.all(values == y):
         raise DataError(f"{table.path}: {kind} target column {target_col!r} must contain only 0/1")
     return y, BINARY, ["absent", "present"]
+
+
+def _target_cells(table: RawTable, col: int) -> list[str]:
+    raw = [row[col] for row in table.rows]
+    for i, cell in enumerate(raw):
+        if cell == "":
+            raise DataError(f"{table.path}: missing target value in row {i + 2}")
+    return raw
 
 
 def train_test_split(

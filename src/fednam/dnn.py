@@ -46,8 +46,10 @@ class DnnModel(NetBank):
         h, cache = bank_forward(self, _bank_input(self, x), mode, rng)
         return h[0], cache
 
-    def backward_batch(self, cache: BankCache, dlogits: np.ndarray) -> list[np.ndarray]:
-        grads, _ = dnn_backward(self, cache, dlogits)
+    def backward_batch(
+        self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        grads, _ = dnn_backward(self, cache, dlogits, out)
         return grads
 
     def to_dict(self, feature_names: list[str]) -> dict:
@@ -76,14 +78,17 @@ def _bank_input(model: DnnModel, x: np.ndarray) -> np.ndarray:
 
 
 def dnn_backward(
-    model: DnnModel, cache: BankCache, dlogits: np.ndarray
+    model: DnnModel, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients as views of one vector aligned with `param_tensors()`, and dLoss/dInput."""
+    """Gradients as views of one vector aligned with `param_tensors()`, and dLoss/dInput.
+
+    Every entry of the vector, `out` or a new one, is written.
+    """
     g = np.asarray(dlogits, dtype=np.float64)
     expected = (cache.x.shape[1], model.out_dim)
     if g.shape != expected:
         raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
-    grads = model.split(np.empty_like(model.params))
+    grads = model.split(np.empty_like(model.params) if out is None else out)
     dx = bank_backward(model, cache, g[None], grads)
     return grads, dx[0]
 

@@ -222,6 +222,7 @@ def local_train(
     train_losses: list[float] = []
     val_losses: list[float] = []
     stopped = False
+    grads = np.empty_like(model.params)  # rewritten whole by every backward
 
     for _ in range(epochs):
         order = client.train_rows[gen.permutation(len(client.train_rows))]
@@ -232,7 +233,7 @@ def local_train(
             loss, dlogits = batch_loss_and_grad(logits, y[rows], model.task)
             if not math.isfinite(loss):
                 raise TrainingError(f"client {client.client_id}: non-finite training loss")
-            grads = np.concatenate(model.backward_batch(cache, dlogits), axis=None)
+            model.backward_batch(cache, dlogits, grads)
             model.set_params(optimizer_step(client.optimizer, model.params, grads))
             batch_losses.append(loss)
         train_losses.append(float(np.mean(batch_losses)))

@@ -84,8 +84,10 @@ class NamModel(NetBank):
         logits, _, cache = nam_forward(self, x, mode, rng)
         return logits, cache
 
-    def backward_batch(self, cache: NamCache, dlogits: np.ndarray) -> list[np.ndarray]:
-        grads, _ = nam_backward(self, cache, dlogits)
+    def backward_batch(
+        self, cache: NamCache, dlogits: np.ndarray, out: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        grads, _ = nam_backward(self, cache, dlogits, out)
         return grads
 
     def to_dict(self, feature_names: list[str]) -> dict:
@@ -141,18 +143,19 @@ def nam_forward(
 
 
 def nam_backward(
-    model: NamModel, cache: NamCache, dlogits: np.ndarray
+    model: NamModel, cache: NamCache, dlogits: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients for every feature net and the output head, plus dLoss/dInput.
 
-    The gradients fill one vector laid out like `params`; the returned list
-    holds views of it aligned with `param_tensors()`. The gradient for
-    feature net k flows only through its own additive term.
+    The gradients fill one vector laid out like `params`, `out` or a new one,
+    and every entry of it is written; the returned list holds views of it
+    aligned with `param_tensors()`. The gradient for feature net k flows only
+    through its own additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
     if g.shape != (cache.feature_outputs.shape[0], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
-    grads = model.split(np.empty_like(model.params))
+    grads = model.split(np.empty_like(model.params) if out is None else out)
     # feature k's upstream gradient as a strided (batch, 1) view
     dh = bank_backward(model, cache.bank, (g @ model.output_weights).T[:, :, None], grads)
     np.matmul(g.T, cache.feature_outputs, out=grads[-2])

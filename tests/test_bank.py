@@ -89,6 +89,10 @@ def test_gradients_are_views_of_one_vector(case):
     assert all(g.base is vector for g in grads)
     assert [g.shape for g in grads] == [t.shape for t in model.param_tensors()]
     assert np.array_equal(np.concatenate(grads, axis=None), vector)
+    # a caller's buffer is written whole: no entry keeps what it held before
+    out = np.full_like(model.params, np.nan)
+    into, _ = nam_backward(model, cache, dlogits, out)
+    assert all(g.base is out for g in into) and same_bits(out, vector)
 
 
 def test_bank_views_share_the_parameter_vector():
@@ -154,6 +158,9 @@ def test_dense_model_matches_per_layer_net(case):
     assert [g.shape for g in grads] == [t.shape for t in model.param_tensors()]
     for got, want in zip(grads, want_grads):
         assert same_bits(got, want)
+    out = np.full_like(model.params, np.nan)
+    model.backward_batch(cache, dlogits, out)
+    assert same_bits(out, np.concatenate(grads, axis=None))
     if mode == INFER:
         assert same_bits(input_gradients(model, x, dlogits), want_dx)
 

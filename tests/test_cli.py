@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import HEART_COLUMNS, synthetic_heart_rows
 from fednam.cli import main
 from fednam.errors import TrainingError
 from fednam.nam import build_nam, save_model
-from fednam.nn import MULTICLASS
+from fednam.nn import BINARY, MULTICLASS
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -74,6 +75,93 @@ def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys
     assert main([command, "--config", str(config)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "ctl").exists()
+
+
+FLOAT_FIELDS = [("optimizer", "learning_rate"), ("control", "min_delta"),
+                ("control", "lr_factor"), ("control", "min_lr"), ("split", "test_fraction"),
+                ("split", "val_fraction"), ("model", "dropout"), (None, "threshold")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key", FLOAT_FIELDS,
+                         ids=[f"{s}.{k}" if s else k for s, k in FLOAT_FIELDS])
+def test_non_finite_float_field_exits_1_naming_key(tmp_path, iris_csv, capsys,
+                                                   section, key, value):
+    """JSON's NaN and Infinity load as floats; every float field rejects them."""
+    overrides = {section: {key: value}} if section else {key: value}
+    config = fast_iris_config(tmp_path, iris_csv, "nf", **overrides)
+    assert main(["train", "--config", str(config)]) == 1
+    name = f"{section}.{key}" if section else key
+    assert f"config error: {name} must be finite, got {json.dumps(value)}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "nf").exists()
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [({"dropout": [0.1, 1.5]}, "grid.dropout: model.dropout must be in [0,1), got 1.5"),
+     ({"learning_rate": [0.0]}, "grid.learning_rate: optimizer.learning_rate must be > 0"),
+     ({"learning_rate": [float("nan")]}, "grid.learning_rate must be finite, got [NaN]"),
+     ({"hidden_layers": [0]}, "grid.hidden_layers: model.hidden_layers must be >= 1, got 0"),
+     ({"batch_size": [16, -1]}, "grid.batch_size: batch_size must be >= 1, got -1")],
+    ids=["dropout", "learning_rate", "learning_rate_nan", "hidden_layers", "batch_size"],
+)
+def test_invalid_grid_value_exits_1_before_any_trial(tmp_path, iris_csv, capsys, grid, message):
+    config = fast_iris_config(tmp_path, iris_csv, "gbad", grid=grid)
+    assert main(["tune", "--config", str(config)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "gbad").exists()
+
+
+def heart_lines(n: int = 40) -> list[str]:
+    """An all-numeric heart-shaped table, header first, one string per line."""
+    rows = synthetic_heart_rows(n)
+    return [",".join(HEART_COLUMNS)] + [",".join(str(v) for v in row) for row in rows]
+
+
+def _set_cell(lines, line, column, cell):
+    fields = lines[line].split(",")
+    fields[column] = cell
+    lines[line] = ",".join(fields)
+    return lines
+
+
+BAD_TABLES = {
+    "missing_cell": (lambda ls: _set_cell(ls, 4, 2, ""), "missing value in row 5, column 'cp'"),
+    "non_numeric_cell": (lambda ls: _set_cell(ls, 4, 2, "two"),
+                         "non-numeric cell 'two' in row 5, column 'cp'"),
+    "nan_cell": (lambda ls: _set_cell(ls, 4, 2, "nan"), "non-finite cell 'nan' in row 5, column 'cp'"),
+    "inf_cell": (lambda ls: _set_cell(ls, 4, 2, "-inf"),
+                 "non-finite cell '-inf' in row 5, column 'cp'"),
+    "short_row": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:],
+                  "line 5 has 13 cells, expected 14"),
+    "long_row": (lambda ls: ls[:4] + [ls[4] + ",1"] + ls[5:], "line 5 has 15 cells, expected 14"),
+    "every_row_wider": (lambda ls: ls[:1] + [line + ",0" for line in ls[1:]],
+                        "line 2 has 15 cells, expected 14"),
+    "no_data_rows": (lambda ls: ls[:1], "no data rows"),
+    "missing_target": (lambda ls: _set_cell(ls, 4, 13, ""), "missing target value in row 5"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_csv_exits_2_naming_file_and_place(tmp_path, iris_csv, capsys, case, command):
+    """Data errors from an all-numeric table: exit 2, the file and the place, no --out."""
+    tamper, message = BAD_TABLES[case]
+    bad_csv = tmp_path / "heart_bad.csv"
+    bad_csv.write_text("\n".join(tamper(heart_lines())) + "\n")
+    config = fast_iris_config(tmp_path, iris_csv, "bad",
+                              dataset={"kind": "heart", "csv": str(bad_csv)})
+    args = [command, "--config", str(config)]
+    if command == "explain":
+        model = tmp_path / "model.json"
+        save_model(build_nam(13, BINARY, hidden_layers=1, hidden_units=4, rng=0),
+                   HEART_COLUMNS[:-1], model)
+        args += ["--model", str(model)]
+    assert main(args) == 2
+    assert f"data error: {bad_csv}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 class TestTrain:

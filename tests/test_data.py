@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,157 @@ class TestLoadCsv:
         table = load_csv(path)
         assert table.columns == ["fixed acidity", "quality"]
         assert table.n_rows == 2
+
+
+# the table every accepted spelling below stands for: features a, b and a 0/1 target
+INGEST_ROWS = [(1.5, -2.0, 0), (10.0, 0.25, 1), (3.0, 4.0, 0), (-0.5, 1e-3, 1),
+               (2.0, 7.5, 0), (6.25, -1.0, 1), (8.0, 0.0, 0), (0.125, 3.0, 1)]
+
+
+def write_text(path: Path, text: str) -> Path:
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    return path
+
+
+def clean_text(rows, columns=("a", "b", "target")) -> str:
+    return "\n".join([",".join(columns)] + [",".join(repr(v) for v in r) for r in rows]) + "\n"
+
+
+def same_dataset(a, b) -> bool:
+    """Bit-equality of everything preprocess derives from a table."""
+    arrays = [(a.X, b.X), (a.y, b.y), (a.train_idx, b.train_idx), (a.test_idx, b.test_idx),
+              (a.scaler.mean, b.scaler.mean), (a.scaler.std, b.scaler.std)]
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+               for u, v in arrays) and (a.feature_names, a.class_names, a.task) == (
+               b.feature_names, b.class_names, b.task)
+
+
+ACCEPTED_SPELLINGS = {
+    "semicolon_quoted_header": '"a";"b";"target"\n' + "".join(
+        f"{r[0]};{r[1]};{r[2]}\n" for r in INGEST_ROWS),
+    "padded_cells": "a , b ,target\n" + "".join(
+        f" {r[0]} ,\t{r[1]}\t, {r[2]}\n" for r in INGEST_ROWS),
+    "blank_and_whitespace_lines": "a,b,target\n\n" + "".join(
+        f"{r[0]},{r[1]},{r[2]}\n" + ("   \n" if i % 3 == 0 else "\n" if i % 3 == 1 else "")
+        for i, r in enumerate(INGEST_ROWS)),
+    "quoted_numbers": "a,b,target\n" + "".join(
+        f'"{r[0]}","{r[1]}",{r[2]}\n' for r in INGEST_ROWS),
+    "crlf_and_exponents": "a,b,target\r\n" + "".join(
+        f"{r[0]:.3e},{r[1]:E},{r[2]}\r\n" for r in INGEST_ROWS),
+    # float() reads digit-group underscores; a C number parser does not
+    "underscore_digits": "a,b,target\n" + "".join(
+        f"{'1_0' if r[0] == 10.0 else r[0]},{r[1]},{r[2]}\n" for r in INGEST_ROWS),
+}
+
+
+class TestIngestionRules:
+    """What `load_csv` + `preprocess` accept and how they fail, one rule per test."""
+
+    @pytest.mark.parametrize("spelling", sorted(ACCEPTED_SPELLINGS))
+    def test_accepted_spelling_reads_as_the_clean_table(self, tmp_path, spelling):
+        split = SplitSpec(test_fraction=0.25, seed=2)
+        clean = load_dataset(write_text(tmp_path / "clean.csv", clean_text(INGEST_ROWS)), HEART, split)
+        path = write_text(tmp_path / "messy.csv", ACCEPTED_SPELLINGS[spelling])
+        assert load_csv(path).n_rows == len(INGEST_ROWS)
+        assert same_dataset(load_dataset(path, HEART, split), clean)
+
+    def test_plain_numbers_are_read_as_one_float_matrix(self, tmp_path):
+        plain = load_csv(write_text(tmp_path / "plain.csv", ACCEPTED_SPELLINGS["padded_cells"]))
+        assert plain.values.shape == (len(INGEST_ROWS), 3)
+        assert plain.values.tobytes() == np.array(INGEST_ROWS, dtype=np.float64).tobytes()
+        # quoted cells take the row scan, which keeps the stripped string cells
+        quoted = load_csv(write_text(tmp_path / "quoted.csv", ACCEPTED_SPELLINGS["quoted_numbers"]))
+        assert quoted.values is None
+        assert quoted.rows[0] == ["1.5", "-2.0", "0"]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("a,b,target\n1,2,0\n3,1\n", "line 3 has 2 cells, expected 3"),
+         ("a,b,target\n1,2,0\n3,4,1,5\n", "line 3 has 4 cells, expected 3"),
+         ("a,b\n1,2,3\n4,5,6\n", "line 2 has 3 cells, expected 2"),
+         ("a,b,target\n", "no data rows"),
+         ("a,b,target\n\n  \n", "no data rows")],
+        ids=["short_row", "long_row", "every_row_wider", "header_only", "header_and_blank_lines"],
+    )
+    def test_table_shape_errors_name_the_file(self, tmp_path, text, message):
+        path = write_text(tmp_path / "t.csv", text)
+        with pytest.raises(DataError) as info:
+            load_dataset(path, HEART)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [("", "missing value"), ("x", "non-numeric cell 'x'"), ("nan", "non-finite cell 'nan'"),
+         (" inf ", "non-finite cell 'inf'"), ("-Infinity", "non-finite cell '-Infinity'"),
+         ("1e999", "non-finite cell '1e999'")],
+        ids=["missing", "non_numeric", "nan", "inf", "minus_infinity", "overflow"],
+    )
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, cell, message):
+        path = write_text(tmp_path / "t.csv", f"a,b,target\n1,2,0\n\n3,{cell},1\n4,5,0\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, HEART)
+        # rows count data rows from 2, the header's line; blank lines are not counted
+        assert str(info.value) == f"{path}: {message} in row 3, column 'b'"
+
+    def test_non_numeric_wine_target(self, tmp_path):
+        path = write_text(tmp_path / "w.csv", "a,quality\n1,5\n2,good\n3,6\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, WINE)
+        assert str(info.value) == f"{path}: target column 'quality' must be numeric for wine"
+
+    @pytest.mark.parametrize(
+        "labels,class_names",
+        [(["b", "c", "a"], ["a", "b", "c"]), (["2", "1.0", " 1"], ["1", "1.0", "2"])],
+        ids=["names", "numeric_codes"],
+    )
+    def test_iris_class_names_are_the_cell_texts(self, tmp_path, labels, class_names):
+        rows = [f"{i}.5,{i % 4},{labels[i % 3]}\n" for i in range(9)]
+        path = write_text(tmp_path / "i.csv", "x1,x2,species\n" + "".join(rows))
+        dataset = load_dataset(path, IRIS)
+        assert dataset.class_names == class_names
+        expected = [class_names.index(labels[i % 3].strip()) for i in range(9)]
+        assert dataset.y.tolist() == expected
+        assert dataset.task == MULTICLASS
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_spelling_of_a_finite_table_reads_like_float(self, tmp_path_factory, data):
+        """Random padding, exponents, quotes, CRLF and blank lines read as float() reads
+        each stripped cell, bit for bit, through every step of preprocess."""
+        n_rows = data.draw(st.integers(5, 30))
+        n_features = data.draw(st.integers(1, 4))
+        value = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+        spell = st.sampled_from(["{!r}", "{:.17g}", "{:.6g}", "{:.3e}", "{:.10E}", "{:.4f}"])
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        delim = data.draw(st.sampled_from([",", ";"]))
+        columns = [f"f{j}" for j in range(n_features)] + ["target"]
+        header = delim.join(f'"{c}"' if delim == ";" else c for c in columns)
+        lines, table = [header], []
+        for i in range(n_rows):
+            cells, row = [], []
+            for _ in range(n_features):
+                text = data.draw(spell).format(data.draw(value))
+                row.append(float(text))
+                if data.draw(st.booleans()):
+                    text = data.draw(pad) + text + data.draw(pad)
+                if data.draw(st.integers(0, 9)) == 0:
+                    text = f'"{text}"'
+                cells.append(text)
+            row.append(i % 2)
+            cells.append(str(i % 2))
+            table.append(row)
+            lines.append(delim.join(cells))
+            if data.draw(st.integers(0, 4)) == 0:
+                lines.append(data.draw(st.sampled_from(["", " ", "\t "])))
+        work = tmp_path_factory.mktemp("spelling")
+        messy = write_text(work / "messy.csv", newline.join(lines) + newline)
+        clean = write_text(work / "clean.csv", clean_text(table, columns))
+        split = SplitSpec(seed=data.draw(st.integers(0, 99)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant features, tiny classes
+            assert same_dataset(load_dataset(messy, HEART, split), load_dataset(clean, HEART, split))
 
 
 class TestPreprocess:
