@@ -112,6 +112,8 @@ class RunConfig:
             raise ConfigError("threshold must be in (0,1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _SECTIONS = {

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,9 +34,9 @@ class RawTable:
     """A parsed CSV: header names, the data cells, and the file they came from.
 
     `values` holds every cell as a float when all of them are finite numbers,
-    and is None otherwise. `rows` holds the stripped string cells: read with
-    the file when `values` is None, else read from the file on first use, for
-    a target whose class names are its cell texts.
+    and is None otherwise. `rows` holds the stripped string cells, `_lines` the
+    file line of each row: read with the file when `values` is None, else read
+    from the file on first use, for a target whose class names are its cells.
     """
 
     columns: list[str]
@@ -43,6 +44,7 @@ class RawTable:
     delimiter: str
     values: np.ndarray | None = None
     _rows: list[list[str]] | None = field(default=None, repr=False)
+    _lines: list[int] | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -52,10 +54,10 @@ class RawTable:
     def rows(self) -> list[list[str]]:
         if self._rows is None:
             with open(self.path, newline="", encoding="utf-8") as f:
-                rows = _scan_rows(f, self.path, self.delimiter, len(self.columns))
+                rows, lines = _scan_rows(f, self.path, self.delimiter, len(self.columns))
             if len(rows) != self.n_rows:
                 raise DataError(f"{self.path}: file changed while it was read")
-            self._rows = rows
+            self._rows, self._lines = rows, lines
         return self._rows
 
 
@@ -158,8 +160,8 @@ def load_csv(path: str | Path) -> RawTable:
         if values is not None:
             return RawTable(columns, str(path), delim, values=values)
         f.seek(0)
-        rows = _scan_rows(f, str(path), delim, len(columns))
-    return RawTable(columns, str(path), delim, _rows=rows)
+        rows, lines = _scan_rows(f, str(path), delim, len(columns))
+    return RawTable(columns, str(path), delim, _rows=rows, _lines=lines)
 
 
 def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
@@ -176,8 +178,8 @@ def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
     return None
 
 
-def _scan_rows(f, path: str, delim: str, width: int) -> list[list[str]]:
-    """The stripped string cells of every data row of an open CSV file.
+def _scan_rows(f, path: str, delim: str, width: int) -> tuple[list[list[str]], list[int]]:
+    """The stripped string cells of each data row of an open CSV file, and its line.
 
     Blank and whitespace-only lines are skipped; a row of other than `width`
     cells, or a file without data rows, raises DataError.
@@ -185,72 +187,66 @@ def _scan_rows(f, path: str, delim: str, width: int) -> list[list[str]]:
     reader = csv.reader(f, delimiter=delim)
     next(reader)  # the header
     rows: list[list[str]] = []
+    lines: list[int] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
             raise DataError(f"{path}: line {lineno} has {len(row)} cells, expected {width}")
         rows.append([c.strip() for c in row])
+        lines.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return rows
+    return rows, lines
 
 
-def _parse_feature_matrix(table: RawTable, feature_cols: list[str]) -> np.ndarray:
-    """Features as a (rows, K) float matrix; a missing, non-numeric or non-finite
-    cell raises DataError naming its row and column."""
-    idx = [table.columns.index(c) for c in feature_cols]
+def _numeric_columns(table: RawTable, columns: list[str]) -> np.ndarray:
+    """The named columns as a (rows, K) float matrix; a missing, non-numeric or
+    non-finite cell raises DataError naming its file line and column."""
+    idx = [table.columns.index(c) for c in columns]
     if table.values is not None:
         return table.values[:, idx]
-    count = table.n_rows * len(idx)
     try:
-        out = np.fromiter((float(row[col]) for row in table.rows for col in idx), np.float64, count)
+        cells = (float(row[col]) for row in table.rows for col in idx)
+        out = np.fromiter(cells, np.float64, table.n_rows * len(idx))
+        if np.isfinite(out).all():
+            return out.reshape(table.n_rows, len(idx))
     except ValueError:
-        out = None
-    if out is None or not np.isfinite(out).all():
-        # parse again, checking each cell, to report the first bad one in row-major order
-        cells = (
-            _feature_value(table.path, row[col], i + 2, feature_cols[j])
-            for i, row in enumerate(table.rows)
-            for j, col in enumerate(idx)
-        )
-        out = np.fromiter(cells, np.float64, count)
-    return out.reshape(table.n_rows, len(idx))
+        pass
+    _raise_first_bad_cell(table, columns)
 
 
-def _feature_value(path: str, cell: str, row: int, column: str) -> float:
-    where = f"in row {row}, column {column!r}"
-    if cell == "":
-        raise DataError(f"{path}: missing value {where}")
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell {cell!r} {where}") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{path}: non-finite cell {cell!r} {where}")
-    return value
+def _raise_first_bad_cell(table: RawTable, columns: list[str]) -> NoReturn:
+    """Raise DataError for the first missing, non-numeric or non-finite cell of
+    the named columns, in row-major order."""
+    for row, line in zip(table.rows, table._lines):
+        for column in columns:
+            cell = row[table.columns.index(column)]
+            where = f"in row {line}, column {column!r}"
+            if cell == "":
+                raise DataError(f"{table.path}: missing value {where}")
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise DataError(f"{table.path}: non-numeric cell {cell!r} {where}") from exc
+            if not math.isfinite(value):
+                raise DataError(f"{table.path}: non-finite cell {cell!r} {where}")
 
 
 def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, list[str]]:
-    col = table.columns.index(target_col)
     if kind == IRIS:
-        raw = _target_cells(table, col)
+        col = table.columns.index(target_col)
+        raw = [row[col] for row in table.rows]
+        if "" in raw:
+            line = table._lines[raw.index("")]
+            raise DataError(f"{table.path}: missing value in row {line}, column {target_col!r}")
         classes = sorted(set(raw))
         mapping = {name: i for i, name in enumerate(classes)}
         y = np.array([mapping[v] for v in raw], dtype=np.int64)
         if len(classes) == 2:
             return y, BINARY, classes
         return y, MULTICLASS, classes
-    if table.values is not None:
-        values = table.values[:, col]
-    else:
-        raw = _target_cells(table, col)
-        try:
-            values = np.array([float(v) for v in raw])
-        except ValueError as exc:
-            raise DataError(
-                f"{table.path}: target column {target_col!r} must be numeric for {kind}"
-            ) from exc
+    values = _numeric_columns(table, [target_col])[:, 0]
     if kind == WINE:
         y = (values >= WINE_QUALITY_THRESHOLD).astype(np.int64)
         return y, BINARY, ["low", "high"]
@@ -259,14 +255,6 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
     if not np.isin(y, (0, 1)).all() or not np.all(values == y):
         raise DataError(f"{table.path}: {kind} target column {target_col!r} must contain only 0/1")
     return y, BINARY, ["absent", "present"]
-
-
-def _target_cells(table: RawTable, col: int) -> list[str]:
-    raw = [row[col] for row in table.rows]
-    for i, cell in enumerate(raw):
-        if cell == "":
-            raise DataError(f"{table.path}: missing target value in row {i + 2}")
-    return raw
 
 
 def train_test_split(
@@ -334,7 +322,7 @@ def preprocess(
     feature_names = [c for c in table.columns if c != target]
     if not feature_names:
         raise DataError("no feature columns left after removing the target")
-    x = _parse_feature_matrix(table, feature_names)
+    x = _numeric_columns(table, feature_names)
     y, task, class_names = _encode_target(table, target, kind)
     if kind == IRIS and iris_binary:
         if len(class_names) < 2:

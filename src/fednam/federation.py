@@ -27,10 +27,9 @@ from .nn import (
 )
 from .nn.layers import as_rng
 
-WEIGHT_AVERAGE = "weight_average"
 SHAPE_AVERAGE = "shape_average"
 BOTH = "both"
-AGGREGATIONS = (WEIGHT_AVERAGE, SHAPE_AVERAGE, BOTH)
+AGGREGATIONS = (SHAPE_AVERAGE, BOTH)
 
 # rng derivation tags; every stream is a pure function of (seed, tags)
 _TAG_PARTITION = 21
@@ -127,11 +126,15 @@ class EnsembleModel:
         self.task = members[0].task
 
     def forward_batch(self, x, mode=INFER):
-        total = None
-        for m in self.members:
-            logits, _ = m.forward_batch(x, mode)
-            total = logits if total is None else total + logits
-        return total / len(self.members), None
+        return self.member_mean(lambda m: m.forward_batch(x, mode)[0]), None
+
+    def member_mean(self, per_member) -> np.ndarray:
+        """The mean of `per_member(m)` over the members, summed in member order."""
+        arrays = (per_member(m) for m in self.members)
+        total = next(arrays)
+        for a in arrays:
+            total = total + a
+        return total / len(self.members)
 
 
 def partition_clients(
@@ -333,7 +336,7 @@ def run_federation(
     shards = partition_clients(dataset.y_train, config.num_clients, config.seed, stratified)
     init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
     clients = make_clients(dataset, shards, init, optimizer_factory, val_fraction, config.seed)
-    parameter_averaging = config.aggregation in (WEIGHT_AVERAGE, BOTH)
+    parameter_averaging = config.aggregation == BOTH
     global_model = init.copy() if parameter_averaging else None
 
     val_x, val_y = _pooled_validation(clients)

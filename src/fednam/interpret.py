@@ -147,11 +147,7 @@ def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
         _, terms, _ = nam_forward(model, x, INFER)
         return terms
     if isinstance(model, EnsembleModel):
-        stacks = [_per_feature_terms(m, x) for m in model.members]
-        total = stacks[0].copy()
-        for s in stacks[1:]:
-            total += s
-        return total / len(stacks)
+        return model.member_mean(lambda m: _per_feature_terms(m, x))
     raise ShapeMismatchError(f"cannot decompose terms of {type(model).__name__}")
 
 
@@ -204,21 +200,12 @@ def baseline_attributions(
     batch_size: int = 32,
     val_fraction: float = 0.10,
     stratified: bool = True,
-    hidden_layers: int = 2,
-    hidden_units: int = 64,
     threshold: float = 0.5,
 ):
     """Train the joint-input DNN with the same federation loop and attribute
     its test predictions by input*gradient. Returns (model, report, metrics)."""
     def factory(rng):
-        return build_dnn(
-            n_features=dataset.X.shape[1],
-            task=dataset.task,
-            n_classes=dataset.n_classes,
-            hidden_layers=hidden_layers,
-            hidden_units=hidden_units,
-            rng=rng,
-        )
+        return build_dnn(dataset.X.shape[1], dataset.task, dataset.n_classes, rng=rng)
 
     result = run_federation(
         dataset,
@@ -244,11 +231,7 @@ def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
     Each net runs forward once: every class backpropagates from one cache.
     """
     if isinstance(model, EnsembleModel):
-        stacked = [_class_input_gradients(m, x) for m in model.members]
-        total = stacked[0].copy()
-        for g in stacked[1:]:
-            total += g
-        return total / len(stacked)
+        return model.member_mean(lambda m: _class_input_gradients(m, x))
     cache = dnn_inference_cache(model, x)
     grads = np.empty((model.out_dim, *x.shape))
     for c in range(model.out_dim):

@@ -16,11 +16,11 @@ ACTIVATIONS = (RELU, EXU, IDENTITY)
 LOGIT_CLAMP = 30.0
 
 
-def as_rng(rng: int | np.random.Generator, *tags: int) -> np.random.Generator:
-    """Build a Generator from an int seed plus derivation tags, or pass one through."""
+def as_rng(rng: int | np.random.Generator) -> np.random.Generator:
+    """Build a Generator from an int seed, or pass one through."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng([int(rng), *tags])
+    return np.random.default_rng(int(rng))
 
 
 def xavier_init(in_dim: int, out_dim: int, rng: int | np.random.Generator) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import HEART_COLUMNS, synthetic_heart_rows
+from conftest import HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows
 from fednam.cli import main
 from fednam.errors import TrainingError
 from fednam.nam import build_nam, save_model
@@ -140,7 +140,14 @@ BAD_TABLES = {
     "every_row_wider": (lambda ls: ls[:1] + [line + ",0" for line in ls[1:]],
                         "line 2 has 15 cells, expected 14"),
     "no_data_rows": (lambda ls: ls[:1], "no data rows"),
-    "missing_target": (lambda ls: _set_cell(ls, 4, 13, ""), "missing target value in row 5"),
+    "missing_target": (lambda ls: _set_cell(ls, 4, 13, ""),
+                       "missing value in row 5, column 'target'"),
+    "nan_target": (lambda ls: _set_cell(ls, 4, 13, "nan"),
+                   "non-finite cell 'nan' in row 5, column 'target'"),
+    "inf_target": (lambda ls: _set_cell(ls, 4, 13, "inf"),
+                   "non-finite cell 'inf' in row 5, column 'target'"),
+    "minus_inf_target": (lambda ls: _set_cell(ls, 4, 13, "-inf"),
+                         "non-finite cell '-inf' in row 5, column 'target'"),
 }
 
 
@@ -160,6 +167,21 @@ def test_bad_csv_exits_2_naming_file_and_place(tmp_path, iris_csv, capsys, case,
                    HEART_COLUMNS[:-1], model)
         args += ["--model", str(model)]
     assert main(args) == 2
+    assert f"data error: {bad_csv}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_wine_target_exits_2_naming_file_and_place(tmp_path, iris_csv, capsys, cell):
+    """A wine quality of nan, inf or -inf is a bad cell, not label 0 or 1."""
+    lines = [",".join(WINE_COLUMNS)] + [",".join(str(v) for v in row)
+                                        for row in synthetic_wine_rows(40)]
+    bad_csv = tmp_path / "wine_bad.csv"
+    bad_csv.write_text("\n".join(_set_cell(lines, 6, 11, cell)) + "\n")
+    config = fast_iris_config(tmp_path, iris_csv, "bad",
+                              dataset={"kind": "wine", "csv": str(bad_csv)})
+    assert main(["train", "--config", str(config)]) == 2
+    message = f"non-finite cell '{cell}' in row 7, column 'quality'"
     assert f"data error: {bad_csv}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
 
@@ -240,13 +262,25 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
 
     def test_invalid_aggregation_reported_before_reading_data(self, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"dataset": {"kind": "iris", "csv": "/no/such/file.csv"},
-                                      "federation": {"aggregation": "median"},
-                                      "out_dir": str(tmp_path / "o")}))
-        assert main(["train", "--config", str(config)]) == 1
-        assert "config error: federation.aggregation must be one of" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for aggregation in ("median", "weight_average"):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"dataset": {"kind": "iris", "csv": "/no/such/file.csv"},
+                                          "federation": {"aggregation": aggregation},
+                                          "out_dir": str(tmp_path / "o")}))
+            assert main(["train", "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert "config error: federation.aggregation must be one of" in err, aggregation
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_exits_1_before_running(self, tmp_path, iris_csv, capsys, source):
+        if source == "flag":
+            args = ["--config", str(fast_iris_config(tmp_path, iris_csv, "neg")), "--seed", "-1"]
+        else:
+            args = ["--config", str(fast_iris_config(tmp_path, iris_csv, "neg", seed=-1))]
+        assert main(["train", *args]) == 1
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_2_with_row_and_column(self, tmp_path, iris_csv, capsys, cell):

@@ -146,14 +146,27 @@ class TestIngestionRules:
         path = write_text(tmp_path / "t.csv", f"a,b,target\n1,2,0\n\n3,{cell},1\n4,5,0\n")
         with pytest.raises(DataError) as info:
             load_dataset(path, HEART)
-        # rows count data rows from 2, the header's line; blank lines are not counted
-        assert str(info.value) == f"{path}: {message} in row 3, column 'b'"
+        # the row is the file line, blank lines included
+        assert str(info.value) == f"{path}: {message} in row 4, column 'b'"
 
     def test_non_numeric_wine_target(self, tmp_path):
         path = write_text(tmp_path / "w.csv", "a,quality\n1,5\n2,good\n3,6\n")
         with pytest.raises(DataError) as info:
             load_dataset(path, WINE)
-        assert str(info.value) == f"{path}: target column 'quality' must be numeric for wine"
+        assert str(info.value) == f"{path}: non-numeric cell 'good' in row 3, column 'quality'"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_wine_target_names_file_line_and_column(self, tmp_path, cell):
+        path = write_text(tmp_path / "w.csv", f"a,quality\n1,5\n\n2,6\n3,{cell}\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, WINE)
+        assert str(info.value) == f"{path}: non-finite cell '{cell}' in row 5, column 'quality'"
+
+    def test_missing_iris_target_names_file_line_and_column(self, tmp_path):
+        path = write_text(tmp_path / "i.csv", "x,species\n1,a\n\n2,\n3,b\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, IRIS)
+        assert str(info.value) == f"{path}: missing value in row 4, column 'species'"
 
     @pytest.mark.parametrize(
         "labels,class_names",
@@ -271,7 +284,7 @@ class TestPreprocess:
         path = write_csv(tmp_path / "h.csv", ["a", "target"], [[1, 0], [2, ""], [3, 1]])
         with pytest.raises(DataError) as info:
             load_dataset(path, HEART)
-        assert str(info.value) == f"{path}: missing target value in row 3"
+        assert str(info.value) == f"{path}: missing value in row 3, column 'target'"
 
     def test_heart_target_must_be_binary(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", ["a", "target"], [[1, 2], [2, 1]])

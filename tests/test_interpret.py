@@ -247,7 +247,7 @@ class TestAttributions:
         cfg = FederationConfig(num_clients=2, rounds=2, local_epochs=1, seed=0)
         model, report, stats = baseline_attributions(
             dataset, cfg, lambda: OptimizerState(learning_rate=0.01),
-            batch_size=16, hidden_layers=1, hidden_units=8,
+            batch_size=16,
         )
         assert len(report.values) == 13
         assert np.all(np.isfinite(report.values))
