@@ -87,8 +87,10 @@ def export_reports(
         for curve in curves:
             k = curve.feature_index
             xs = curve.grid if units is None else curve.grid * units.std[k] + units.mean[k]
-            for x, v in zip(xs, curve.values):
-                yield [curve.owner, bundle.feature_names[k], curve.class_index, _fmt(x), _fmt(v)]
+            # _fmt's strings, one array at a time
+            xs, vs = map(float.__repr__, xs.tolist()), map(float.__repr__, curve.values.tolist())
+            for x, v in zip(xs, vs):
+                yield [curve.owner, bundle.feature_names[k], curve.class_index, x, v]
 
     _write_csv(out / "shapes.csv", ["owner", "feature", "class", "x", "value"], shape_rows(None))
     _write_csv(

@@ -53,7 +53,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in (SGD, ADAM):
             raise ConfigError(f"optimizer.kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError("optimizer.learning_rate must be > 0")
 
 

@@ -205,10 +205,41 @@ def nam_from_dict(doc: dict) -> tuple[NamModel, list[str]]:
     return model, list(doc["feature_names"])
 
 
+def _indented_json(obj, pad: str = "") -> str:
+    """The text of `json.dumps(obj, indent=1, sort_keys=True)` for a document
+    of dicts with str keys, lists, str, int, bool, None and float.
+
+    With an indent the json module runs its pure-Python encoder, which calls
+    `float.__repr__` once per float; here a list of finite floats is joined
+    in one pass. Everything else is encoded by `json.dumps` itself.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + " "
+        items = (f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + " "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            body = None
+        # "nan" and "inf" are the only float reprs with an "n"; json writes them as NaN and Infinity
+        if body is None or "n" in body:
+            body = sep.join(_indented_json(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def save_model(model, feature_names: list[str], path: str | Path) -> None:
     """Write the model as JSON; floats use shortest round-trip decimals, so the
-    on-disk form restores bit-identical doubles."""
-    Path(path).write_text(json.dumps(model.to_dict(feature_names), indent=1, sort_keys=True))
+    on-disk form restores bit-identical doubles. The bytes are those of
+    `json.dumps(model.to_dict(feature_names), indent=1, sort_keys=True)`."""
+    Path(path).write_text(_indented_json(model.to_dict(feature_names)))
 
 
 def load_model(path: str | Path):

@@ -22,7 +22,7 @@ def batch_loss_and_grad(logits: np.ndarray, targets: np.ndarray, task: str) -> t
     if task == BINARY:
         if z.shape[1] != 1:
             raise ShapeMismatchError(f"binary task expects 1 logit column, got {z.shape[1]}")
-        if not np.isin(y, (0, 1)).all():
+        if ((y != 0) & (y != 1)).any():
             raise ValueError("binary targets must be 0 or 1")
         yf = y.astype(np.float64)[:, None]
         losses = np.logaddexp(0.0, zc) - yf * zc

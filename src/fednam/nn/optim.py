@@ -18,18 +18,23 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Optimizer kind, learning rate, step counter, and Adam moments (one vector each)."""
+    """Optimizer kind, learning rate, step counter, and Adam moments (one vector each).
+
+    Adam also keeps two scratch vectors the size of the moments, so a step
+    allocates only the vector it returns.
+    """
 
     kind: str = ADAM
     learning_rate: float = 1e-3
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.empty(0))
     v: np.ndarray = field(default_factory=lambda: np.empty(0))
+    _scratch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if self.kind not in (SGD, ADAM):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
@@ -51,14 +56,22 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
         if state.m.size == 0:
             state.m = np.zeros_like(params)
             state.v = np.zeros_like(params)
+            state._scratch = (np.empty_like(params), np.empty_like(params))
+        # m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g*g and
+        # out = params - lr*m_hat / (sqrt(v_hat) + eps), each operation in
+        # this order, in place on the scratch vectors
         t = state.step
+        a, b = state._scratch
         state.m *= ADAM_BETA1
-        state.m += (1.0 - ADAM_BETA1) * grads
+        state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
         state.v *= ADAM_BETA2
-        state.v += (1.0 - ADAM_BETA2) * grads * grads
-        m_hat = state.m / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v / (1.0 - ADAM_BETA2**t)
-        out = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+        state.v += np.multiply(a, grads, out=a)
+        m_hat = np.divide(state.m, 1.0 - ADAM_BETA1**t, out=a)
+        v_hat = np.divide(state.v, 1.0 - ADAM_BETA2**t, out=b)
+        update = np.multiply(m_hat, lr, out=a)
+        update /= np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b)
+        out = params - update
     if not np.isfinite(out).all():
         raise TrainingError("non-finite parameter update; update rejected")
     return out

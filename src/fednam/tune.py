@@ -8,7 +8,6 @@ validation AUC, then lower learning rate, then lower dropout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -132,6 +131,9 @@ def grid_search(
     points = enumerate_grid(config.grid)
     work = [(i, p, dataset, config) for i, p in enumerate(points)]
     if jobs > 1:
+        # imported here: it costs every other command's start-up 15-18 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_trial, work))
     else:

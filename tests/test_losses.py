@@ -69,3 +69,24 @@ class TestBatch:
         expected = 0.5 * (math.log(2.0) + math.log(1 + math.exp(2.0)))
         assert loss == pytest.approx(expected, rel=1e-12)
         assert grad.shape == (2, 1)
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+    def test_binary_rejects(self, bad):
+        with pytest.raises(ValueError, match=r"^binary targets must be 0 or 1$"):
+            batch_loss_and_grad(np.zeros((3, 1)), np.array([0, 1, bad]), BINARY)
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 1], [0.0, 1.0, 1.0], [-0.0, 1.0, 1.0], [False, True, True]]
+    )
+    def test_binary_accepts_zero_and_one(self, labels):
+        z = np.array([[0.5], [-1.0], [2.0]])
+        expected_loss, expected_grad = batch_loss_and_grad(z, np.array([0, 1, 1]), BINARY)
+        loss, grad = batch_loss_and_grad(z, np.array(labels), BINARY)
+        assert loss == expected_loss and np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_multiclass_rejects(self, bad):
+        with pytest.raises(ValueError, match=r"^multiclass targets must lie in \[0, 3\)$"):
+            batch_loss_and_grad(np.zeros((2, 3)), np.array([0, bad]), MULTICLASS)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from _oracles import finite_diff_grads, max_rel_err
 from fednam.dnn import build_dnn
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from fednam.nam import (
+    _indented_json,
     build_nam,
     load_model,
     nam_backward,
@@ -129,7 +131,36 @@ class TestBackward:
         assert max_rel_err(grads, numeric) < 1e-4
 
 
+SAVED_MODELS = {
+    "binary_nam": build_nam(3, BINARY, hidden_layers=2, hidden_units=5, rng=12),
+    "multiclass_nam": build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=13),
+    "dnn": build_dnn(3, BINARY, hidden_layers=1, hidden_units=4, rng=14),
+}
+
+# any JSON document: dicts with str keys, lists (some of floats only, the writer's
+# fast path), str, int, bool, None and floats, with every non-finite float
+JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf])
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | JSON_FLOATS | st.lists(JSON_FLOATS),
+    lambda docs: st.lists(docs) | st.dictionaries(st.text(), docs),
+    max_leaves=25,
+)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("name", sorted(SAVED_MODELS))
+    def test_file_holds_the_json_module_text(self, tmp_path, name):
+        model = SAVED_MODELS[name]
+        names = ['quote"d', "back\\slash", "n\u00e4me \u65e5\u672c"]
+        path = tmp_path / "model.json"
+        save_model(model, names, path)
+        assert path.read_bytes() == json.dumps(model.to_dict(names), indent=1, sort_keys=True).encode()
+
+    @given(JSON_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_json_module(self, doc):
+        assert _indented_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
     def test_bit_exact_roundtrip(self, tmp_path):
         model = build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=10)
         path = tmp_path / "model.json"

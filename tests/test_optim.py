@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _oracles import per_tensor_optimizer_step
+from fednam.config import OptimizerConfig
 from fednam.dnn import build_dnn
-from fednam.errors import ShapeMismatchError, TrainingError
+from fednam.errors import ConfigError, ShapeMismatchError, TrainingError
 from fednam.nam import build_nam
 from fednam.nn import ADAM, BINARY, MULTICLASS, SGD, OptimizerState, optimizer_step
 
@@ -64,6 +67,42 @@ def test_invalid_config_rejected():
         OptimizerState(kind="momentum")
     with pytest.raises(ValueError):
         OptimizerState(kind=SGD, learning_rate=0.0)
+
+
+@pytest.mark.parametrize("lr", [0.0, float("nan")])
+def test_learning_rate_must_be_positive(lr):
+    with pytest.raises(ValueError, match="^learning_rate must be > 0"):
+        OptimizerState(kind=ADAM, learning_rate=lr)
+    with pytest.raises(ConfigError, match="^optimizer.learning_rate must be > 0$"):
+        OptimizerConfig(learning_rate=lr)
+
+
+def test_adam_step_allocates_only_its_result():
+    params = build_nam(13, BINARY, rng=0).params.copy()  # the default heart NAM, 11,727 floats
+    rng = np.random.default_rng(5)
+    state = OptimizerState(kind=ADAM, learning_rate=1e-3)
+    params = optimizer_step(state, params, rng.normal(size=params.shape))
+    grads = rng.normal(size=params.shape)
+    tracemalloc.start()
+    try:
+        params = optimizer_step(state, params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * params.nbytes
+
+
+def test_adam_returns_a_fresh_vector_each_step():
+    rng = np.random.default_rng(6)
+    state = OptimizerState(kind=ADAM, learning_rate=1e-2)
+    params = np.zeros(7)
+    returned = []
+    for _ in range(3):
+        params = optimizer_step(state, params, rng.normal(size=7))
+        returned.append((params, params.copy()))
+    for out, kept in returned:
+        assert np.array_equal(out, kept)
+        assert not np.shares_memory(out, state.m) and not np.shares_memory(out, state.v)
 
 
 MODEL_SHAPES = {

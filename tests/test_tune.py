@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fednam
 from conftest import write_csv
 from fednam.config import GridConfig, RunConfig, DatasetConfig, FederationSection, config_from_dict
 from fednam.data import HEART, SplitSpec, load_dataset
@@ -167,3 +173,10 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "config.json"
     save_config(config, path)
     assert load_config(path) == config
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = "import sys, fednam.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fednam.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
