@@ -1,6 +1,6 @@
 """Command-line entry point: train, explain, tune, benchmark.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 training failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 data error, 3 training failure.
 Everything a command writes lands under its --out directory, and this module
 writes all of it; timestamps are confined to run_info.json so repeated runs
 stay byte-identical.
@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, save_config
-from .data import Dataset, Scaler, load_dataset
+from .data import DATASET_KINDS, Dataset, Scaler, load_dataset
 from .errors import ConfigError, DataError, FedNamError, TrainingError
 from .federation import RoundLog, evaluate_model
 from .interpret import (
@@ -117,14 +117,8 @@ def _load_run_dataset(config: RunConfig) -> Dataset:
     )
 
 
-def _write_run_info(out: Path, command: str) -> None:
-    info = {"command": command, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    (out / "run_info.json").write_text(json.dumps(info, indent=1, sort_keys=True))
-
-
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, out: Path) -> None:
     dataset = _load_run_dataset(config)
-    out = Path(config.out_dir)
     try:
         result = run_from_config(dataset, config)
     except TrainingError as exc:
@@ -157,14 +151,12 @@ def cmd_train(config: RunConfig) -> int:
         svg=config.svg,
     )
     save_config(config, out / "config.json")
-    _write_run_info(out, "train")
     print(f"test accuracy {stats['accuracy']:.4f}  auc {stats['auc']:.4f}  -> {out}")
-    return 0
 
 
-def cmd_explain(config: RunConfig, model_path: str | Path) -> int:
-    model, feature_names = load_model(model_path)
-    if not isinstance(model, NamModel):
+def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
+    nam, feature_names = load_model(model)
+    if not isinstance(nam, NamModel):
         raise ConfigError("explain requires an additive model file")
     dataset = _load_run_dataset(config)
     if feature_names != dataset.feature_names:
@@ -172,27 +164,23 @@ def cmd_explain(config: RunConfig, model_path: str | Path) -> int:
             f"model features {feature_names} do not match dataset {dataset.feature_names}"
         )
     ranges = training_feature_ranges(dataset.X_train)
-    curves = model_curves(model, ranges, GLOBAL_OWNER)
-    report = contribution_scores(model, dataset.X_train, GLOBAL_OWNER, dataset.feature_names)
+    curves = model_curves(nam, ranges, GLOBAL_OWNER)
+    report = contribution_scores(nam, dataset.X_train, GLOBAL_OWNER, dataset.feature_names)
     bundle = InterpretBundle(
         client_contributions=[],
         global_contribution=report,
         client_curves=[],
         global_curves=curves,
         feature_names=dataset.feature_names,
-        n_classes=model.out_dim,
+        n_classes=nam.out_dim,
     )
-    out = Path(config.out_dir)
     export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
-    _write_run_info(out, "explain")
     print(f"wrote contribution and shape reports -> {out}")
-    return 0
 
 
-def cmd_tune(config: RunConfig) -> int:
+def cmd_tune(config: RunConfig, out: Path) -> None:
     dataset = _load_run_dataset(config)
     winner, trials = grid_search(dataset, config, jobs=config.jobs)
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     n_clients = config.federation.num_clients
@@ -215,16 +203,14 @@ def cmd_tune(config: RunConfig) -> int:
 
     point = (winner.dropout, winner.learning_rate, winner.hidden_layers, winner.batch_size)
     save_config(config_at(config, point), out / "best.json")
-    _write_run_info(out, "tune")
     print(
         f"best trial {winner.trial_id}: dropout={winner.dropout} lr={winner.learning_rate} "
         f"layers={winner.hidden_layers} batch={winner.batch_size} "
         f"mean_val_acc={winner.mean_val_acc:.4f} -> {out}"
     )
-    return 0
 
 
-def cmd_benchmark(config: RunConfig) -> int:
+def cmd_benchmark(config: RunConfig, out: Path) -> None:
     dataset = _load_run_dataset(config)
     nam_result = run_from_config(dataset, config)
     nam_stats = evaluate_model(
@@ -240,7 +226,6 @@ def cmd_benchmark(config: RunConfig) -> int:
         stratified=config.split.stratified,
         threshold=config.threshold,
     )
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "benchmark.csv",
@@ -252,73 +237,85 @@ def cmd_benchmark(config: RunConfig) -> int:
         + [["attribution", name, "", "", _fmt(value)]
            for name, value in zip(attribution.feature_names, attribution.values)],
     )
-    _write_run_info(out, "benchmark")
     gap = abs(nam_stats["accuracy"] - dnn_stats["accuracy"])
     print(
         f"fednam acc {nam_stats['accuracy']:.4f} vs dnn acc {dnn_stats['accuracy']:.4f} "
         f"(gap {gap:.4f}) -> {out}"
     )
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error exits 1 with one line, as a config error
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# Every flag once: the RunConfig field it overrides (dotted inside a section),
+# or None for a flag that `main` or the command's handler reads itself.
+# A flag left out parses as None and keeps the config's value.
+FLAGS = {
+    "--config": (None, {"help": "JSON run configuration"}),
+    "--seed": ("seed", {"type": int, "help": "override random seed"}),
+    "--out": ("out_dir", {"help": "override output directory"}),
+    "--dataset": ("dataset.kind", {"choices": DATASET_KINDS, "help": "dataset kind"}),
+    "--csv": ("dataset.csv", {"help": "path to the dataset CSV"}),
+    "--target-col": ("dataset.target_col", {"help": "override the target column name"}),
+    "--threshold": ("threshold", {"type": float, "help": "binary decision threshold"}),
+    "--svg": ("svg", {"action": "store_true", "default": None, "help": "also render shapes.svg"}),
+    "--jobs": ("jobs", {"type": int, "help": "parallel workers for grid trials"}),
+    "--model": (None, {"required": True, "help": "model JSON written by train"}),
+}
+FIELDS = {flag[2:].replace("-", "_"): field for flag, (field, _) in FLAGS.items()}
+COMMON = ("--config", "--seed", "--out", "--dataset", "--csv", "--target-col")
+# Each command's handler and the flags it reads. The handler gets the resolved
+# config, its out directory and, by name, each of its flags but --config that
+# sets no field.
+COMMANDS = {
+    "train": (cmd_train, COMMON + ("--threshold", "--svg")),
+    "explain": (cmd_explain, COMMON + ("--svg", "--model")),
+    "tune": (cmd_tune, COMMON + ("--jobs", "--threshold")),
+    "benchmark": (cmd_benchmark, COMMON + ("--threshold",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fednam",
-        description="Federated neural additive models: train, tune, explain, benchmark.",
-    )
+    parser = _Parser(prog="fednam", description="Federated neural additive models: "
+                     "train, tune, explain, benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "explain", "tune", "benchmark"):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="override random seed")
-        p.add_argument("--out", help="override output directory")
-        p.add_argument("--jobs", type=int, help="parallel workers for grid trials")
-        p.add_argument("--dataset", choices=("heart", "wine", "iris"), help="dataset kind")
-        p.add_argument("--csv", help="path to the dataset CSV")
-        p.add_argument("--target-col", help="override the target column name")
-        p.add_argument("--threshold", type=float, help="binary decision threshold")
-        p.add_argument("--svg", action="store_true", help="also render shapes.svg")
-        if name == "explain":
-            p.add_argument("--model", required=True, help="model JSON written by train")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag][1])
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    dataset = config.dataset
-    if args.dataset:
-        dataset = replace(dataset, kind=args.dataset)
-    if args.csv:
-        dataset = replace(dataset, csv=args.csv)
-    if args.target_col:
-        dataset = replace(dataset, target_col=args.target_col)
-    config = replace(config, dataset=dataset)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out:
-        config = replace(config, out_dir=args.out)
-    if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
-    if args.threshold is not None:
-        config = replace(config, threshold=args.threshold)
-    if args.svg:
-        config = replace(config, svg=True)
-    return config
+def _override(section, field: str, value):
+    """`section` with its dotted `field` set to `value`, through each dataclass's checks."""
+    name, _, rest = field.partition(".")
+    value = _override(getattr(section, name), rest, value) if rest else value
+    return replace(section, **{name: value})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Resolve the config, run the command's handler, then write run_info.json."""
     try:
-        config = load_config(args.config) if args.config else RunConfig()
-        config = _apply_overrides(config, args)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "explain":
-            return cmd_explain(config, args.model)
-        if args.command == "tune":
-            return cmd_tune(config)
-        if args.command == "benchmark":
-            return cmd_benchmark(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = vars(_build_parser().parse_args(argv))
+        command, config_path = args.pop("command"), args.pop("config")
+        config = load_config(config_path) if config_path else RunConfig()
+        handler_args = {}
+        for name, value in args.items():
+            if FIELDS[name] is None:
+                handler_args[name] = value
+            elif value not in (None, ""):  # an empty string overrides nothing
+                config = _override(config, FIELDS[name], value)
+        out = Path(config.out_dir)
+        # checked before any data is read; the nearest existing path must be a directory
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out_dir {out}: {existing} is not a directory")
+        COMMANDS[command][0](config, out, **handler_args)
+        info = {"command": command, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        (out / "run_info.json").write_text(json.dumps(info, indent=1, sort_keys=True))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -149,18 +149,23 @@ def load_csv(path: str | Path) -> RawTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"CSV file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        first = f.readline()
-        if not first.strip():
-            raise DataError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        f.seek(0)
-        columns = [c.strip().strip('"') for c in next(csv.reader(f, delimiter=delim))]
-        values = _read_numbers(f, delim, len(columns))
-        if values is not None:
-            return RawTable(columns, str(path), delim, values=values)
-        f.seek(0)
-        rows, lines = _scan_rows(f, str(path), delim, len(columns))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            first = f.readline()
+            if not first.strip():
+                raise DataError(f"{path}: empty file")
+            delim = _sniff_delimiter(first)
+            f.seek(0)
+            columns = [c.strip().strip('"') for c in next(csv.reader(f, delimiter=delim))]
+            values = _read_numbers(f, delim, len(columns))
+            if values is not None:
+                return RawTable(columns, str(path), delim, values=values)
+            f.seek(0)
+            rows, lines = _scan_rows(f, str(path), delim, len(columns))
+    except UnicodeDecodeError as exc:  # _read_numbers takes it for a non-numeric cell
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read CSV file {path}: {exc.strerror or exc}") from exc
     return RawTable(columns, str(path), delim, _rows=rows, _lines=lines)
 
 

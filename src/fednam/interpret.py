@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import federation
 from .dnn import build_dnn, dnn_backward, dnn_inference_cache
 from .errors import DataError, ShapeMismatchError
-from .federation import ClientState, EnsembleModel, evaluate_model, run_federation
+from .federation import ClientState, EnsembleModel, run_federation
 from .nam import NamModel, nam_forward
 from .nn import INFER
 
@@ -220,7 +221,8 @@ def baseline_attributions(
     )
     model = result.global_predictor
     report = input_gradient_attributions(model, dataset.X_test, dataset.feature_names)
-    stats = evaluate_model(model, dataset.X_test, dataset.y_test, threshold)
+    # through the module, so a wrapper set on federation.evaluate_model sees this call too
+    stats = federation.evaluate_model(model, dataset.X_test, dataset.y_test, threshold)
     return model, report, stats
 
 

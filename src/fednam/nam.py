@@ -249,8 +249,8 @@ def load_model(path: str | Path):
     raise DataError.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataError(f"model file {path} is missing a schema_version")

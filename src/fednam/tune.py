@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from . import federation
 from .config import GridConfig, ModelConfig, OptimizerConfig, RunConfig
 from .data import Dataset
 from .errors import FedNamError, TrainingError
@@ -98,10 +99,12 @@ def _run_trial(args) -> TrialResult:
         per_client = []
         for client in result.clients:
             rows = client.monitor_rows
-            stats = evaluate_model(
+            # accuracy without an AUC: that of a small shard would go unused, and
+            # warn when the shard holds one class
+            _, acc = federation._loss_and_accuracy(
                 result.global_predictor, client.x[rows], client.y[rows], config.threshold
             )
-            per_client.append(stats["accuracy"])
+            per_client.append(acc)
         test_stats = evaluate_model(
             result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
         )

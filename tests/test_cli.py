@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -486,3 +487,163 @@ def test_side_effects_confined_to_out_dir(tmp_path, iris_csv, monkeypatch):
     config = fast_iris_config(tmp_path, iris_csv, "contained")
     assert main(["train", "--config", str(config)]) == 0
     assert list(workdir.iterdir()) == []
+
+
+# a value for every flag of the CLI (--svg takes none), the field each override
+# sets, and the flags each command reads besides the common ones
+FLAG_VALUES = {"--config": "c.json", "--seed": "5", "--out": "o", "--dataset": "wine",
+               "--csv": "t.csv", "--target-col": "y", "--threshold": "0.25", "--svg": None,
+               "--jobs": "2", "--model": "m.json"}
+FLAG_FIELDS = {"--seed": ("seed", 5), "--out": ("out_dir", "o"),
+               "--dataset": ("dataset.kind", "wine"), "--csv": ("dataset.csv", "t.csv"),
+               "--target-col": ("dataset.target_col", "y"), "--threshold": ("threshold", 0.25),
+               "--svg": ("svg", True), "--jobs": ("jobs", 2)}
+READS = {"train": {"--threshold", "--svg"}, "explain": {"--svg", "--model"},
+         "tune": {"--jobs", "--threshold"}, "benchmark": {"--threshold"}}
+COMMON_FLAGS = {"--config", "--seed", "--out", "--dataset", "--csv", "--target-col"}
+
+
+def flag_args(flag: str) -> list[str]:
+    value = FLAG_VALUES[flag]
+    return [flag] if value is None else [flag, value]
+
+
+def field_of(config, dotted: str):
+    for name in dotted.split("."):
+        config = getattr(config, name)
+    return config
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in sorted(READS) for f in FLAG_VALUES
+                                          if f not in COMMON_FLAGS | READS[c]])
+def test_flag_a_command_does_not_read_exits_1(capsys, command, flag):
+    required = flag_args("--model") if command == "explain" else []
+    assert main([command, *required, *flag_args(flag)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fednam")
+    assert f"unrecognized arguments: {flag}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_flag_a_command_reads_sets_its_field(tmp_path, monkeypatch, command):
+    """One run with all of a command's flags: each override lands in its field."""
+    import fednam.cli as cli
+
+    seen = {}
+
+    def record(config, out, **handler_args):
+        seen.update(config=config, out=out, handler_args=handler_args)
+        out.mkdir()
+
+    monkeypatch.setitem(cli.COMMANDS, command, (record, cli.COMMANDS[command][1]))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"dataset": {"kind": "iris"}, "seed": 1}))
+    flags = sorted(COMMON_FLAGS | READS[command])
+    argv = [command] + [arg for flag in flags for arg in flag_args(flag)]
+    assert main(argv) == 0
+    assert seen["out"] == Path("o") and (tmp_path / "o" / "run_info.json").is_file()
+    for flag in set(flags) & set(FLAG_FIELDS):
+        name, value = FLAG_FIELDS[flag]
+        assert field_of(seen["config"], name) == value, flag
+    assert seen["handler_args"] == ({"model": "m.json"} if command == "explain" else {})
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["train", "--seed", "abc"], "fednam train: argument --seed: invalid int value: 'abc'"),
+     (["explain"], "fednam explain: the following arguments are required: --model"),
+     (["tune", "--dataset", "mnist"], "fednam tune: argument --dataset: invalid choice: 'mnist'"),
+     (["serve"], "fednam: argument command: invalid choice: 'serve'"),
+     ([], "fednam: the following arguments are required: command")],
+    ids=["bad_int", "missing_model", "bad_choice", "unknown_command", "no_command"],
+)
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["explain", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: fednam" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_out_naming_a_file_exits_1_before_reading_data(tmp_path, capsys, where):
+    """The CSV does not exist, so reading it first would exit 2."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "run"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"dataset": {"kind": "iris", "csv": "/no/such/file.csv"}}))
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert (f"config error: out_dir {out}: {blocker} is not a directory"
+            in capsys.readouterr().err)
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_csv_naming_a_directory_exits_2(tmp_path, capsys):
+    folder = tmp_path / "table.csv"
+    folder.mkdir()
+    config = fast_iris_config(tmp_path, folder, "dir")
+    assert main(["train", "--config", str(config)]) == 2
+    assert f"data error: cannot read CSV file {folder}: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "dir").exists()
+
+
+@pytest.mark.parametrize("line", [0, 3], ids=["header", "data_row"])
+def test_csv_with_a_non_utf8_byte_exits_2(tmp_path, iris_csv, capsys, line):
+    lines = iris_csv.read_bytes().splitlines()
+    lines[line] = lines[line].replace(b",", b"\xff,", 1)
+    bad_csv = tmp_path / "iris_latin1.csv"
+    bad_csv.write_bytes(b"\n".join(lines) + b"\n")
+    config = fast_iris_config(tmp_path, bad_csv, "enc")
+    assert main(["train", "--config", str(config)]) == 2
+    assert f"data error: {bad_csv}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "enc").exists()
+
+
+def test_config_naming_a_directory_exits_1(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 1
+    assert f"config error: cannot read config {tmp_path}: Is a directory" in (
+        capsys.readouterr().err)
+
+
+def test_config_with_a_non_utf8_byte_exits_1(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"seed": 1, "out_dir": "caf\xe9"}')
+    assert main(["train", "--config", str(config)]) == 1
+    assert f"config error: cannot parse config {config}" in capsys.readouterr().err
+
+
+def test_model_with_a_non_utf8_byte_exits_2(tmp_path, iris_csv, capsys):
+    config = fast_iris_config(tmp_path, iris_csv, "c")
+    model = tmp_path / "model.json"
+    save_model(build_nam(4, MULTICLASS, n_classes=3, hidden_layers=1, hidden_units=3, rng=0),
+               ["a", "b", "c", "d"], model)
+    model.write_bytes(model.read_bytes().replace(b'"a"', b'"\xe9"', 1))
+    explain_out = tmp_path / "explain_out"
+    assert main(["explain", "--config", str(config), "--model", str(model),
+                 "--out", str(explain_out)]) == 2
+    assert f"data error: cannot parse model file {model}" in capsys.readouterr().err
+    assert not explain_out.exists()
+
+
+def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
+    """A per-client validation shard of one class has no AUC; tune never asks for one."""
+    table = tmp_path / "heart60.csv"
+    table.write_text("\n".join(heart_lines(60)) + "\n")
+    grid = {"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [1], "batch_size": [16]}
+    config = fast_iris_config(tmp_path, iris_csv, "tiny", grid=grid,
+                              dataset={"kind": "heart", "csv": str(table)},
+                              federation={"num_clients": 3, "rounds": 2, "local_epochs": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["tune", "--config", str(config)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""

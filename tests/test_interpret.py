@@ -253,6 +253,27 @@ class TestAttributions:
         assert np.all(np.isfinite(report.values))
         assert 0.0 <= stats["accuracy"] <= 1.0
 
+    def test_test_set_evaluation_goes_through_the_federation_module(self, tmp_path, monkeypatch):
+        """A wrapper set on federation.evaluate_model sees every evaluation,
+        the DNN's test-set one too."""
+        import fednam.federation as federation_module
+
+        path = write_csv(tmp_path / "h.csv", HEART_COLUMNS, synthetic_heart_rows(160))
+        dataset = load_dataset(path, HEART, SplitSpec(seed=0))
+        seen = []
+        real = federation_module.evaluate_model
+
+        def counting(model, x, *args, **kwargs):
+            seen.append(x)
+            return real(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(federation_module, "evaluate_model", counting)
+        cfg = FederationConfig(num_clients=2, rounds=2, local_epochs=1, seed=0)
+        baseline_attributions(dataset, cfg, lambda: OptimizerState(learning_rate=0.01),
+                              batch_size=16)
+        assert len(seen) == cfg.rounds + 1  # one per round, then the test split
+        assert np.array_equal(seen[-1], dataset.X_test)
+
 
 class TestExport:
     SCALER = Scaler(mean=np.array([1.0, -2.0]), std=np.array([0.5, 3.0]))

@@ -1,4 +1,5 @@
-"""Every function the benchmark's tracer wraps still exists under its traced name.
+"""Every function the benchmark's tracer wraps, and every `fednam.cli` name its
+child process calls, still exists under that name.
 
 A refactor that renames one would leave that per-layer metric silently
 untraced. The tracer is imported by path and only its read-only lookup is
@@ -23,10 +24,13 @@ def load_tracing():
 tracing = load_tracing()
 
 
-@pytest.mark.parametrize(
-    "module,attr",
-    [(module, attr) for module, attr, _ in tracing.WRAPS] + [("fednam.tune", "_run_trial")],
-)
+POINTS = [(module, attr) for module, attr, _ in tracing.WRAPS] + [("fednam.tune", "_run_trial")]
+# what perfbench/child.py calls on fednam.cli; a name also traced is listed once
+CHILD_CALLS = ("main", "load_config", "_load_run_dataset", "load_model")
+POINTS += [("fednam.cli", name) for name in CHILD_CALLS if ("fednam.cli", name) not in POINTS]
+
+
+@pytest.mark.parametrize("module,attr", POINTS)
 def test_trace_point_resolves(module, attr):
     owner, leaf = tracing._resolve(module, attr)
     assert callable(getattr(owner, leaf))
