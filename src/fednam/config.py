@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -128,8 +129,8 @@ _SECTIONS = {
 
 
 def _type_matches(value, hint) -> bool:
-    """Whether a JSON value fits a field's type; an int fits a float field,
-    a bool fits only a bool field."""
+    """Whether a JSON value fits a field's type; an int fits a float field if
+    a double can hold it, a bool fits only a bool field."""
     args = get_args(hint)
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_type_matches(v, args[0]) for v in value)
@@ -138,7 +139,7 @@ def _type_matches(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
@@ -193,7 +194,7 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(doc)
 

@@ -15,7 +15,6 @@ from .nn import (
     NetBank,
     bank_backward,
     bank_forward,
-    inference_cache,
     xavier_bank,
 )
 
@@ -61,12 +60,6 @@ class DnnModel(NetBank):
             feature_names=list(feature_names),
         )
         return doc
-
-
-def dnn_inference_cache(model: DnnModel, x: np.ndarray) -> BankCache:
-    """An inference cache on a (batch, n_features) input, without a forward
-    pass: the first `dnn_backward` from it runs the net, and later ones reuse that."""
-    return inference_cache(model, _bank_input(model, x))
 
 
 def _bank_input(model: DnnModel, x: np.ndarray) -> np.ndarray:

@@ -198,6 +198,8 @@ class LocalTrainLog:
     stopped_early: bool
 
 
+# an overflow is reported by the finite checks below, not by NumPy warnings
+@np.errstate(all="ignore")
 def local_train(
     client: ClientState,
     epochs: int,

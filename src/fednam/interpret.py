@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import federation
-from .dnn import build_dnn, dnn_backward, dnn_inference_cache
+from .dnn import build_dnn, dnn_backward
 from .errors import DataError, ShapeMismatchError
 from .federation import ClientState, EnsembleModel, run_federation
 from .nam import NamModel, nam_forward
-from .nn import INFER
+from .nn import INFER, TRAIN
 
 GRID_POINTS = 101
 GLOBAL_OWNER = "global"
@@ -231,10 +231,13 @@ def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
     DnnModel or the mean over an ensemble's members.
 
     Each net runs forward once: every class backpropagates from one cache.
+    The pass is a training one, whose cache keeps every layer's input; the
+    nets here come from `build_dnn`, without dropout, so it computes what
+    inference would.
     """
     if isinstance(model, EnsembleModel):
         return model.member_mean(lambda m: _class_input_gradients(m, x))
-    cache = dnn_inference_cache(model, x)
+    _, cache = model.forward_batch(x, TRAIN)
     grads = np.empty((model.out_dim, *x.shape))
     for c in range(model.out_dim):
         onehot = np.zeros((x.shape[0], model.out_dim))

@@ -7,7 +7,6 @@ so each feature's contribution to each prediction can be read off directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +27,6 @@ from .nn import (
 )
 
 MODEL_SCHEMA_VERSION = 1
-
-
-@dataclass
-class NamCache:
-    """What backward needs from one forward pass: the bank's cache and the
-    feature outputs the head read."""
-
-    bank: BankCache
-    feature_outputs: np.ndarray  # (batch, K)
 
 
 class NamModel(NetBank):
@@ -80,12 +70,12 @@ class NamModel(NetBank):
 
     def forward_batch(
         self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
-    ) -> tuple[np.ndarray, NamCache]:
+    ) -> tuple[np.ndarray, BankCache]:
         logits, _, cache = nam_forward(self, x, mode, rng)
         return logits, cache
 
     def backward_batch(
-        self, cache: NamCache, dlogits: np.ndarray, out: np.ndarray | None = None
+        self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
     ) -> list[np.ndarray]:
         grads, _ = nam_backward(self, cache, dlogits, out)
         return grads
@@ -123,8 +113,8 @@ def build_nam(
 
 def nam_forward(
     model: NamModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
-) -> tuple[np.ndarray, np.ndarray, NamCache]:
-    """Logits, per-feature terms, and caches for a (batch, K) input.
+) -> tuple[np.ndarray, np.ndarray, BankCache]:
+    """Logits, per-feature terms, and the bank's cache for a (batch, K) input.
 
     terms[i, c, k] == output_weights[c, k] * f_k(x[i, k]) and
     logits == output_bias + terms.sum over k, exactly.
@@ -135,15 +125,15 @@ def nam_forward(
             f"input shape {x.shape} incompatible with {model.n_features} features"
         )
     # feature k's column as a strided (batch, 1) view, as a lone feature net sees it
-    h, bank = bank_forward(model, x.T[:, :, None], mode, rng)
+    h, cache = bank_forward(model, x.T[:, :, None], mode, rng)
     outputs = np.ascontiguousarray(h[:, :, 0].T)
     terms = outputs[:, None, :] * model.output_weights[None, :, :]
     logits = terms.sum(axis=2) + model.output_bias
-    return logits, terms, NamCache(bank, outputs)
+    return logits, terms, cache
 
 
 def nam_backward(
-    model: NamModel, cache: NamCache, dlogits: np.ndarray, out: np.ndarray | None = None
+    model: NamModel, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients for every feature net and the output head, plus dLoss/dInput.
 
@@ -153,12 +143,14 @@ def nam_backward(
     through its own additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
-    if g.shape != (cache.feature_outputs.shape[0], model.out_dim):
+    if g.shape != (cache.x.shape[1], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
     grads = model.split(np.empty_like(model.params) if out is None else out)
     # feature k's upstream gradient as a strided (batch, 1) view
-    dh = bank_backward(model, cache.bank, (g @ model.output_weights).T[:, :, None], grads)
-    np.matmul(g.T, cache.feature_outputs, out=grads[-2])
+    dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads)
+    # the (batch, K) outputs the head read, contiguous as in the forward pass:
+    # BLAS sums a transposed operand in another order
+    np.matmul(g.T, np.ascontiguousarray(cache.out[:, :, 0].T), out=grads[-2])
     grads[-1][...] = g.sum(axis=0)
     return grads, np.ascontiguousarray(dh[:, :, 0].T)
 
@@ -250,7 +242,7 @@ def load_model(path: str | Path):
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise DataError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataError(f"model file {path} is missing a schema_version")

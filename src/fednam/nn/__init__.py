@@ -1,4 +1,4 @@
-from .bank import INFER, TRAIN, BankCache, NetBank, bank_backward, bank_forward, inference_cache, xavier_bank
+from .bank import INFER, TRAIN, BankCache, NetBank, bank_backward, bank_forward, xavier_bank
 from .layers import (
     ACTIVATIONS,
     EXU,
@@ -35,7 +35,6 @@ __all__ = [
     "bank_forward",
     "batch_loss_and_grad",
     "class_probabilities",
-    "inference_cache",
     "optimizer_step",
     "sigmoid",
     "softmax",

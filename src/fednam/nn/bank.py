@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,17 @@ INFER_BLOCK_ROWS = 1024
 class BankCache:
     """What backward needs from one forward pass through a bank.
 
-    Each layer's input is recomputed from the previous layer's cached
-    pre-activation and dropout mask, so only the first layer's input is stored.
-    An inference pass stores no pre-activations; the first backward from its
-    cache recomputes them in one pass over `x` and keeps them here.
+    A training pass keeps each layer's input and pre-activation. An inference
+    pass keeps neither; the first backward from its cache runs the layers once
+    over `x` and keeps them here.
     """
 
     x: np.ndarray  # (K, batch, in) input of the first layer
-    preacts: list[np.ndarray] | None  # per layer, (K, batch, out); None until computed
     masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     version: int
+    out: np.ndarray | None = None  # (K, batch, out) output of the last layer
+    inputs: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, in); inputs[0] is x
+    preacts: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, out)
 
 
 class NetBank:
@@ -170,14 +171,6 @@ def _dropout_masks(bank: NetBank, batch: int, rng) -> list[np.ndarray | None]:
     return masks
 
 
-def _layer_output(kind: str, z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """A layer's activation with its dropout mask applied: the next layer's input."""
-    h = activate(kind, z)
-    if mask is not None:
-        h = h * mask
-    return h
-
-
 def _column_sums(dz: np.ndarray) -> np.ndarray:
     """Per-net sums over the batch of a (K, batch, out) array.
 
@@ -190,10 +183,11 @@ def _column_sums(dz: np.ndarray) -> np.ndarray:
 
 
 def _run_layers(
-    bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The bank's output on a (K, rows, in) input, and each layer's pre-activation."""
-    h, preacts = x, []
+    bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None], cache: BankCache | None = None
+) -> np.ndarray:
+    """The bank's output on a (K, rows, in) input; each layer's input and
+    pre-activation are appended to `cache`, when given one."""
+    h = x
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
         if kind == EXU:
             ew = np.exp(np.clip(w, -LOGIT_CLAMP, LOGIT_CLAMP))
@@ -202,15 +196,13 @@ def _run_layers(
         else:
             z = np.matmul(h, w.transpose(0, 2, 1))
             z += b[:, None, :]
-        preacts.append(z)
-        h = _layer_output(kind, z, mask)
-    return h, preacts
-
-
-def inference_cache(bank: NetBank, x: np.ndarray) -> BankCache:
-    """The cache of an inference pass on x, which runs nothing: the first
-    `bank_backward` from it runs the layers once and keeps their pre-activations."""
-    return BankCache(x, None, [None] * len(bank.weights), bank.version)
+        if cache is not None:
+            cache.inputs.append(h)
+            cache.preacts.append(z)
+        h = activate(kind, z)
+        if mask is not None:
+            h = h * mask
+    return h
 
 
 def bank_forward(
@@ -223,25 +215,25 @@ def bank_forward(
     weights enter through their exponential. Returns the (K, batch, out)
     output and the cache for `bank_backward`.
 
-    TRAIN runs all rows at once, with dropout, and caches every layer's
-    pre-activation. INFER runs blocks of INFER_BLOCK_ROWS rows and caches none.
-    The rows left over join the last block, since BLAS takes other kernels
-    for small products: a short block would not be bit-equal to the same rows
-    of one pass over the batch.
+    TRAIN runs all rows at once, with dropout, and caches every layer's input
+    and pre-activation. INFER runs blocks of INFER_BLOCK_ROWS rows and caches
+    neither. The rows left over join the last block, since BLAS takes other
+    kernels for small products: a short block would not be bit-equal to the
+    same rows of one pass over the batch.
     """
     if mode == TRAIN:
-        masks = _dropout_masks(bank, x.shape[1], rng)
-        h, preacts = _run_layers(bank, x, masks)
-        return h, BankCache(x, preacts, masks, bank.version)
+        cache = BankCache(x, _dropout_masks(bank, x.shape[1], rng), bank.version)
+        cache.out = _run_layers(bank, x, cache.masks, cache)
+        return cache.out, cache
     if mode != INFER:
         raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
-    cache = inference_cache(bank, x)
+    masks = [None] * len(bank.weights)
     rows = x.shape[1]
     ends = [*range(INFER_BLOCK_ROWS, rows - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), rows]
     h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
     for start, end in zip([0, *ends], ends):
-        h[:, start:end], _ = _run_layers(bank, x[:, start:end], cache.masks)
-    return h, cache
+        h[:, start:end] = _run_layers(bank, x[:, start:end], masks)
+    return h, BankCache(x, masks, bank.version, h)
 
 
 def bank_backward(
@@ -251,22 +243,19 @@ def bank_backward(
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
     views laid out like `param_tensors()`, and returns dLoss/dInput,
-    (K, batch, in). Dropout masks from the forward pass are reused; an
-    inference cache's pre-activations are computed here, in one pass.
+    (K, batch, in). Each layer's input, pre-activation and dropout mask come
+    from the cache; an inference cache gets them here, in one pass over `x`.
     """
     if cache.version != bank.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
-    if cache.preacts is None:
-        _, cache.preacts = _run_layers(bank, cache.x, cache.masks)
+    if not cache.inputs:
+        _run_layers(bank, cache.x, cache.masks, cache)
     for i in range(len(bank.weights) - 1, -1, -1):
         kind = bank.activations[i]
         if cache.masks[i] is not None:
             dh = dh * cache.masks[i]
         dz = activation_grad(kind, cache.preacts[i], dh)
-        if i == 0:
-            h = cache.x
-        else:
-            h = _layer_output(bank.activations[i - 1], cache.preacts[i - 1], cache.masks[i - 1])
+        h = cache.inputs[i]
         col = _column_sums(dz)
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
         if kind == EXU:

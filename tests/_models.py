@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fednam.dnn import DnnModel, dnn_backward, dnn_inference_cache
+from fednam.dnn import DnnModel, dnn_backward
 from fednam.nam import NamModel
 from fednam.nn import BINARY, IDENTITY, MULTICLASS, RELU, xavier_bank
 
@@ -30,5 +30,6 @@ def linear_nam(scales, output_weights, bias: float = 0.0) -> NamModel:
 
 def input_gradients(model: DnnModel, x, dlogits):
     """dLoss/dInput of a dense model at input `x` for upstream gradient `dlogits`."""
-    _, dx = dnn_backward(model, dnn_inference_cache(model, x), dlogits)
+    _, cache = model.forward_batch(x)
+    _, dx = dnn_backward(model, cache, dlogits)
     return dx

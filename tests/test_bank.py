@@ -67,8 +67,8 @@ def test_bank_matches_per_feature_nets(case):
     logits, terms, cache = nam_forward(model, x, mode, np.random.default_rng(seed))
     assert same_bits(logits, want_logits)
     assert same_bits(terms, want_terms)
-    assert same_bits(cache.feature_outputs, want_outputs)
-    assert cache.feature_outputs.flags.c_contiguous
+    # the bank's (K, batch, 1) output, as the (batch, K) outputs the head read
+    assert same_bits(cache.out[:, :, 0].T, want_outputs)
 
     want_grads, want_d_input = per_feature_nam_backward(model, want_outputs, caches, dlogits)
     grads, d_input = nam_backward(model, cache, dlogits)
@@ -223,10 +223,8 @@ def test_blocked_inference_matches_one_pass(case):
     want, train_cache = model.forward_batch(x, TRAIN)
     got, cache = model.forward_batch(x, INFER)
     assert same_bits(got, want)
-    bank = cache.bank if model.kind == "nam" else cache
-    assert bank.preacts is None and bank.masks == [None] * len(model.weights)
-    if model.kind == "nam":
-        assert same_bits(cache.feature_outputs, train_cache.feature_outputs)
+    assert cache.inputs == [] and cache.preacts == [] and cache.masks == [None] * len(model.weights)
+    assert same_bits(cache.out, train_cache.out)
 
     want_grads, want_dx = _backward(model, train_cache, dlogits)
     grads, dx = _backward(model, cache, dlogits)
@@ -240,6 +238,38 @@ def test_blocked_inference_matches_one_pass(case):
     model.set_params(model.params)
     with pytest.raises(StaleCacheError):
         _backward(model, cache, dlogits)
+
+
+LAYER_MODELS = [build_nam(3, BINARY, hidden_layers=2, hidden_units=4, dropout_rate=0.5, rng=0),
+                build_dnn(3, MULTICLASS, n_classes=3, hidden_units=5, rng=0)]
+
+
+@pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])
+def test_backward_from_a_training_cache_activates_nothing(model, monkeypatch):
+    """A training pass keeps each layer's input: backward reads it, and
+    recomputes no activation."""
+    import fednam.nn.bank as bank
+
+    x = np.random.default_rng(0).normal(size=(7, 3))
+    _, cache = model.forward_batch(x, TRAIN, 1)
+    assert [h.shape[1] for h in cache.inputs] == [7] * len(model.weights)
+    assert cache.inputs[0] is cache.x and len(cache.preacts) == len(model.weights)
+    calls = []
+    activate = bank.activate
+    monkeypatch.setattr(bank, "activate", lambda kind, z: calls.append(kind) or activate(kind, z))
+    model.backward_batch(cache, np.ones((7, model.out_dim)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])
+def test_inference_cache_holds_no_layer_arrays(model):
+    x = np.random.default_rng(0).normal(size=(INFER_BLOCK_ROWS + 5, 3))
+    out, cache = model.forward_batch(x, INFER)
+    assert cache.inputs == [] and cache.preacts == []
+    # the first backward runs the layers once, over every row, and keeps them
+    model.backward_batch(cache, np.ones((len(x), model.out_dim)))
+    assert [z.shape[1] for z in cache.preacts] == [len(x)] * len(model.weights)
+    assert len(cache.inputs) == len(model.weights)
 
 
 @pytest.mark.parametrize("model", [build_nam(3, BINARY, rng=0), build_dnn(3, MULTICLASS, n_classes=3, rng=0)])

@@ -105,8 +105,11 @@ def test_non_finite_float_field_exits_1_naming_key(tmp_path, iris_csv, capsys,
      ({"learning_rate": [0.0]}, "grid.learning_rate: optimizer.learning_rate must be > 0"),
      ({"learning_rate": [float("nan")]}, "grid.learning_rate must be finite, got [NaN]"),
      ({"hidden_layers": [0]}, "grid.hidden_layers: model.hidden_layers must be >= 1, got 0"),
-     ({"batch_size": [16, -1]}, "grid.batch_size: batch_size must be >= 1, got -1")],
-    ids=["dropout", "learning_rate", "learning_rate_nan", "hidden_layers", "batch_size"],
+     ({"batch_size": [16, -1]}, "grid.batch_size: batch_size must be >= 1, got -1"),
+     ({"learning_rate": [0.01, 10**400]},
+      "grid.learning_rate must be of type list[float], got [0.01, 1000")],
+    ids=["dropout", "learning_rate", "learning_rate_nan", "hidden_layers", "batch_size",
+         "learning_rate_beyond_double"],
 )
 def test_invalid_grid_value_exits_1_before_any_trial(tmp_path, iris_csv, capsys, grid, message):
     config = fast_iris_config(tmp_path, iris_csv, "gbad", grid=grid)
@@ -647,3 +650,44 @@ def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
         assert main(["tune", "--config", str(config)]) == 0
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
+
+
+def test_config_nested_too_deep_exits_1(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot parse config {config}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_nested_too_deep_exits_2(tmp_path, iris_csv, capsys):
+    config = fast_iris_config(tmp_path, iris_csv, "c")
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 100_000)
+    explain_out = tmp_path / "explain_out"
+    assert main(["explain", "--config", str(config), "--model", str(model),
+                 "--out", str(explain_out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: cannot parse model file {model}: ")
+    assert not explain_out.exists()
+
+
+def test_int_beyond_a_double_in_a_float_field_exits_1(tmp_path, iris_csv, capsys):
+    """JSON reads 10**400 as an exact int, which no double holds."""
+    config = fast_iris_config(tmp_path, iris_csv, "big", optimizer={"learning_rate": 10**400})
+    assert main(["train", "--config", str(config)]) == 1
+    assert "config error: optimizer.learning_rate must be of type float, got 1000" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "big").exists()
+
+
+def test_diverging_run_exits_3_with_one_line(tmp_path, iris_csv, capsys):
+    config = fast_iris_config(tmp_path, iris_csv, "lr", optimizer={"learning_rate": 1e300},
+                              federation={"rounds": 1, "local_epochs": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(config)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("training error: ")

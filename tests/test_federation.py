@@ -136,6 +136,8 @@ class TestLocalTrain:
             local_train(client, epochs=5, batch_size=16, control=ControlConfig(), rng=r)
         assert evaluate_model(client.model, x, y)["loss"] < first
 
+    # the finite checks report a diverged run; NumPy warns of nothing first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_loss_reports_client(self):
         x, y = toy_separable(n=8)
         model = small_nam()

@@ -217,9 +217,9 @@ class TestAttributions:
         runs = []
         run_layers = bank._run_layers
 
-        def counted(net, x, masks):
+        def counted(net, x, masks, cache=None):
             runs.append(x.shape)
-            return run_layers(net, x, masks)
+            return run_layers(net, x, masks, cache)
 
         monkeypatch.setattr(bank, "_run_layers", counted)
         members = [build_dnn(5, MULTICLASS, n_classes=3, hidden_units=12, rng=seed) for seed in (1, 2)]
