@@ -13,10 +13,9 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config, save_config, with_field
 from .data import DATASET_KINDS, Dataset, Scaler, load_dataset
 from .errors import ConfigError, DataError, FedNamError, TrainingError
 from .federation import RoundLog, evaluate_model
@@ -288,13 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override(section, field: str, value):
-    """`section` with its dotted `field` set to `value`, through each dataclass's checks."""
-    name, _, rest = field.partition(".")
-    value = _override(getattr(section, name), rest, value) if rest else value
-    return replace(section, **{name: value})
-
-
 def main(argv: list[str] | None = None) -> int:
     """Resolve the config, run the command's handler, then write run_info.json."""
     try:
@@ -306,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             if FIELDS[name] is None:
                 handler_args[name] = value
             elif value not in (None, ""):  # an empty string overrides nothing
-                config = _override(config, FIELDS[name], value)
+                config = with_field(config, FIELDS[name], value)
         out = Path(config.out_dir)
         # checked before any data is read; the nearest existing path must be a directory
         existing = next(path for path in (out, *out.parents) if path.exists())

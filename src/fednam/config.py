@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -39,9 +39,13 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.unit_kind not in (RELU, EXU):
             raise ConfigError(f"model.unit_kind must be 'relu' or 'exu', got {self.unit_kind!r}")
-        for key in ("hidden_layers", "hidden_units"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+        # a size past its cap would fail only where the weights are allocated
+        for key, most in (("hidden_layers", 64), ("hidden_units", 1024)):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {value}")
+            if value > most:
+                raise ConfigError(f"model.{key} must be <= {most}, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout must be in [0,1), got {self.dropout}")
 
@@ -58,6 +62,15 @@ class OptimizerConfig:
             raise ConfigError("optimizer.learning_rate must be > 0")
 
 
+# the RunConfig field each searched hyperparameter sets, in the grid's product order
+GRID_FIELDS = {
+    "dropout": "model.dropout",
+    "learning_rate": "optimizer.learning_rate",
+    "hidden_layers": "model.hidden_layers",
+    "batch_size": "batch_size",
+}
+
+
 @dataclass
 class GridConfig:
     """The four searched hyperparameters; the full Cartesian product is run."""
@@ -69,26 +82,16 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         # each value gets the check of the field it sets in a trial's config
-        checks = {
-            "dropout": lambda v: ModelConfig(dropout=v),
-            "learning_rate": lambda v: OptimizerConfig(learning_rate=v),
-            "hidden_layers": lambda v: ModelConfig(hidden_layers=v),
-            "batch_size": _check_batch_size,
-        }
-        for name, check in checks.items():
+        trial = RunConfig(grid=self)
+        for name, dotted in GRID_FIELDS.items():
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"grid.{name} must be non-empty")
             for value in values:
                 try:
-                    check(value)
+                    with_field(trial, dotted, value)
                 except ConfigError as exc:
                     raise ConfigError(f"grid.{name}: {exc}") from exc
-
-
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass
@@ -108,24 +111,16 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self) -> None:
-        _check_batch_size(self.batch_size)
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0,1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "split": SplitConfig,
-    "federation": FederationSection,
-    "model": ModelConfig,
-    "optimizer": OptimizerConfig,
-    "control": ControlConfig,
-    "grid": GridConfig,
-}
+        if "\0" in self.out_dir:  # the OS takes no path with one
+            raise ConfigError(f"out_dir must not hold a NUL byte, got {self.out_dir!r}")
 
 
 def _type_matches(value, hint) -> bool:
@@ -165,10 +160,10 @@ def _build(cls, doc: dict, where: str | None = None):
     kwargs = {}
     for key, value in doc.items():
         name = f"{where}.{key}" if where else key
-        if where is None and key in _SECTIONS:
-            value = _build(_SECTIONS[key], value, key)
-        elif not _type_matches(value, hints[key]):
-            hint = hints[key]
+        hint = hints[key]
+        if is_dataclass(hint):  # a section
+            value = _build(hint, value, name)
+        elif not _type_matches(value, hint):
             expected = str(hint) if get_origin(hint) or get_args(hint) else hint.__name__
             raise ConfigError(f"{name} must be of type {expected}, got {json.dumps(value)}")
         elif not _finite(value):
@@ -179,6 +174,14 @@ def _build(cls, doc: dict, where: str | None = None):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where or 'config'}: {exc}") from exc
+
+
+def with_field(config, dotted: str, value):
+    """`config` with its field `dotted` ("model.dropout", "seed") set to `value`,
+    through each dataclass's checks."""
+    name, _, rest = dotted.partition(".")
+    value = with_field(getattr(config, name), rest, value) if rest else value
+    return replace(config, **{name: value})
 
 
 def config_from_dict(doc: dict) -> RunConfig:

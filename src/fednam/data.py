@@ -157,6 +157,9 @@ def load_csv(path: str | Path) -> RawTable:
             delim = _sniff_delimiter(first)
             f.seek(0)
             columns = [c.strip().strip('"') for c in next(csv.reader(f, delimiter=delim))]
+            if len(set(columns)) < len(columns):  # a lookup by name reads only the first
+                name = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise DataError(f"{path}: duplicate column name {name!r}")
             values = _read_numbers(f, delim, len(columns))
             if values is not None:
                 return RawTable(columns, str(path), delim, values=values)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .nam import MODEL_SCHEMA_VERSION, bank_from_dicts, bank_to_dicts
 from .nn import (
     BINARY,
     IDENTITY,
@@ -15,6 +14,8 @@ from .nn import (
     NetBank,
     bank_backward,
     bank_forward,
+    bank_from_dicts,
+    bank_to_dicts,
     xavier_bank,
 )
 
@@ -42,7 +43,10 @@ class DnnModel(NetBank):
         self, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
     ) -> tuple[np.ndarray, BankCache]:
         """Logits for a (batch, n_features) input, and the cache for backward."""
-        h, cache = bank_forward(self, _bank_input(self, x), mode, rng)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ShapeMismatchError(f"input shape {x.shape} incompatible with in_dim {self.n_features}")
+        h, cache = bank_forward(self, x[None], mode, rng)
         return h[0], cache
 
     def backward_batch(
@@ -51,23 +55,13 @@ class DnnModel(NetBank):
         grads, _ = dnn_backward(self, cache, dlogits, out)
         return grads
 
-    def to_dict(self, feature_names: list[str]) -> dict:
-        doc = bank_to_dicts(self)[0]
-        doc.update(
-            schema_version=MODEL_SCHEMA_VERSION,
-            kind=self.kind,
-            task=self.task,
-            feature_names=list(feature_names),
-        )
-        return doc
+    def to_dict(self) -> dict:
+        """The model file's keys of this kind: its one net's layers, activations and dropout."""
+        return bank_to_dicts(self)[0]
 
-
-def _bank_input(model: DnnModel, x: np.ndarray) -> np.ndarray:
-    """A (batch, n_features) input as the (1, batch, n_features) input of the bank."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise ShapeMismatchError(f"input shape {x.shape} incompatible with in_dim {model.n_features}")
-    return x[None]
+    @classmethod
+    def from_dict(cls, doc: dict) -> DnnModel:
+        return cls(*bank_from_dicts([doc]), doc["task"])
 
 
 def dnn_backward(
@@ -99,6 +93,3 @@ def build_dnn(
     weights, biases = xavier_bank(1, [n_features, *[hidden_units] * hidden_layers, out_dim], rng)
     return DnnModel(weights, biases, [RELU] * hidden_layers + [IDENTITY], 0.0, task)
 
-
-def dnn_from_dict(doc: dict) -> tuple[DnnModel, list[str]]:
-    return DnnModel(*bank_from_dicts([doc]), doc["task"]), list(doc["feature_names"])

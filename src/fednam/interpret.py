@@ -77,6 +77,8 @@ def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
     return [(float(col.min()), float(col.max())) for col in x_train.T]
 
 
+# an overflow is reported by ShapeCurve's finite check, not by NumPy warnings
+@np.errstate(all="ignore")
 def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str) -> list[ShapeCurve]:
     """Curves for every (feature, class) pair of one model, fixed ordering.
 

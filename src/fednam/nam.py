@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dnn import DnnModel
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .nn import (
     BINARY,
@@ -22,6 +23,8 @@ from .nn import (
     as_rng,
     bank_backward,
     bank_forward,
+    bank_from_dicts,
+    bank_to_dicts,
     xavier_bank,
     xavier_init,
 )
@@ -80,16 +83,22 @@ class NamModel(NetBank):
         grads, _ = nam_backward(self, cache, dlogits, out)
         return grads
 
-    def to_dict(self, feature_names: list[str]) -> dict:
+    def to_dict(self) -> dict:
+        """The model file's keys of this kind: the feature nets and the head."""
         return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "kind": self.kind,
-            "task": self.task,
-            "feature_names": list(feature_names),
             "feature_nets": bank_to_dicts(self),
             "output_weights": self.output_weights.tolist(),
             "output_bias": self.output_bias.tolist(),
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> NamModel:
+        return cls(
+            *bank_from_dicts(doc["feature_nets"]),
+            np.array(doc["output_weights"], dtype=np.float64),
+            np.array(doc["output_bias"], dtype=np.float64),
+            doc["task"],
+        )
 
 
 def build_nam(
@@ -155,48 +164,6 @@ def nam_backward(
     return grads, np.ascontiguousarray(dh[:, :, 0].T)
 
 
-def bank_to_dicts(bank: NetBank) -> list[dict]:
-    """Schema v1's form of a bank: one dict per net, with its own layer list."""
-    return [
-        {
-            "activations": list(bank.activations),
-            "dropout_rate": bank.dropout_rate,
-            "layers": [
-                {"weights": w[k].tolist(), "biases": b[k].tolist()}
-                for w, b in zip(bank.weights, bank.biases)
-            ],
-        }
-        for k in range(bank.weights[0].shape[0])
-    ]
-
-
-def bank_from_dicts(nets: list[dict]) -> tuple[list[np.ndarray], list[np.ndarray], list[str], float]:
-    """Weights, biases, activations and dropout rate of the bank `bank_to_dicts` wrote.
-
-    Every net must share the first one's activations, dropout rate and layer shapes.
-    """
-    first = nets[0]
-    for k, net in enumerate(nets):
-        if (net["activations"], net["dropout_rate"], len(net["layers"])) != (
-            first["activations"], first["dropout_rate"], len(first["layers"])
-        ):
-            raise ShapeMismatchError(f"feature net {k} has a different architecture than feature net 0")
-    layers = range(len(first["layers"]))
-    weights = [np.array([net["layers"][i]["weights"] for net in nets], dtype=np.float64) for i in layers]
-    biases = [np.array([net["layers"][i]["biases"] for net in nets], dtype=np.float64) for i in layers]
-    return weights, biases, list(first["activations"]), float(first["dropout_rate"])
-
-
-def nam_from_dict(doc: dict) -> tuple[NamModel, list[str]]:
-    model = NamModel(
-        *bank_from_dicts(doc["feature_nets"]),
-        np.array(doc["output_weights"], dtype=np.float64),
-        np.array(doc["output_bias"], dtype=np.float64),
-        doc["task"],
-    )
-    return model, list(doc["feature_names"])
-
-
 def _indented_json(obj, pad: str = "") -> str:
     """The text of `json.dumps(obj, indent=1, sort_keys=True)` for a document
     of dicts with str keys, lists, str, int, bool, None and float.
@@ -228,10 +195,18 @@ def _indented_json(obj, pad: str = "") -> str:
 
 
 def save_model(model, feature_names: list[str], path: str | Path) -> None:
-    """Write the model as JSON; floats use shortest round-trip decimals, so the
-    on-disk form restores bit-identical doubles. The bytes are those of
-    `json.dumps(model.to_dict(feature_names), indent=1, sort_keys=True)`."""
-    Path(path).write_text(_indented_json(model.to_dict(feature_names)))
+    """Write the model as JSON: the header every kind shares, then the keys of
+    `model.to_dict()`. Floats use shortest round-trip decimals, so the on-disk
+    form restores bit-identical doubles; the bytes are those of
+    `json.dumps(doc, indent=1, sort_keys=True)`."""
+    doc = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "kind": model.kind,
+        "task": model.task,
+        "feature_names": list(feature_names),
+        **model.to_dict(),
+    }
+    Path(path).write_text(_indented_json(doc))
 
 
 def load_model(path: str | Path):
@@ -251,16 +226,14 @@ def load_model(path: str | Path):
         raise ConfigError(
             f"model schema version mismatch: expected {MODEL_SCHEMA_VERSION}, found {found}"
         )
-    kind = doc.get("kind", "nam")
-    if kind == "nam":
-        from_dict = nam_from_dict
-    elif kind == "dnn":
-        from .dnn import dnn_from_dict as from_dict
-    else:
+    kind = doc.get("kind", NamModel.kind)
+    model_class = next((c for c in (NamModel, DnnModel) if c.kind == kind), None)
+    if model_class is None:
         raise DataError(f"model file {path} has unknown model kind {kind!r}")
     try:
-        model, feature_names = from_dict(doc)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        model = model_class.from_dict(doc)
+        feature_names = list(doc["feature_names"])
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
     if len(feature_names) != model.n_features:
         raise DataError(

@@ -1,21 +1,19 @@
-from .bank import INFER, TRAIN, BankCache, NetBank, bank_backward, bank_forward, xavier_bank
-from .layers import (
-    ACTIVATIONS,
-    EXU,
-    IDENTITY,
-    LOGIT_CLAMP,
-    RELU,
-    activate,
-    as_rng,
-    sigmoid,
-    softmax,
-    xavier_init,
+from .bank import (
+    INFER,
+    TRAIN,
+    BankCache,
+    NetBank,
+    bank_backward,
+    bank_forward,
+    bank_from_dicts,
+    bank_to_dicts,
+    xavier_bank,
 )
+from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, as_rng, sigmoid, softmax, xavier_init
 from .losses import BINARY, MULTICLASS, batch_loss_and_grad, class_probabilities
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
 __all__ = [
-    "ACTIVATIONS",
     "ADAM",
     "BINARY",
     "BankCache",
@@ -29,10 +27,11 @@ __all__ = [
     "RELU",
     "SGD",
     "TRAIN",
-    "activate",
     "as_rng",
     "bank_backward",
     "bank_forward",
+    "bank_from_dicts",
+    "bank_to_dicts",
     "batch_loss_and_grad",
     "class_probabilities",
     "optimizer_step",

@@ -8,13 +8,13 @@ validation AUC, then lower learning rate, then lower dropout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from . import federation
-from .config import GridConfig, ModelConfig, OptimizerConfig, RunConfig
+from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunConfig, with_field
 from .data import Dataset
 from .errors import FedNamError, TrainingError
 from .federation import FederationResult, evaluate_model, run_federation
@@ -78,18 +78,14 @@ class TrialResult:
 
 def enumerate_grid(grid: GridConfig) -> list[tuple[float, float, int, int]]:
     """Cartesian product in a fixed order: dropout, learning rate, layers, batch."""
-    return list(product(grid.dropout, grid.learning_rate, grid.hidden_layers, grid.batch_size))
+    return list(product(*(getattr(grid, name) for name in GRID_FIELDS)))
 
 
 def config_at(config: RunConfig, point: tuple[float, float, int, int]) -> RunConfig:
     """`config` with one grid point's dropout, learning rate, depth and batch size."""
-    dropout, lr, layers, batch = point
-    return replace(
-        config,
-        model=replace(config.model, dropout=dropout, hidden_layers=layers),
-        optimizer=replace(config.optimizer, learning_rate=lr),
-        batch_size=batch,
-    )
+    for dotted, value in zip(GRID_FIELDS.values(), point):
+        config = with_field(config, dotted, value)
+    return config
 
 
 def _run_trial(args) -> TrialResult:
@@ -137,7 +133,8 @@ def grid_search(
         # imported here: it costs every other command's start-up 15-18 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker at once: one per trial at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_trial, work))
     else:
         results = [_run_trial(w) for w in work]

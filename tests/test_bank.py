@@ -22,9 +22,9 @@ from _oracles import (
 from fednam.dnn import DnnModel, build_dnn, dnn_backward
 from fednam.errors import ShapeMismatchError, StaleCacheError
 from fednam.interpret import model_curves
-from fednam.nam import bank_from_dicts, bank_to_dicts, build_nam, nam_backward, nam_forward
+from fednam.nam import build_nam, nam_backward, nam_forward
 from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, xavier_bank
-from fednam.nn.bank import INFER_BLOCK_ROWS
+from fednam.nn.bank import INFER_BLOCK_ROWS, bank_from_dicts, bank_to_dicts
 
 
 def same_bits(a, b) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows
 from fednam.cli import main
+from fednam.config import config_from_dict
 from fednam.errors import TrainingError
 from fednam.nam import build_nam, save_model
 from fednam.nn import BINARY, MULTICLASS
@@ -107,15 +108,31 @@ def test_non_finite_float_field_exits_1_naming_key(tmp_path, iris_csv, capsys,
      ({"hidden_layers": [0]}, "grid.hidden_layers: model.hidden_layers must be >= 1, got 0"),
      ({"batch_size": [16, -1]}, "grid.batch_size: batch_size must be >= 1, got -1"),
      ({"learning_rate": [0.01, 10**400]},
-      "grid.learning_rate must be of type list[float], got [0.01, 1000")],
+      "grid.learning_rate must be of type list[float], got [0.01, 1000"),
+     ({"hidden_layers": [2, 10**30]},
+      f"grid.hidden_layers: model.hidden_layers must be <= 64, got {10**30}")],
     ids=["dropout", "learning_rate", "learning_rate_nan", "hidden_layers", "batch_size",
-         "learning_rate_beyond_double"],
+         "learning_rate_beyond_double", "hidden_layers_beyond_cap"],
 )
 def test_invalid_grid_value_exits_1_before_any_trial(tmp_path, iris_csv, capsys, grid, message):
     config = fast_iris_config(tmp_path, iris_csv, "gbad", grid=grid)
     assert main(["tune", "--config", str(config)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "gbad").exists()
+
+
+@pytest.mark.parametrize("value", [10**6, 10**30])
+@pytest.mark.parametrize("key,most", [("hidden_layers", 64), ("hidden_units", 1024)])
+def test_network_size_beyond_its_cap_exits_1_naming_key(tmp_path, iris_csv, capsys, monkeypatch,
+                                                       key, most, value):
+    """Checked at config load: no model of that size is ever allocated."""
+    monkeypatch.setattr("fednam.tune.build_nam", lambda **kwargs: pytest.fail("built a model"))
+    config = fast_iris_config(tmp_path, iris_csv, "wide", model={key: value})
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: model.{key} must be <= {most}, got {value}"]
+    assert not (tmp_path / "wide").exists()
+    assert getattr(config_from_dict({"model": {key: most}}).model, key) == most
 
 
 def heart_lines(n: int = 40) -> list[str]:
@@ -152,6 +169,9 @@ BAD_TABLES = {
                    "non-finite cell 'inf' in row 5, column 'target'"),
     "minus_inf_target": (lambda ls: _set_cell(ls, 4, 13, "-inf"),
                          "non-finite cell '-inf' in row 5, column 'target'"),
+    # with two 'age' columns every lookup of 'age' read the first one
+    "duplicate_column": (lambda ls: [ls[0].replace("trestbps", "age")] + ls[1:],
+                         "duplicate column name 'age'"),
 }
 
 
@@ -588,6 +608,14 @@ def test_out_naming_a_file_exits_1_before_reading_data(tmp_path, capsys, where):
     assert (f"config error: out_dir {out}: {blocker} is not a directory"
             in capsys.readouterr().err)
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_out_dir_holding_a_nul_byte_exits_1(tmp_path, iris_csv, capsys):
+    """Checked at config load, not where the run's first file is written."""
+    config = fast_iris_config(tmp_path, iris_csv, "nul", out_dir=str(tmp_path / "a\0b"))
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: out_dir must not hold a NUL byte")
 
 
 def test_csv_naming_a_directory_exits_2(tmp_path, capsys):

@@ -135,6 +135,14 @@ class TestIngestionRules:
             load_dataset(path, HEART)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("header,name", [("a,a,target", "a"), ('b," b ",target', "b"),
+                                             ("a,target,target", "target")])
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        path = write_text(tmp_path / "t.csv", f"{header}\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: duplicate column name {name!r}"
+
     @pytest.mark.parametrize(
         "cell,message",
         [("", "missing value"), ("x", "non-numeric cell 'x'"), ("nan", "non-finite cell 'nan'"),

@@ -1,0 +1,190 @@
+"""Fuzzing the CLI's two JSON loaders: a run config through `train`, a model
+file through `explain`.
+
+Whatever the document, `main` returns 0, 1, 2 or 3, and a non-zero code comes
+with exactly one stderr line naming the kind of error. Runs stay short: the
+config keeps 1 round of 1 local epoch, and network and batch sizes come from
+a small range or are invalid extremes, which config load rejects.
+"""
+
+import copy
+import io
+import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fednam.cli import main
+from fednam.config import RunConfig
+
+PREFIXES = ("config error:", "data error:", "training error:")
+# ints stay small (valid as any size or count) or are extremes no size may take
+INTS = st.integers(-2, 4) | st.sampled_from([10**30, -(10**30), 10**400])
+FLOATS = st.floats() | st.sampled_from([1e308, -1e308, 1e-320, -0.0, math.nan, math.inf, -math.inf])
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | st.text(max_size=6)
+VALUES = (SCALARS | st.lists(SCALARS, max_size=3)
+          | st.dictionaries(st.text(max_size=6), SCALARS, max_size=2))
+# a replaced config value is most often a number: those reach training
+REPLACEMENTS = INTS | FLOATS | VALUES
+# the run length; never mutated, so no example trains for long
+FIXED = {("federation", "rounds"), ("federation", "local_epochs")}
+# each size field's small range, which an example draws from before it mutates
+SIZES = {("model", "hidden_layers"): (1, 3), ("model", "hidden_units"): (1, 8),
+         ("federation", "num_clients"): (1, 5), ("batch_size",): (1, 64)}
+
+
+def run_main(argv: list[str]) -> tuple[int, list[str]]:
+    """The exit code, and every line a user would see on stderr: warnings too."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def check_outcome(code: int, lines: list[str]) -> None:
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith(PREFIXES), lines
+
+
+def paths(node, prefix=()) -> list[tuple]:
+    """The path of every node below `node`: dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [prefix + (key,), *paths(child, prefix + (key,))]]
+
+
+def node_at(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def parent_of(doc, path: tuple):
+    return node_at(doc, path[:-1])
+
+
+def mutate_config(doc: dict, data) -> None:
+    op = data.draw(st.sampled_from(["drop", "add", "replace", "replace", "nest", "size"]))
+    # the federation section may not go, nor turn into another dict: either would
+    # bring back the default run length
+    mutable = [p for p in paths(doc) if p not in FIXED and p != ("federation",)]
+    if op == "size":  # an invalid extreme
+        path = data.draw(st.sampled_from(sorted(SIZES)))
+        if path in paths(doc):
+            parent_of(doc, path)[path[-1]] = data.draw(st.sampled_from([0, -1, 10**30]))
+    elif op == "drop":
+        path = data.draw(st.sampled_from(mutable))
+        del parent_of(doc, path)[path[-1]]
+    elif op == "add":
+        where = data.draw(st.sampled_from(
+            [()] + [p for p in paths(doc) if isinstance(node_at(doc, p), dict)]))
+        target = node_at(doc, where)
+        target[data.draw(st.text(max_size=8).filter(lambda k: k not in target))] = data.draw(VALUES)
+    elif op == "replace":
+        path = data.draw(st.sampled_from(mutable))
+        parent_of(doc, path)[path[-1]] = data.draw(REPLACEMENTS)
+    else:  # wrong nesting: a section in a list, a key one level too deep or too high
+        sections = [k for k, v in doc.items() if isinstance(v, dict)]
+        if not sections:
+            return
+        section = data.draw(st.sampled_from(sections))
+        keys = [k for k in doc[section] if (section, k) not in FIXED]
+        how = data.draw(st.sampled_from(["list", "deeper", "higher"] if keys else ["list"]))
+        if how == "list":
+            doc[section] = [doc[section]]
+        else:
+            key = data.draw(st.sampled_from(keys))
+            if how == "deeper":
+                doc[section][key] = {key: doc[section][key]}
+            else:
+                doc[key] = doc[section].pop(key)
+
+
+def iris_config_doc(iris_csv: Path) -> dict:
+    doc = asdict(RunConfig())
+    doc["dataset"].update(kind="iris", csv=str(iris_csv))
+    doc["federation"].update(rounds=1, local_epochs=1)
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_config_fails_cleanly(iris_csv, data):
+    doc = iris_config_doc(iris_csv)
+    for path, (low, high) in SIZES.items():
+        parent_of(doc, path)[path[-1]] = data.draw(st.integers(low, high))
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate_config(doc, data)
+    with tempfile.TemporaryDirectory() as folder:
+        config = Path(folder) / "config.json"
+        config.write_text(json.dumps(doc))
+        check_outcome(*run_main(["train", "--config", str(config), "--out", f"{folder}/out"]))
+
+
+@pytest.fixture(scope="module")
+def iris_model(iris_csv, tmp_path_factory):
+    """A small trained iris model's file text, and the config to explain it with."""
+    folder = tmp_path_factory.mktemp("fuzz_model")
+    doc = iris_config_doc(iris_csv)
+    doc["model"].update(hidden_layers=1, hidden_units=3)
+    config = folder / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run_main(["train", "--config", str(config), "--out", str(folder / "train")]) == (0, [])
+    return config, (folder / "train" / "model.json").read_text()
+
+
+def mutate_model(doc, data):
+    """One mutation of the model document; returns the (new) document."""
+    op = data.draw(st.sampled_from(["drop", "replace", "weight", "reshape"]))
+    nodes = paths(doc)
+    if not nodes:
+        return data.draw(VALUES)
+    if op == "weight":  # a float leaf turns extreme or non-finite
+        floats = [p for p in nodes if isinstance(node_at(doc, p), float)] or nodes
+        path = data.draw(st.sampled_from(floats))
+        parent_of(doc, path)[path[-1]] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400]))
+        return doc
+    path = data.draw(st.sampled_from(nodes))
+    parent, key = parent_of(doc, path), path[-1]
+    if op == "drop":  # a missing key, or a list one entry short
+        del parent[key]
+    elif op == "replace":  # a wrong type
+        parent[key] = data.draw(VALUES)
+    elif isinstance(parent, list):  # a list one entry long
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:  # a value wrapped one level deeper
+        parent[key] = [parent[key]]
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_model_fails_cleanly(iris_model, data):
+    config, text = iris_model
+    if data.draw(st.booleans()):
+        doc = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutate_model(doc, data)
+        text = json.dumps(doc)
+    else:
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    with tempfile.TemporaryDirectory() as folder:
+        model = Path(folder) / "model.json"
+        model.write_text(text)
+        check_outcome(*run_main(["explain", "--config", str(config), "--model", str(model),
+                                 "--out", f"{folder}/out"]))

@@ -154,7 +154,9 @@ class TestSerialization:
         names = ['quote"d', "back\\slash", "n\u00e4me \u65e5\u672c"]
         path = tmp_path / "model.json"
         save_model(model, names, path)
-        assert path.read_bytes() == json.dumps(model.to_dict(names), indent=1, sort_keys=True).encode()
+        doc = {"schema_version": 1, "kind": model.kind, "task": model.task, "feature_names": names,
+               **model.to_dict()}
+        assert path.read_bytes() == json.dumps(doc, indent=1, sort_keys=True).encode()
 
     @given(JSON_DOCS)
     @settings(max_examples=200, deadline=None)

@@ -114,6 +114,32 @@ class TestGridSearch:
             assert a.mean_val_acc == b.mean_val_acc
 
 
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        """The pool forks all its workers at once, so `jobs` beyond the grid would fork idle ones."""
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        dataset = rigged_dataset(tmp_path, seed=3)
+        grid = GridConfig(dropout=[0.0, 0.1], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
+        _, trials = grid_search(dataset, quick_config(grid, rounds=1, epochs=1), jobs=64)
+        assert started == [2] and len(trials) == 2
+
+
 class TestSelection:
     def trial(self, tid, mean, auc=0.5, lr=0.01, dropout=0.0):
         return TrialResult(tid, dropout, lr, 2, 16, [mean], mean, auc, 0.0, 0.0)
