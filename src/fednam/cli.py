@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .config import RunConfig, load_config, save_config, with_field
@@ -304,7 +305,11 @@ def main(argv: list[str] | None = None) -> int:
         existing = next(path for path in (out, *out.parents) if path.exists())
         if not existing.is_dir():
             raise ConfigError(f"out_dir {out}: {existing} is not a directory")
-        COMMANDS[command][0](config, out, **handler_args)
+        # a failed command prints its one error line and no warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            COMMANDS[command][0](config, out, **handler_args)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         info = {"command": command, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         (out / "run_info.json").write_text(json.dumps(info, indent=1, sort_keys=True))
         return 0

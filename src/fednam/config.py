@@ -46,6 +46,10 @@ class ModelConfig:
                 raise ConfigError(f"model.{key} must be >= 1, got {value}")
             if value > most:
                 raise ConfigError(f"model.{key} must be <= {most}, got {value}")
+        weights = (self.hidden_layers - 1) * self.hidden_units**2  # per feature net
+        if weights > 2**21:
+            raise ConfigError(f"model.hidden_layers and model.hidden_units give {weights} "
+                              f"hidden-to-hidden weights per feature net, more than {2**21}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.dropout must be in [0,1), got {self.dropout}")
 
@@ -121,6 +125,11 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "\0" in self.out_dir:  # the OS takes no path with one
             raise ConfigError(f"out_dir must not hold a NUL byte, got {self.out_dir!r}")
+        for layers in self.grid.hidden_layers:  # a trial's depth, at this config's width
+            try:
+                replace(self.model, hidden_layers=layers)
+            except ConfigError as exc:
+                raise ConfigError(f"grid.hidden_layers: {exc}") from exc
 
 
 def _type_matches(value, hint) -> bool:

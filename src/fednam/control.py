@@ -11,7 +11,6 @@ from .errors import ConfigError
 
 CONTINUE = "continue"
 STOP = "stop"
-STOP_ERROR = "stop_error"
 
 
 @dataclass
@@ -27,7 +26,6 @@ class EarlyStopState:
     best_loss: float = math.inf
     best_snapshot: np.ndarray | None = None
     epochs_since_improvement: int = 0
-    errored: bool = False
 
     def __post_init__(self) -> None:
         if self.patience < 1:
@@ -39,15 +37,11 @@ def early_stop_update(
     val_loss: float,
     params: np.ndarray | None = None,
 ) -> str:
-    """Record one epoch's validation loss; returns CONTINUE, STOP, or STOP_ERROR.
+    """Record one epoch's validation loss; returns CONTINUE or STOP.
 
-    An improvement (best - loss > min_delta) resets the counter and snapshots
-    `params`, a model's parameter vector. A NaN loss stops immediately with
-    error status.
+    Callers pass finite losses. An improvement (best - loss > min_delta)
+    resets the counter and snapshots `params`, a model's parameter vector.
     """
-    if math.isnan(val_loss):
-        state.errored = True
-        return STOP_ERROR
     if state.best_loss - val_loss > state.min_delta:
         state.best_loss = val_loss
         state.epochs_since_improvement = 0
@@ -75,13 +69,15 @@ class LrSchedule:
             raise ValueError(f"factor must be in (0,1), got {self.factor}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not self.min_lr > 0:  # a rate of 0 would stop training
+            raise ValueError(f"min_lr must be > 0, got {self.min_lr}")
 
 
 def schedule_lr(schedule: LrSchedule, current_lr: float, val_loss: float) -> float:
     """Update the plateau counter with one epoch's loss and return the new rate."""
     if current_lr <= 0.0:
         raise ValueError("learning rate must be positive")
-    if not math.isnan(val_loss) and val_loss < schedule.best_loss:
+    if val_loss < schedule.best_loss:
         schedule.best_loss = val_loss
         schedule.epochs_since_improvement = 0
         return current_lr

@@ -156,7 +156,7 @@ def load_csv(path: str | Path) -> RawTable:
                 raise DataError(f"{path}: empty file")
             delim = _sniff_delimiter(first)
             f.seek(0)
-            columns = [c.strip().strip('"') for c in next(csv.reader(f, delimiter=delim))]
+            columns = [c.strip().strip('"') for c in next(_records(f, str(path), delim))]
             if len(set(columns)) < len(columns):  # a lookup by name reads only the first
                 name = next(c for i, c in enumerate(columns) if c in columns[:i])
                 raise DataError(f"{path}: duplicate column name {name!r}")
@@ -186,13 +186,23 @@ def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
     return None
 
 
+def _records(f, path: str, delim: str):
+    """The cells of each record of an open CSV file; a record the csv module
+    rejects, such as one with a cell over its field size limit, raises DataError."""
+    reader = csv.reader(f, delimiter=delim)
+    try:
+        yield from reader
+    except csv.Error as exc:  # the limit is process-wide, so it is left as it is
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def _scan_rows(f, path: str, delim: str, width: int) -> tuple[list[list[str]], list[int]]:
     """The stripped string cells of each data row of an open CSV file, and its line.
 
     Blank and whitespace-only lines are skipped; a row of other than `width`
     cells, or a file without data rows, raises DataError.
     """
-    reader = csv.reader(f, delimiter=delim)
+    reader = _records(f, path, delim)
     next(reader)  # the header
     rows: list[list[str]] = []
     lines: list[int] = []

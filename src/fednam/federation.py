@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .control import STOP, STOP_ERROR, ControlConfig, early_stop_update, schedule_lr
+from .control import STOP, ControlConfig, early_stop_update, schedule_lr
 from .data import Dataset
 from .errors import ConfigError, DataError, ShapeMismatchError, TrainingError
 from .metrics import accuracy, compute_metrics
@@ -245,14 +245,13 @@ def local_train(
 
         logits, _ = model.forward_batch(x[monitor_rows], INFER)
         val_loss, _ = batch_loss_and_grad(logits, y[monitor_rows], model.task)
+        if not math.isfinite(val_loss):
+            raise TrainingError(f"client {client.client_id}: non-finite validation loss")
         val_losses.append(val_loss)
         client.optimizer.learning_rate = schedule_lr(
             schedule, client.optimizer.learning_rate, val_loss
         )
-        decision = early_stop_update(stopper, val_loss, model.params)
-        if decision == STOP_ERROR:
-            raise TrainingError(f"client {client.client_id}: non-finite validation loss")
-        if decision == STOP:
+        if early_stop_update(stopper, val_loss, model.params) == STOP:
             stopped = True
             break
 

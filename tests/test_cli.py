@@ -65,9 +65,11 @@ TRAIN_HEADERS = REPORT_HEADERS | {"rounds.csv": ROUNDS_HEADER, "metrics.csv": ["
       "control.early_stop_patience: patience must be >= 1, got 0"),
      ({"control": {"lr_patience": 0}}, "control.lr_patience: patience must be >= 1, got 0"),
      ({"control": {"lr_factor": 2.0}}, "control.lr_factor: factor must be in (0,1), got 2.0"),
+     # a floor of 0 let the plateau schedule take the rate to 0.0, which it then rejected
+     ({"control": {"min_lr": 0}}, "control.min_lr: min_lr must be > 0, got 0"),
      ({"federation": {"rounds": 0}}, "federation.rounds must be >= 1, got 0"),
      ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be in (0,1), got 1.5")],
-    ids=["early_stop_patience", "lr_patience", "lr_factor", "federation.rounds",
+    ids=["early_stop_patience", "lr_patience", "lr_factor", "min_lr", "federation.rounds",
          "split.test_fraction"],
 )
 def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys,
@@ -135,6 +137,28 @@ def test_network_size_beyond_its_cap_exits_1_naming_key(tmp_path, iris_csv, caps
     assert getattr(config_from_dict({"model": {key: most}}).model, key) == most
 
 
+@pytest.mark.parametrize(
+    "command,overrides",
+    [("train", {"model": {"hidden_layers": 64, "hidden_units": 1024}}),
+     ("tune", {"model": {"hidden_units": 1024}, "grid": {"hidden_layers": [3, 64]}})],
+    ids=["model", "grid"],
+)
+def test_hidden_weights_beyond_their_cap_exit_1_naming_both_keys(tmp_path, iris_csv, capsys,
+                                                                 monkeypatch, command, overrides):
+    """Each size within its cap, their product not: rejected at config load."""
+    monkeypatch.setattr("fednam.tune.build_nam", lambda **kwargs: pytest.fail("built a model"))
+    config = fast_iris_config(tmp_path, iris_csv, "deep", **overrides)
+    assert main([command, "--config", str(config)]) == 1
+    prefix = "grid.hidden_layers: " if command == "tune" else ""
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {prefix}model.hidden_layers and model.hidden_units give 66060288 "
+        "hidden-to-hidden weights per feature net, more than 2097152"]
+    assert not (tmp_path / "deep").exists()
+    # the bound admits up to 3 hidden layers at the width cap
+    assert config_from_dict({"model": {"hidden_layers": 3, "hidden_units": 1024},
+                             "grid": {"hidden_layers": [1, 3]}}).model.hidden_units == 1024
+
+
 def heart_lines(n: int = 40) -> list[str]:
     """An all-numeric heart-shaped table, header first, one string per line."""
     rows = synthetic_heart_rows(n)
@@ -172,6 +196,13 @@ BAD_TABLES = {
     # with two 'age' columns every lookup of 'age' read the first one
     "duplicate_column": (lambda ls: [ls[0].replace("trestbps", "age")] + ls[1:],
                          "duplicate column name 'age'"),
+    # Python's csv module reads no cell over 131,072 characters
+    "long_number_cell": (lambda ls: _set_cell(ls, 4, 2, "1" * 200_000),
+                         "line 5: field larger than field limit (131072)"),
+    "long_text_cell": (lambda ls: _set_cell(ls, 4, 2, "x" * 200_000),
+                       "line 5: field larger than field limit (131072)"),
+    "long_header_cell": (lambda ls: _set_cell(ls, 0, 2, "c" * 200_000),
+                         "line 1: field larger than field limit (131072)"),
 }
 
 
@@ -193,6 +224,23 @@ def test_bad_csv_exits_2_naming_file_and_place(tmp_path, iris_csv, capsys, case,
     assert main(args) == 2
     assert f"data error: {bad_csv}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+def test_long_cell_in_a_numeric_table_exits_2_when_class_names_are_read(tmp_path, iris_csv,
+                                                                       capsys):
+    """NumPy's parser takes the long cell; the re-read for the iris class names does not."""
+    lines = iris_csv.read_text().splitlines()
+    codes = {name: str(i) for i, name in enumerate(sorted({ln.rsplit(",", 1)[1]
+                                                           for ln in lines[1:]}))}
+    lines[1:] = [ln.rsplit(",", 1)[0] + "," + codes[ln.rsplit(",", 1)[1]] for ln in lines[1:]]
+    lines = _set_cell(lines, 3, 0, "0." + "0" * 200_000 + "1")
+    long_csv = tmp_path / "iris_long.csv"
+    long_csv.write_text("\n".join(lines) + "\n")
+    config = fast_iris_config(tmp_path, long_csv, "long")
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {long_csv}: line 4: field larger than field limit (131072)"]
+    assert not (tmp_path / "long").exists()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -678,6 +726,19 @@ def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
         assert main(["tune", "--config", str(config)]) == 0
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
+
+
+def test_failed_command_prints_its_error_and_no_warning(tmp_path, iris_csv, capsys):
+    """Three rows warn of a constant feature, then fail to split across three clients."""
+    table = tmp_path / "iris3.csv"
+    table.write_text("\n".join(iris_csv.read_text().splitlines()[:4]) + "\n")
+    config = fast_iris_config(tmp_path, table, "tiny3")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(config)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: cannot split 2 rows across 3 clients"]
 
 
 def test_config_nested_too_deep_exits_1(tmp_path, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 from fednam.control import (
     CONTINUE,
     STOP,
-    STOP_ERROR,
     ControlConfig,
     EarlyStopState,
     LrSchedule,
@@ -37,11 +36,6 @@ class TestEarlyStopping:
         assert state.best_snapshot is not None
         assert state.best_snapshot[0][0] == 2.0
         assert state.best_loss == 0.5
-
-    def test_nan_loss_stops_with_error(self):
-        state = EarlyStopState(patience=20)
-        assert early_stop_update(state, float("nan")) == STOP_ERROR
-        assert state.errored
 
     def test_min_delta_blocks_tiny_improvements(self):
         state = EarlyStopState(patience=3, min_delta=1e-2)

@@ -148,6 +148,38 @@ class TestLocalTrain:
         with pytest.raises(TrainingError, match="client 3"):
             local_train(client, epochs=1, batch_size=4, control=ControlConfig(), rng=0)
 
+    @staticmethod
+    def nan_validation_client():
+        """A client whose one NaN sits in a validation row, so training stays finite."""
+        x, y = toy_separable(n=40)
+        x[0, 0] = np.nan  # rows[:n_val] validate
+        return make_client(2, x, y, small_nam(), val_fraction=0.25)
+
+    def test_nan_validation_row_raises_training_error(self):
+        with pytest.raises(TrainingError, match="client 2: non-finite validation loss"):
+            local_train(self.nan_validation_client(), epochs=3, batch_size=8,
+                        control=ControlConfig(), rng=0)
+
+    def test_hooks_see_only_finite_losses(self, monkeypatch):
+        """local_train checks each validation loss before either control hook reads it."""
+        import fednam.federation as federation_module
+
+        seen = []
+        # each hook and the position of the loss among its arguments
+        for name, at in (("schedule_lr", 2), ("early_stop_update", 1)):
+            def record(*args, _real=getattr(federation_module, name), _at=at):
+                seen.append(args[_at])
+                return _real(*args)
+            monkeypatch.setattr(federation_module, name, record)
+        x, y = toy_separable(n=40)
+        local_train(make_client(0, x, y, small_nam(), val_fraction=0.25), epochs=3, batch_size=8,
+                    control=ControlConfig(), rng=0)
+        assert len(seen) == 6  # the wrappers are live: both hooks, three epochs
+        with pytest.raises(TrainingError, match="non-finite validation loss"):
+            local_train(self.nan_validation_client(), epochs=3, batch_size=8,
+                        control=ControlConfig(), rng=0)
+        assert len(seen) == 6 and all(np.isfinite(seen))
+
 
 class TestFedAvg:
     def test_two_client_scalar_example(self):

@@ -1,5 +1,5 @@
-"""Fuzzing the CLI's two JSON loaders: a run config through `train`, a model
-file through `explain`.
+"""Fuzzing the CLI's three file inputs: a run config and a CSV table through
+`train`, a model file through `explain`.
 
 Whatever the document, `main` returns 0, 1, 2 or 3, and a non-zero code comes
 with exactly one stderr line naming the kind of error. Runs stay short: the
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import HEART_COLUMNS, synthetic_heart_rows
 from fednam.cli import main
 from fednam.config import RunConfig
 
@@ -188,3 +189,76 @@ def test_mutated_model_fails_cleanly(iris_model, data):
         model.write_text(text)
         check_outcome(*run_main(["explain", "--config", str(config), "--model", str(model),
                                  "--out", f"{folder}/out"]))
+
+
+# cells that each reach a different rule of CSV ingestion; the last is over the
+# csv module's field size limit
+CELLS = st.binary(max_size=6) | st.sampled_from(
+    [b"", b" ", b"nan", b"-inf", b"1e999", b"0x1p3", b"1_0", b'"', b'"1,2"', b"1" * 200_000])
+# bytes that a file reader or a CSV parser treats apart from text
+INJECTED = st.binary(min_size=1, max_size=4) | st.sampled_from(
+    [b"\x00", b"\r", b"\n", b'"', b"\xff", b"\xef\xbb\xbf", b"\n\n", b",,"])
+
+
+def small_table(kind: str, iris_csv: Path) -> list[bytes]:
+    """A valid table of either target kind, 30 data rows: its lines, header first."""
+    if kind == "iris":
+        lines = iris_csv.read_bytes().splitlines()
+        return lines[:1] + [line for start in (1, 51, 101) for line in lines[start:start + 10]]
+    rows = synthetic_heart_rows(30)
+    return [",".join(HEART_COLUMNS).encode()] + [",".join(map(str, r)).encode() for r in rows]
+
+
+def mutate_table(lines: list[bytes], data) -> list[bytes]:
+    """One mutation of a table's lines; returns the (new) lines."""
+    op = data.draw(st.sampled_from(["drop", "add", "replace", "inject", "delimiter",
+                                    "header", "line", "truncate"]))
+    if not lines:
+        return [data.draw(INJECTED)]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[at].split(b",")
+    if op in ("drop", "add", "replace"):  # one cell of one line
+        i = data.draw(st.integers(0, len(cells) - 1))
+        if op == "drop":
+            del cells[i]
+        elif op == "add":
+            cells.insert(i, data.draw(CELLS))
+        else:
+            cells[i] = data.draw(CELLS)
+        lines[at] = b",".join(cells)
+    elif op == "inject":
+        i = data.draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:i] + data.draw(INJECTED) + lines[at][i:]
+    elif op == "delimiter":  # in every line, or in one
+        new = data.draw(st.sampled_from([b";", b"\t", b" ", b"|"]))
+        chosen = range(len(lines)) if data.draw(st.booleans()) else [at]
+        for j in chosen:
+            lines[j] = lines[j].replace(b",", new)
+    elif op == "header":
+        lines[0] = data.draw(st.sampled_from([b"", b" ", b",,,,", b"\t"]))
+    elif op == "line":  # a line dropped or doubled
+        if data.draw(st.booleans()):
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    else:  # the file cut before a line
+        lines = lines[:at]
+    return lines
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_csv_fails_cleanly(iris_csv, data):
+    kind = data.draw(st.sampled_from(["iris", "heart"]))
+    lines = small_table(kind, iris_csv)
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = mutate_table(lines, data)
+    with tempfile.TemporaryDirectory() as folder:
+        table = Path(folder) / "table.csv"
+        table.write_bytes(b"\n".join(lines) + b"\n")
+        doc = iris_config_doc(table)
+        doc["dataset"]["kind"] = kind
+        doc["model"].update(hidden_layers=1, hidden_units=3)
+        config = Path(folder) / "config.json"
+        config.write_text(json.dumps(doc))
+        check_outcome(*run_main(["train", "--config", str(config), "--out", f"{folder}/out"]))
