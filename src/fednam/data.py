@@ -313,12 +313,17 @@ def train_test_split(
 
 
 def fit_scaler(x_train: np.ndarray) -> Scaler:
-    """Mean/std over training rows; constant features keep std 1 with a warning."""
+    """Mean/std over training rows; constant features keep std 1 with a warning.
+
+    A feature is constant when its minimum equals its maximum: its std can
+    come out as rounding noise rather than 0.
+    """
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
-    if (std == 0.0).any():
+    constant = x_train.min(axis=0) == x_train.max(axis=0)
+    if constant.any():
         warnings.warn("constant feature detected; using std=1 for standardization")
-        std = np.where(std == 0.0, 1.0, std)
+        std = np.where(constant, 1.0, std)
     return Scaler(mean, std)
 
 

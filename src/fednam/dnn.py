@@ -52,7 +52,7 @@ class DnnModel(NetBank):
     def backward_batch(
         self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
     ) -> list[np.ndarray]:
-        grads, _ = dnn_backward(self, cache, dlogits, out)
+        grads, _ = dnn_backward(self, cache, dlogits, out, input_grad=False)
         return grads
 
     def to_dict(self) -> dict:
@@ -65,9 +65,14 @@ class DnnModel(NetBank):
 
 
 def dnn_backward(
-    model: DnnModel, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients as views of one vector aligned with `param_tensors()`, and dLoss/dInput.
+    model: DnnModel,
+    cache: BankCache,
+    dlogits: np.ndarray,
+    out: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Gradients as views of one vector aligned with `param_tensors()`, and
+    dLoss/dInput (None without `input_grad`).
 
     Every entry of the vector, `out` or a new one, is written.
     """
@@ -76,8 +81,8 @@ def dnn_backward(
     if g.shape != expected:
         raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
     grads = model.split(np.empty_like(model.params) if out is None else out)
-    dx = bank_backward(model, cache, g[None], grads)
-    return grads, dx[0]
+    dx = bank_backward(model, cache, g[None], grads, input_grad)
+    return grads, None if dx is None else dx[0]
 
 
 def build_dnn(

@@ -144,14 +144,33 @@ def average_shape_functions(per_client_curves: list[list[ShapeCurve]]) -> list[S
     return out
 
 
-def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
-    """(rows, classes, features) additive terms for NamModel or a NAM ensemble."""
+def _distinct_terms(model, values: np.ndarray) -> np.ndarray:
+    """(values, classes, features) additive terms for NamModel or a NAM ensemble."""
     if isinstance(model, NamModel):
-        _, terms, _ = nam_forward(model, x, INFER)
+        _, terms, _ = nam_forward(model, values, INFER)
         return terms
     if isinstance(model, EnsembleModel):
-        return model.member_mean(lambda m: _per_feature_terms(m, x))
+        return model.member_mean(lambda m: _distinct_terms(m, values))
     raise ShapeMismatchError(f"cannot decompose terms of {type(model).__name__}")
+
+
+def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
+    """(rows, classes, features) additive terms of a (rows, features) table.
+
+    Term k depends on x_k alone, so the model runs once over each column's
+    distinct values, packed into one matrix: a column with fewer of them
+    repeats its last. The rows then gather their terms, and every row holding
+    a value gets the same term bits.
+    """
+    distinct = [np.unique(col, return_inverse=True) for col in x.T]
+    values = np.empty((max((len(v) for v, _ in distinct), default=0), x.shape[1]))
+    inverse = np.empty(x.shape, dtype=np.intp)
+    for k, (v, inv) in enumerate(distinct):
+        values[: len(v), k] = v
+        values[len(v) :, k] = v[-1]
+        inverse[:, k] = inv
+    terms = _distinct_terms(model, values)
+    return np.take_along_axis(terms, inverse[:, None, :], axis=0)
 
 
 def contribution_scores(

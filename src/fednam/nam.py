@@ -80,7 +80,7 @@ class NamModel(NetBank):
     def backward_batch(
         self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
     ) -> list[np.ndarray]:
-        grads, _ = nam_backward(self, cache, dlogits, out)
+        grads, _ = nam_backward(self, cache, dlogits, out, input_grad=False)
         return grads
 
     def to_dict(self) -> dict:
@@ -142,9 +142,14 @@ def nam_forward(
 
 
 def nam_backward(
-    model: NamModel, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients for every feature net and the output head, plus dLoss/dInput.
+    model: NamModel,
+    cache: BankCache,
+    dlogits: np.ndarray,
+    out: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Gradients for every feature net and the output head, plus dLoss/dInput
+    (None without `input_grad`).
 
     The gradients fill one vector laid out like `params`, `out` or a new one,
     and every entry of it is written; the returned list holds views of it
@@ -156,12 +161,12 @@ def nam_backward(
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
     grads = model.split(np.empty_like(model.params) if out is None else out)
     # feature k's upstream gradient as a strided (batch, 1) view
-    dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads)
+    dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads, input_grad)
     # the (batch, K) outputs the head read, contiguous as in the forward pass:
     # BLAS sums a transposed operand in another order
     np.matmul(g.T, np.ascontiguousarray(cache.out[:, :, 0].T), out=grads[-2])
     grads[-1][...] = g.sum(axis=0)
-    return grads, np.ascontiguousarray(dh[:, :, 0].T)
+    return grads, None if dh is None else np.ascontiguousarray(dh[:, :, 0].T)
 
 
 def _indented_json(obj, pad: str = "") -> str:

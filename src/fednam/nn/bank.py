@@ -269,14 +269,15 @@ def bank_forward(
 
 
 def bank_backward(
-    bank: NetBank, cache: BankCache, dh: np.ndarray, grads: list[np.ndarray]
-) -> np.ndarray:
+    bank: NetBank, cache: BankCache, dh: np.ndarray, grads: list[np.ndarray], input_grad: bool = True
+) -> np.ndarray | None:
     """Backpropagate dLoss/dOutput, (K, batch, out), through the K nets.
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
     views laid out like `param_tensors()`, and returns dLoss/dInput,
-    (K, batch, in). Each layer's input, pre-activation and dropout mask come
-    from the cache; an inference cache gets them here, in one pass over `x`.
+    (K, batch, in), or None without `input_grad`. Each layer's input,
+    pre-activation and dropout mask come from the cache; an inference cache
+    gets them here, in one pass over `x`.
     """
     if cache.version != bank.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
@@ -295,9 +296,11 @@ def bank_backward(
             shifted = np.matmul(dz.transpose(0, 2, 1), h) - bank.biases[i][:, :, None] * col[:, :, None]
             np.multiply(ew, shifted, out=dw)
             np.multiply(-ew.sum(axis=2), col, out=db)
-            dh = np.matmul(dz, ew)
+            w = ew  # the input gradient flows back through exp(W)
         else:
             np.matmul(dz.transpose(0, 2, 1), h, out=dw)
             db[...] = col
-            dh = np.matmul(dz, w)
+        if i == 0 and not input_grad:
+            return None
+        dh = np.matmul(dz, w)
     return dh

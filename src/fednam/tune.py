@@ -8,6 +8,7 @@ validation AUC, then lower learning rate, then lower dropout.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -74,6 +75,8 @@ class TrialResult:
     global_test_acc: float = math.nan
     global_test_auc: float = math.nan
     error: str | None = None
+    # (category, message, filename, lineno) of each warning the trial issued
+    warnings: list[tuple] = field(default_factory=list)
 
 
 def enumerate_grid(grid: GridConfig) -> list[tuple[float, float, int, int]]:
@@ -89,7 +92,18 @@ def config_at(config: RunConfig, point: tuple[float, float, int, int]) -> RunCon
 
 
 def _run_trial(args) -> TrialResult:
-    trial_id, point, dataset, config = args
+    """One grid point's federation, with the warnings it issued.
+
+    A forked worker inherits the parent's warning recorder, and what it
+    records there is lost with the worker; the result carries them instead.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        trial = _train_trial(*args)
+    trial.warnings = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return trial
+
+
+def _train_trial(trial_id, point, dataset, config) -> TrialResult:
     try:
         result = run_from_config(dataset, config_at(config, point))
         per_client = []
@@ -138,6 +152,12 @@ def grid_search(
             results = list(pool.map(_run_trial, work))
     else:
         results = [_run_trial(w) for w in work]
+    # issued here, in trial order, whatever process ran the trial; one registry
+    # shows a warning repeated by several trials once
+    registry: dict = {}
+    for trial in results:
+        for category, message, filename, lineno in trial.warnings:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
     valid = [t for t in results if t.error is None]
     if not valid:
         raise TrainingError("all grid trials failed")

@@ -76,6 +76,9 @@ def test_bank_matches_per_feature_nets(case):
     for got, want in zip(grads, want_grads):
         assert same_bits(got, want)
     assert same_bits(d_input, want_d_input)
+    # training reads no input gradient: it skips it and keeps every other bit
+    assert same_bits(np.concatenate(model.backward_batch(cache, dlogits), axis=None), grads[0].base)
+    assert nam_backward(model, cache, dlogits, input_grad=False)[1] is None
 
 
 @given(cases())
@@ -231,6 +234,7 @@ def test_blocked_inference_matches_one_pass(case):
     for g, w in zip(grads, want_grads):
         assert same_bits(g, w)
     assert same_bits(dx, want_dx)
+    assert same_bits(np.concatenate(model.backward_batch(cache, dlogits), axis=None), grads[0].base)
     if model.kind == "dnn":
         assert same_bits(input_gradients(model, x, dlogits), want_dx)
 

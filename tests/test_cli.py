@@ -728,6 +728,33 @@ def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv):
+    """Two positives of 60 rows all land in training, so every trial's test
+    split holds one class and its test AUC warns; worker processes return the
+    warning to the parent."""
+    lines = heart_lines(60)
+    target = HEART_COLUMNS.index("target")
+    for i in range(1, len(lines)):
+        _set_cell(lines, i, target, "1" if i <= 2 else "0")
+    table = tmp_path / "one_class_test.csv"
+    table.write_text("\n".join(lines) + "\n")
+    grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01], "hidden_layers": [1], "batch_size": [16]}
+    config = fast_iris_config(tmp_path, iris_csv, "unused", grid=grid,
+                              dataset={"kind": "heart", "csv": str(table)},
+                              federation={"num_clients": 2, "rounds": 1, "local_epochs": 1})
+    shown = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # an interpreter's default for UserWarning
+            assert main(["tune", "--config", str(config), "--jobs", str(jobs), "--out", str(out)]) == 0
+        shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert shown[1] == shown[2]
+    messages = [message for _, message, _, _ in shown[2]]
+    assert messages.count("ROC-AUC undefined with a single-class label set; returning NaN") == 1
+    assert (tmp_path / "jobs1" / "trials.csv").read_bytes() == (tmp_path / "jobs2" / "trials.csv").read_bytes()
+
+
 def test_failed_command_prints_its_error_and_no_warning(tmp_path, iris_csv, capsys):
     """Three rows warn of a constant feature, then fail to split across three clients."""
     table = tmp_path / "iris3.csv"

@@ -306,6 +306,18 @@ class TestPreprocess:
             dataset = load_dataset(path, HEART)
         assert np.all(dataset.X == 0.0)
 
+    def test_constant_feature_with_inexact_mean_warns(self, tmp_path, iris_csv):
+        """A constant 0.2 has a mean that is not exactly 0.2, so its std is
+        rounding noise (4.4e-16 on iris), not 0."""
+        header, *rows = [line.split(",") for line in Path(iris_csv).read_text().splitlines()]
+        for row in rows:
+            row[header.index("petal_width")] = "0.2"
+        path = write_csv(tmp_path / "iris.csv", header, rows)
+        with pytest.warns(UserWarning, match="constant feature"):
+            dataset = load_dataset(path, IRIS)
+        assert dataset.scaler.std[3] == 1.0
+        assert np.all(np.abs(dataset.X[:, 3]) < 1e-15)
+
 
 class TestSplits:
     def test_iris_stratified_counts(self, iris_csv):

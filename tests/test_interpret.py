@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _models import input_gradients, linear_nam, one_layer
 from _oracles import finite_diff_grads, max_rel_err, pointwise_mean
@@ -13,6 +15,7 @@ from fednam.errors import DataError, ShapeMismatchError
 from fednam.federation import ClientState, EnsembleModel, FederationConfig
 from fednam.interpret import (
     GLOBAL_OWNER,
+    _per_feature_terms,
     average_shape_functions,
     baseline_attributions,
     contribution_scores,
@@ -22,7 +25,7 @@ from fednam.interpret import (
     render_shapes_svg,
 )
 from fednam.nam import build_nam, nam_forward
-from fednam.nn import BINARY, IDENTITY, MULTICLASS, OptimizerState
+from fednam.nn import BINARY, EXU, IDENTITY, MULTICLASS, RELU, TRAIN, OptimizerState
 from conftest import write_csv, synthetic_heart_rows, HEART_COLUMNS
 
 
@@ -180,6 +183,61 @@ def test_contribution_scores_keep_no_activations():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@st.composite
+def term_tables(draw):
+    """A NAM with its parameters moved off the kinks, and a table whose
+    column k holds 1 to `rows` distinct values."""
+    task = draw(st.sampled_from([BINARY, MULTICLASS]))
+    model = build_nam(
+        n_features=draw(st.integers(1, 4)),
+        task=task,
+        n_classes=3,
+        hidden_layers=draw(st.integers(1, 3)),
+        hidden_units=draw(st.integers(1, 12)),
+        hidden_activation=draw(st.sampled_from([RELU, EXU])),
+        rng=draw(st.integers(0, 10_000)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
+    rows = draw(st.sampled_from([1, 5, 273, 1023, 1025, 5000]))
+    columns = []
+    for _ in range(model.n_features):
+        distinct = draw(st.one_of(st.integers(1, min(rows, 4)), st.integers(1, rows)))
+        columns.append(rng.normal(size=distinct)[rng.integers(distinct, size=rows)])
+    return model, np.column_stack(columns)
+
+
+@given(term_tables())
+@settings(max_examples=60, deadline=None)
+def test_table_terms_depend_on_the_value_alone(case):
+    model, x = case
+    terms = _per_feature_terms(model, x)
+    # rows holding one value get the bits of that value's first row
+    for k in range(x.shape[1]):
+        _, first, inverse = np.unique(x[:, k], return_index=True, return_inverse=True)
+        assert terms[first[inverse], :, k].tobytes() == terms[:, :, k].tobytes()
+    # one pass over every row sums in other orders: it agrees to a few ulps of
+    # the largest magnitude the last layer adds up into each term
+    _, want, cache = nam_forward(model, x, TRAIN)
+    summed = np.abs(cache.inputs[-1] * model.weights[-1]).sum(axis=2) + np.abs(model.biases[-1])
+    scale = np.abs(model.output_weights)[None] * summed.T[:, None, :]
+    assert np.all(np.abs(terms - want) <= 4 * np.spacing(scale))
+    # members share the distinct values; their mean is summed in member order
+    other = model.copy()
+    other.set_params(model.params * 0.5 + 1e-3)
+    ensemble = EnsembleModel([model, other])
+    want = (terms + _per_feature_terms(other, x)) / 2
+    assert _per_feature_terms(ensemble, x).tobytes() == want.tobytes()
+
+
+def test_terms_of_a_dense_model_are_rejected():
+    dnn = build_dnn(3, BINARY, rng=0)
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    for model in (dnn, EnsembleModel([dnn, dnn])):
+        with pytest.raises(ShapeMismatchError, match="cannot decompose terms of DnnModel"):
+            contribution_scores(model, x, "c", ["a", "b", "c"])
 
 
 class TestAttributions:
