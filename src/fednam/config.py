@@ -66,6 +66,10 @@ class OptimizerConfig:
             raise ConfigError("optimizer.learning_rate must be > 0")
 
 
+# `tune` runs one federation per grid point, with up to MAX_JOBS worker processes
+MAX_GRID_POINTS = 4096
+MAX_JOBS = 64
+
 # the RunConfig field each searched hyperparameter sets, in the grid's product order
 GRID_FIELDS = {
     "dropout": "model.dropout",
@@ -85,12 +89,19 @@ class GridConfig:
     batch_size: list[int] = field(default_factory=lambda: [16, 32])
 
     def __post_init__(self) -> None:
+        for name in GRID_FIELDS:
+            if not getattr(self, name):
+                raise ConfigError(f"grid.{name} must be non-empty")
+        points = math.prod(len(getattr(self, name)) for name in GRID_FIELDS)
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
         # each value gets the check of the field it sets in a trial's config
         trial = RunConfig(grid=self)
         for name, dotted in GRID_FIELDS.items():
             values = getattr(self, name)
-            if not values:
-                raise ConfigError(f"grid.{name} must be non-empty")
+            if len(set(values)) < len(values):  # a repeated value repeats a trial
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ConfigError(f"grid.{name} repeats the value {repeated!r}")
             for value in values:
                 try:
                     with_field(trial, dotted, value)
@@ -121,6 +132,8 @@ class RunConfig:
             raise ConfigError("threshold must be in (0,1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.jobs > MAX_JOBS:
+            raise ConfigError(f"jobs must be <= {MAX_JOBS}, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "\0" in self.out_dir:  # the OS takes no path with one

@@ -80,7 +80,7 @@ def dnn_backward(
     expected = (cache.x.shape[1], model.out_dim)
     if g.shape != expected:
         raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
-    grads = model.split(np.empty_like(model.params) if out is None else out)
+    grads = model.grad_views(out)
     dx = bank_backward(model, cache, g[None], grads, input_grad)
     return grads, None if dx is None else dx[0]
 

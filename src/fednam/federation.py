@@ -220,7 +220,7 @@ def local_train(
     gen = as_rng(rng)
     model = client.model
     x, y = client.x, client.y
-    monitor_rows = client.monitor_rows
+    monitor_x, monitor_y = x[client.monitor_rows], y[client.monitor_rows]
 
     stopper = control.make_early_stop()
     schedule = control.make_schedule()
@@ -231,20 +231,23 @@ def local_train(
 
     for _ in range(epochs):
         order = client.train_rows[gen.permutation(len(client.train_rows))]
+        # the epoch's rows in their order, so that each batch is a slice
+        x_epoch, y_epoch = x[order], y[order]
         batch_losses = []
         for start in range(0, len(order), batch_size):
-            rows = order[start : start + batch_size]
-            logits, cache = model.forward_batch(x[rows], TRAIN, gen)
-            loss, dlogits = batch_loss_and_grad(logits, y[rows], model.task)
+            end = start + batch_size
+            logits, cache = model.forward_batch(x_epoch[start:end], TRAIN, gen)
+            loss, dlogits = batch_loss_and_grad(logits, y_epoch[start:end], model.task)
             if not math.isfinite(loss):
                 raise TrainingError(f"client {client.client_id}: non-finite training loss")
             model.backward_batch(cache, dlogits, grads)
             model.set_params(optimizer_step(client.optimizer, model.params, grads))
             batch_losses.append(loss)
-        train_losses.append(float(np.mean(batch_losses)))
+        # np.mean's sum and division, without its Python wrapper
+        train_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
 
-        logits, _ = model.forward_batch(x[monitor_rows], INFER)
-        val_loss, _ = batch_loss_and_grad(logits, y[monitor_rows], model.task)
+        logits, _ = model.forward_batch(monitor_x, INFER)
+        val_loss, _ = batch_loss_and_grad(logits, monitor_y, model.task)
         if not math.isfinite(val_loss):
             raise TrainingError(f"client {client.client_id}: non-finite validation loss")
         val_losses.append(val_loss)

@@ -135,9 +135,11 @@ def nam_forward(
         )
     # feature k's column as a strided (batch, 1) view, as a lone feature net sees it
     h, cache = bank_forward(model, x.T[:, :, None], mode, rng)
-    outputs = np.ascontiguousarray(h[:, :, 0].T)
+    # the (batch, K) outputs the head reads, contiguous: BLAS sums a transposed
+    # operand in another order. nam_backward reads them from the cache.
+    cache.features = outputs = np.ascontiguousarray(h[:, :, 0].T)
     terms = outputs[:, None, :] * model.output_weights[None, :, :]
-    logits = terms.sum(axis=2) + model.output_bias
+    logits = np.add.reduce(terms, axis=2) + model.output_bias
     return logits, terms, cache
 
 
@@ -153,19 +155,17 @@ def nam_backward(
 
     The gradients fill one vector laid out like `params`, `out` or a new one,
     and every entry of it is written; the returned list holds views of it
-    aligned with `param_tensors()`. The gradient for feature net k flows only
+    aligned with `param_tensors()`, the same list for the same `out`. The gradient for feature net k flows only
     through its own additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
     if g.shape != (cache.x.shape[1], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
-    grads = model.split(np.empty_like(model.params) if out is None else out)
+    grads = model.grad_views(out)
     # feature k's upstream gradient as a strided (batch, 1) view
     dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads, input_grad)
-    # the (batch, K) outputs the head read, contiguous as in the forward pass:
-    # BLAS sums a transposed operand in another order
-    np.matmul(g.T, np.ascontiguousarray(cache.out[:, :, 0].T), out=grads[-2])
-    grads[-1][...] = g.sum(axis=0)
+    np.matmul(g.T, cache.features, out=grads[-2])
+    np.add.reduce(g, axis=0, out=grads[-1])
     return grads, None if dh is None else np.ascontiguousarray(dh[:, :, 0].T)
 
 

@@ -37,6 +37,7 @@ class BankCache:
     masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     version: int
     out: np.ndarray | None = None  # (K, batch, out) output of the last layer
+    features: np.ndarray | None = None  # (batch, K) copy of a NAM's out[:, :, 0], which its head reads
     inputs: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, in); inputs[0] is x
     preacts: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, out)
 
@@ -92,6 +93,7 @@ class NetBank:
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
+        self._grad_split: tuple[np.ndarray, list[np.ndarray]] | None = None
         views = self.split(params)
         n = len(self.activations)
         self.weights, self.biases, self.head = views[0 : 2 * n : 2], views[1 : 2 * n : 2], views[2 * n :]
@@ -110,6 +112,15 @@ class NetBank:
             views.append(vector[offset : offset + size].reshape(shape))
             offset += size
         return views
+
+    def grad_views(self, out: np.ndarray | None = None) -> list[np.ndarray]:
+        """`split` of a gradient vector, `out` or a new one. The views of the
+        last `out` are kept and returned again for it."""
+        if out is None:
+            return self.split(np.empty_like(self.params))
+        if self._grad_split is None or self._grad_split[0] is not out:
+            self._grad_split = (out, self.split(out))
+        return self._grad_split[1]
 
     def param_tensors(self) -> list[np.ndarray]:
         return self.split(self.params)
@@ -193,12 +204,12 @@ def _dropout_masks(bank: NetBank, batch: int, rng) -> list[np.ndarray | None]:
         return masks
     k = bank.weights[0].shape[0]
     widths = [w.shape[1] for w in bank.weights[:-1]]
-    draws = as_rng(rng).random((k, batch * sum(widths)))
     keep = 1.0 - bank.dropout_rate
+    # True * (1 / keep) is the 1 / keep that True / keep gives, at less cost
+    scaled = (as_rng(rng).random((k, batch * sum(widths))) < keep) * (1.0 / keep)
     offset = 0
     for i, width in enumerate(widths):
-        block = draws[:, offset : offset + batch * width]
-        masks[i] = (block.reshape(k, batch, width) < keep) / keep
+        masks[i] = scaled[:, offset : offset + batch * width].reshape(k, batch, width)
         offset += batch * width
     return masks
 
@@ -210,8 +221,8 @@ def _column_sums(dz: np.ndarray) -> np.ndarray:
     wider layers add row by row.
     """
     if dz.shape[2] == 1:
-        return np.ascontiguousarray(dz[:, :, 0]).sum(axis=1)[:, None]
-    return dz.sum(axis=1)
+        return np.add.reduce(np.ascontiguousarray(dz[:, :, 0]), axis=1)[:, None]
+    return np.add.reduce(dz, axis=1)
 
 
 def _run_layers(
@@ -221,19 +232,27 @@ def _run_layers(
     pre-activation are appended to `cache`, when given one."""
     h = x
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
-        if kind == EXU:
-            ew = np.exp(np.clip(w, -LOGIT_CLAMP, LOGIT_CLAMP))
-            z = np.matmul(h, ew.transpose(0, 2, 1))
-            z -= (b * ew.sum(axis=2))[:, None, :]
+        if kind == EXU:  # the weights enter through their exponential
+            w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+        if w.shape[2] == 1:
+            # one input: each entry is one product, as in the matmul. C order,
+            # whatever the input's layout, so that later layers get the layout
+            # a matmul gives them: BLAS sums other layouts in another order.
+            z = np.multiply(h, w.transpose(0, 2, 1), order="C")
         else:
             z = np.matmul(h, w.transpose(0, 2, 1))
+        if kind == EXU:
+            z -= (b * np.add.reduce(w, axis=2))[:, None, :]
+        else:
             z += b[:, None, :]
         if cache is not None:
             cache.inputs.append(h)
             cache.preacts.append(z)
         h = activate(kind, z)
         if mask is not None:
-            h = h * mask
+            # in place: ReLU and ExU return a new array; the identity returns
+            # z itself, which backward never reads for that layer
+            np.multiply(h, mask, out=h)
     return h
 
 
@@ -261,6 +280,9 @@ def bank_forward(
         raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
     masks = [None] * len(bank.weights)
     rows = x.shape[1]
+    if rows <= INFER_BLOCK_ROWS:
+        h = _run_layers(bank, x, masks)
+        return h, BankCache(x, masks, bank.version, h)
     ends = [*range(INFER_BLOCK_ROWS, rows - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), rows]
     h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
     for start, end in zip([0, *ends], ends):
@@ -286,16 +308,17 @@ def bank_backward(
     for i in range(len(bank.weights) - 1, -1, -1):
         kind = bank.activations[i]
         if cache.masks[i] is not None:
-            dh = dh * cache.masks[i]
+            # the output layer has no mask, so `dh` is this loop's own product
+            np.multiply(dh, cache.masks[i], out=dh)
         dz = activation_grad(kind, cache.preacts[i], dh)
         h = cache.inputs[i]
         col = _column_sums(dz)
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
         if kind == EXU:
-            ew = np.exp(np.clip(w, -LOGIT_CLAMP, LOGIT_CLAMP))
+            ew = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
             shifted = np.matmul(dz.transpose(0, 2, 1), h) - bank.biases[i][:, :, None] * col[:, :, None]
             np.multiply(ew, shifted, out=dw)
-            np.multiply(-ew.sum(axis=2), col, out=db)
+            np.multiply(-np.add.reduce(ew, axis=2), col, out=db)
             w = ew  # the input gradient flows back through exp(W)
         else:
             np.matmul(dz.transpose(0, 2, 1), h, out=dw)

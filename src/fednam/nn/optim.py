@@ -45,7 +45,8 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
     """
     if params.shape != grads.shape:
         raise ShapeMismatchError(f"gradient shape {grads.shape} does not match params {params.shape}")
-    if not np.isfinite(grads).all():
+    # logical_and.reduce is what ndarray.all runs, without its Python wrapper
+    if not np.logical_and.reduce(np.isfinite(grads), axis=None):
         raise TrainingError("non-finite gradient; update rejected")
 
     lr = state.learning_rate
@@ -72,6 +73,6 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
         update = np.multiply(m_hat, lr, out=a)
         update /= np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b)
         out = params - update
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise TrainingError("non-finite parameter update; update rejected")
     return out

@@ -8,6 +8,7 @@ validation AUC, then lower learning rate, then lower dropout.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -143,12 +144,13 @@ def grid_search(
     """Run every grid point; returns (winner, all results ordered by trial id)."""
     points = enumerate_grid(config.grid)
     work = [(i, p, dataset, config) for i, p in enumerate(points)]
-    if jobs > 1:
+    # fork starts every worker at once: one per trial and per CPU at most
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it costs every other command's start-up 15-18 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork starts every worker at once: one per trial at most
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, work))
     else:
         results = [_run_trial(w) for w in work]

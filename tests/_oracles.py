@@ -271,6 +271,27 @@ def loss_and_grad(logits: np.ndarray, target: int, task: str) -> tuple[float, np
     raise ValueError(f"unknown task {task!r}")
 
 
+def two_exp_batch_loss_and_grad(logits: np.ndarray, targets: np.ndarray, task: str):
+    """Batch cross-entropy as two exponentials: one for the log-sum-exp, and
+    one inside `softmax`, which clips the logits again and floors the shifted
+    ones at -LOGIT_CLAMP; the mean is `ndarray.mean`. `batch_loss_and_grad`
+    shares the exponentials and must keep these bits."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(targets)
+    n = z.shape[0]
+    zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+    if task == BINARY:
+        yf = y.astype(np.float64)[:, None]
+        losses = np.logaddexp(0.0, zc) - yf * zc
+        return float(losses.mean()), (sigmoid(zc) - yf) / n
+    shifted = zc - zc.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + zc.max(axis=1)
+    losses = lse - zc[np.arange(n), y]
+    grad = softmax(zc)
+    grad[np.arange(n), y] -= 1.0
+    return float(losses.mean()), grad / n
+
+
 def loop_midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties given their block's mean rank, one block at a time."""
     order = np.argsort(values, kind="stable")

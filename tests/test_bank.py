@@ -33,7 +33,7 @@ def same_bits(a, b) -> bool:
 
 
 @st.composite
-def cases(draw):
+def cases(draw, units=st.integers(1, 12), activations=st.sampled_from([RELU, EXU])):
     task = draw(st.sampled_from([BINARY, MULTICLASS]))
     dropout = draw(st.sampled_from([0.0, 0.1, 0.5]))
     model = build_nam(
@@ -41,8 +41,8 @@ def cases(draw):
         task=task,
         n_classes=2 if task == BINARY else draw(st.integers(3, 4)),
         hidden_layers=draw(st.integers(1, 3)),
-        hidden_units=draw(st.integers(1, 12)),
-        hidden_activation=draw(st.sampled_from([RELU, EXU])),
+        hidden_units=draw(units),
+        hidden_activation=draw(activations),
         dropout_rate=dropout,
         rng=draw(st.integers(0, 10_000)),
     )
@@ -60,6 +60,21 @@ def cases(draw):
 @given(cases())
 @settings(max_examples=120, deadline=None)
 def test_bank_matches_per_feature_nets(case):
+    _check_against_per_feature_nets(case)
+
+
+@pytest.mark.parametrize("activation", [RELU, EXU])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_unit_layers_match_per_feature_nets(activation, data):
+    """At width 1 every layer has one input and runs as a broadcast product,
+    in C order. A product that followed the input's layout would be
+    batch-major after layer 0, and BLAS would sum the later layers' transposed
+    operands in another order."""
+    _check_against_per_feature_nets(data.draw(cases(units=st.just(1), activations=st.just(activation))))
+
+
+def _check_against_per_feature_nets(case):
     model, x, mode, seed, dlogits = case
     want_logits, want_terms, want_outputs, caches = per_feature_nam_forward(
         model, x, mode, np.random.default_rng(seed)
@@ -79,6 +94,8 @@ def test_bank_matches_per_feature_nets(case):
     # training reads no input gradient: it skips it and keeps every other bit
     assert same_bits(np.concatenate(model.backward_batch(cache, dlogits), axis=None), grads[0].base)
     assert nam_backward(model, cache, dlogits, input_grad=False)[1] is None
+    # every layer's array in the layout a matmul gives; inputs[0] is the caller's x
+    assert all(a.flags.c_contiguous for a in [*cache.inputs[1:], *cache.preacts])
 
 
 @given(cases())

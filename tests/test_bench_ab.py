@@ -1,0 +1,69 @@
+"""The summary of tools/bench_ab.py on canned perfbench output; no subprocess runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_ab)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def perfbench_stdout(run_s: float, setup_s: float, auc: float | None = 0.9, correct: bool = True) -> str:
+    """What perfbench/run.py prints: metric lines, then one JSON line."""
+    metrics = {"run_s": run_s, "setup_s": setup_s, "peak_rss_mb": 40.0, "test_auc": auc}
+    line = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+            "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
+    return f"environment {{}}\nrun_s {run_s} s\n\n{json.dumps(line)}\n"
+
+
+def calls(runs: dict[str, list[tuple]]) -> list[dict]:
+    return [
+        {"workload": "iris-tune", "pair": pair, "side": side,
+         "result": bench_ab.last_json_line(perfbench_stdout(*args))}
+        for side, rows in runs.items()
+        for pair, args in enumerate(rows)
+    ]
+
+
+def test_summary_of_pairs():
+    base = [(1.40, 0.30), (1.50, 0.31), (1.30, 0.29), (1.45, 0.30), (1.35, 0.32)]
+    head = [(1.20, 0.31), (1.25, 0.30), (1.35, 0.30), (1.22, 0.31), (1.21, 0.31, None, False)]
+    probes = [{"workload": "iris-tune", "side": side, "seconds": s}
+              for side, s in [("base", 0.28), ("head", 0.27), ("head", 0.29), ("base", 0.30)]]
+    report = bench_ab.summarize(calls({"base": base, "head": head}), probes, END_TO_END)
+    entry = report["iris-tune"]
+    assert entry["pairs"] == 5
+    assert entry["base_correct"] == [True] * 5 and entry["head_correct"] == [True] * 4 + [False]
+    assert entry["head_failed"] == [0, 0, 0, 0, 1]
+    run_s = entry["metrics"]["run_s"]
+    assert run_s["base"]["median"] == 1.40 and run_s["head"]["median"] == 1.22
+    assert (run_s["base"]["q1"], run_s["base"]["q3"]) == (1.35, 1.45)
+    assert run_s["base"]["values"] == [1.40, 1.50, 1.30, 1.45, 1.35]
+    assert run_s["head_wins"] == 4  # lower is better; pair 3 went to the base
+    assert run_s["median_change"] == pytest.approx(-0.18 / 1.40)
+    assert run_s["gain_exceeds_base_iqr"] is True  # 0.18 against 1.45 - 1.35
+    assert entry["metrics"]["setup_s"]["head_wins"] == 2
+    # higher is better for the AUC; the missing value counts in no pair
+    auc = entry["metrics"]["test_auc"]
+    assert auc["head"]["n"] == 4 and auc["head_wins"] == 0
+    assert auc["gain_exceeds_base_iqr"] is False
+    probe = entry["setup_probe_s"]
+    assert probe["base"]["values"] == [0.28, 0.30] and probe["head"]["values"] == [0.27, 0.29]
+    assert probe["head_wins"] == 2
+
+
+def test_a_single_value_is_its_own_quartiles():
+    assert bench_ab.spread([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1, "values": [2.0]}
+    assert bench_ab.spread([None])["median"] is None
+
+
+def test_last_json_line_skips_trailing_blank_lines():
+    assert bench_ab.last_json_line('x 1\n{"correct": true}\n\n') == {"correct": True}
+    with pytest.raises(ValueError):
+        bench_ab.last_json_line("\n")

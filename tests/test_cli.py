@@ -112,15 +112,27 @@ def test_non_finite_float_field_exits_1_naming_key(tmp_path, iris_csv, capsys,
      ({"learning_rate": [0.01, 10**400]},
       "grid.learning_rate must be of type list[float], got [0.01, 1000"),
      ({"hidden_layers": [2, 10**30]},
-      f"grid.hidden_layers: model.hidden_layers must be <= 64, got {10**30}")],
+      f"grid.hidden_layers: model.hidden_layers must be <= 64, got {10**30}"),
+     ({"dropout": [0.1, 0.0, 0.1]}, "grid.dropout repeats the value 0.1"),
+     ({"batch_size": list(range(1, 1001))}, "grid has 12000 points, more than 4096")],
     ids=["dropout", "learning_rate", "learning_rate_nan", "hidden_layers", "batch_size",
-         "learning_rate_beyond_double", "hidden_layers_beyond_cap"],
+         "learning_rate_beyond_double", "hidden_layers_beyond_cap", "repeated_value",
+         "too_many_points"],
 )
 def test_invalid_grid_value_exits_1_before_any_trial(tmp_path, iris_csv, capsys, grid, message):
     config = fast_iris_config(tmp_path, iris_csv, "gbad", grid=grid)
     assert main(["tune", "--config", str(config)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "gbad").exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_jobs_beyond_64_exit_1_before_any_trial(tmp_path, iris_csv, capsys, source):
+    config = fast_iris_config(tmp_path, iris_csv, "jobs", **({"jobs": 65} if source == "config" else {}))
+    flag = ["--jobs", "65"] if source == "flag" else []
+    assert main(["tune", "--config", str(config), *flag]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: jobs must be <= 64, got 65"]
+    assert not (tmp_path / "jobs").exists()
 
 
 @pytest.mark.parametrize("value", [10**6, 10**30])

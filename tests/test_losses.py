@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fednam.errors import ShapeMismatchError
-from _oracles import loss_and_grad
-from fednam.nn import BINARY, MULTICLASS, batch_loss_and_grad
+from _oracles import loss_and_grad, two_exp_batch_loss_and_grad
+from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS, batch_loss_and_grad
 
 
 class TestBinary:
@@ -90,3 +92,58 @@ class TestLabelChecks:
     def test_multiclass_rejects(self, bad):
         with pytest.raises(ValueError, match=r"^multiclass targets must lie in \[0, 3\)$"):
             batch_loss_and_grad(np.zeros((2, 3)), np.array([0, bad]), MULTICLASS)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def logit_batches(draw, task):
+    """Logits in [-60, 60] with targets. Some rows put a logit at, just above
+    or just below the row's top one minus LOGIT_CLAMP, the floor of
+    `softmax`, and some hold a NaN."""
+    n = draw(st.integers(1, 12))
+    c = 1 if task == BINARY else draw(st.integers(2, 5))
+    floats = st.floats(-60.0, 60.0)
+    z = np.array(draw(st.lists(st.lists(floats, min_size=c, max_size=c), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1 if task == BINARY else c - 1), min_size=n, max_size=n)))
+    for row in range(n):
+        at = draw(st.sampled_from(["free", "floor", "above", "below", "nan"]))
+        col = draw(st.integers(0, c - 1))
+        edge = float(np.clip(z[row], -LOGIT_CLAMP, LOGIT_CLAMP).max()) - LOGIT_CLAMP
+        if at == "floor":
+            z[row, col] = edge
+        elif at in ("above", "below"):
+            z[row, col] = np.nextafter(edge, np.inf if at == "above" else -np.inf)
+        elif at == "nan":
+            z[row, col] = np.nan
+    return z, y
+
+
+@given(logit_batches(MULTICLASS))
+@example((np.array([[0.0, -30.0]]), np.array([1])))  # shifted logit exactly at the floor
+@example((np.array([[0.0, np.nextafter(-30.0, -np.inf)]]), np.array([0])))  # just below it
+@example((np.array([[45.0, -45.0, 0.0]]), np.array([2])))  # clipped to a spread of 60
+@example((np.array([[np.nan, 1.0], [2.0, 3.0]]), np.array([0, 1])))
+@settings(max_examples=300, deadline=None)
+def test_multiclass_shares_the_exponentials_bit_for_bit(batch):
+    """The loss and the gradient read one exp of the shifted logits; they keep
+    the bits of the two-exp form, on either side of the softmax floor."""
+    z, y = batch
+    loss, grad = batch_loss_and_grad(z, y, MULTICLASS)
+    want_loss, want_grad = two_exp_batch_loss_and_grad(z, y, MULTICLASS)
+    assert same_bits(loss, want_loss)
+    assert same_bits(grad, want_grad)
+
+
+@given(logit_batches(BINARY))
+@settings(max_examples=100, deadline=None)
+def test_binary_keeps_its_bits(batch):
+    z, y = batch
+    with np.errstate(invalid="ignore"):  # logaddexp warns on a NaN logit
+        loss, grad = batch_loss_and_grad(z, y, BINARY)
+        want_loss, want_grad = two_exp_batch_loss_and_grad(z, y, BINARY)
+    assert same_bits(loss, want_loss)
+    assert same_bits(grad, want_grad)

@@ -50,6 +50,14 @@ class TestGridEnumeration:
         with pytest.raises(ConfigError):
             GridConfig(dropout=[])
 
+    def test_more_than_4096_points_rejected(self):
+        with pytest.raises(ConfigError, match=r"^grid has 4100 points, more than 4096$"):
+            GridConfig(dropout=[0.0], learning_rate=[0.01], hidden_layers=[2], batch_size=list(range(1, 4101)))
+
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ConfigError, match=r"^grid.learning_rate repeats the value 0.01$"):
+            GridConfig(learning_rate=[0.01, 0.001, 0.01])
+
 
 class TestGridSearch:
     def test_single_point_grid_wins(self, tmp_path):
@@ -114,30 +122,46 @@ class TestGridSearch:
             assert a.mean_val_acc == b.mean_val_acc
 
 
-    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+    def test_no_more_workers_than_trials(self, tmp_path, monkeypatch, pool_sizes):
         """The pool forks all its workers at once, so `jobs` beyond the grid would fork idle ones."""
-        import concurrent.futures
-
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         dataset = rigged_dataset(tmp_path, seed=3)
         grid = GridConfig(dropout=[0.0, 0.1], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
         _, trials = grid_search(dataset, quick_config(grid, rounds=1, epochs=1), jobs=64)
-        assert started == [2] and len(trials) == 2
+        assert pool_sizes == [2] and len(trials) == 2
+
+    @pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, []), (None, [])])
+    def test_no_more_workers_than_cpus(self, tmp_path, monkeypatch, pool_sizes, cpus, pools):
+        """One CPU, or a count the OS does not know, runs the trials in this process."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        grid = GridConfig(dropout=[0.0, 0.1, 0.2], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
+        _, trials = grid_search(rigged_dataset(tmp_path), quick_config(grid, rounds=1, epochs=1), jobs=64)
+        assert pool_sizes == pools and len(trials) == 3
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The `max_workers` of each process pool `grid_search` asks for; its
+    trials run in this process instead, so no test starts a worker."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 class TestSelection:
@@ -181,6 +205,11 @@ def test_config_round_trip_and_unknown_keys():
 def test_config_value_types_checked(doc, key):
     with pytest.raises(ConfigError, match=f"^{key} must be of type"):
         config_from_dict(doc)
+
+
+def test_jobs_capped_at_64():
+    with pytest.raises(ConfigError, match=r"^jobs must be <= 64, got 65$"):
+        config_from_dict({"jobs": 65})
 
 
 def test_config_accepts_int_for_float_and_null_for_optional():
