@@ -54,7 +54,7 @@ def write_round_logs(logs: list[RoundLog], path: Path) -> None:
         path,
         ["round", "client_id", "train_loss", "val_loss", "val_acc", "global_val_acc", "global_val_auc"],
         (
-            [log.round_index, entry.client_id, _fmt(entry.train_loss), _fmt(entry.val_loss),
+            [log.round_index, entry.client_id, _fmt(entry.train_losses[-1]), _fmt(entry.val_loss),
              _fmt(entry.val_acc), _fmt(log.global_val_acc), _fmt(log.global_val_auc)]
             for log in logs
             for entry in log.clients
@@ -119,15 +119,13 @@ def _load_run_dataset(config: RunConfig) -> Dataset:
 
 def cmd_train(config: RunConfig, out: Path) -> None:
     dataset = _load_run_dataset(config)
+    rounds: list[RoundLog] = []
     try:
-        result = run_from_config(dataset, config)
-    except TrainingError as exc:
-        logs = getattr(exc, "partial_logs", None)
-        if logs:
+        result = run_from_config(dataset, config, on_round=rounds.append)
+    finally:  # a failed run keeps the rounds that completed
+        if rounds:
             out.mkdir(parents=True, exist_ok=True)
-            write_round_logs(logs, out / "rounds.csv")
-        raise
-    out.mkdir(parents=True, exist_ok=True)
+            write_round_logs(rounds, out / "rounds.csv")
 
     if result.global_model is not None:
         save_model(result.global_model, dataset.feature_names, out / "model.json")
@@ -137,7 +135,6 @@ def cmd_train(config: RunConfig, out: Path) -> None:
         save_model(
             client.model, dataset.feature_names, clients_dir / f"client_{client.client_id}.json"
         )
-    write_round_logs(result.round_logs, out / "rounds.csv")
 
     stats = evaluate_model(result.global_predictor, dataset.X_test, dataset.y_test, config.threshold)
     bundle = global_interpret(

@@ -53,7 +53,7 @@ class RawTable:
     @property
     def rows(self) -> list[list[str]]:
         if self._rows is None:
-            with open(self.path, newline="", encoding="utf-8") as f:
+            with open(self.path, newline="", encoding="utf-8-sig") as f:
                 rows, lines = _scan_rows(f, self.path, self.delimiter, len(self.columns))
             if len(rows) != self.n_rows:
                 raise DataError(f"{self.path}: file changed while it was read")
@@ -150,7 +150,7 @@ def load_csv(path: str | Path) -> RawTable:
     if not path.exists():
         raise DataError(f"CSV file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             first = f.readline()
             if not first.strip():
                 raise DataError(f"{path}: empty file")

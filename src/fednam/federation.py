@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -70,7 +71,11 @@ class FederationConfig(FederationSection):
 
 @dataclass
 class ClientState:
-    """One simulated client: its data shard, local model, and optimizer."""
+    """One simulated client: its data shard, local model, and optimizer.
+
+    `monitor_x`/`monitor_y` are the rows the client validates on, gathered
+    once: its validation rows, else its training rows.
+    """
 
     client_id: int
     x: np.ndarray
@@ -79,29 +84,35 @@ class ClientState:
     optimizer: OptimizerState
     train_rows: np.ndarray
     val_rows: np.ndarray
+    monitor_x: np.ndarray = field(init=False, repr=False)
+    monitor_y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = self.val_rows if self.val_rows.size else self.train_rows
+        self.monitor_x, self.monitor_y = self.x[rows], self.y[rows]
 
     @property
     def n_samples(self) -> int:
         return len(self.x)
 
-    @property
-    def monitor_rows(self) -> np.ndarray:
-        """The rows a client validates on: its validation rows, else its training rows."""
-        return self.val_rows if self.val_rows.size else self.train_rows
-
 
 @dataclass
-class ClientRoundEntry:
+class ClientRound:
+    """One client's round: what `local_train` measured, one loss per epoch
+    run, then the validation loss and accuracy of the parameters it restored."""
+
     client_id: int
-    train_loss: float
-    val_loss: float
-    val_acc: float
+    train_losses: list[float]
+    val_losses: list[float]
+    stopped_early: bool
+    val_loss: float = math.nan
+    val_acc: float = math.nan
 
 
 @dataclass
 class RoundLog:
     round_index: int
-    clients: list[ClientRoundEntry]
+    clients: list[ClientRound]
     global_val_acc: float
     global_val_auc: float
 
@@ -111,7 +122,6 @@ class FederationResult:
     global_model: object | None
     global_predictor: object
     clients: list[ClientState]
-    round_logs: list[RoundLog]
 
 
 class EnsembleModel:
@@ -175,12 +185,9 @@ def _carve_validation(n_rows: int, val_fraction: float, seed: int, client_id: in
 
 
 def evaluate_model(model, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> dict[str, float]:
-    """Inference-mode loss, accuracy, and AUC of any predictor on (x, y)."""
+    """Inference-mode accuracy and AUC of any predictor on (x, y)."""
     logits, _ = model.forward_batch(x, INFER)
-    loss, _ = batch_loss_and_grad(logits, y, model.task)
-    out = compute_metrics(class_probabilities(logits, model.task), y, model.task, threshold)
-    out["loss"] = loss
-    return out
+    return compute_metrics(class_probabilities(logits, model.task), y, model.task, threshold)
 
 
 def _loss_and_accuracy(model, x: np.ndarray, y: np.ndarray, threshold: float) -> tuple[float, float]:
@@ -188,14 +195,6 @@ def _loss_and_accuracy(model, x: np.ndarray, y: np.ndarray, threshold: float) ->
     logits, _ = model.forward_batch(x, INFER)
     loss, _ = batch_loss_and_grad(logits, y, model.task)
     return loss, accuracy(class_probabilities(logits, model.task), y, model.task, threshold)
-
-
-@dataclass
-class LocalTrainLog:
-    epochs_run: int
-    train_losses: list[float]
-    val_losses: list[float]
-    stopped_early: bool
 
 
 # an overflow is reported by the finite checks below, not by NumPy warnings
@@ -206,7 +205,7 @@ def local_train(
     batch_size: int,
     control: ControlConfig,
     rng: int | np.random.Generator,
-) -> LocalTrainLog:
+) -> ClientRound:
     """Mini-batch training on the client's shard with early stopping and lr scheduling.
 
     Hook state is fresh per call; the learning rate lives on the client's
@@ -220,7 +219,6 @@ def local_train(
     gen = as_rng(rng)
     model = client.model
     x, y = client.x, client.y
-    monitor_x, monitor_y = x[client.monitor_rows], y[client.monitor_rows]
 
     stopper = control.make_early_stop()
     schedule = control.make_schedule()
@@ -246,8 +244,8 @@ def local_train(
         # np.mean's sum and division, without its Python wrapper
         train_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
 
-        logits, _ = model.forward_batch(monitor_x, INFER)
-        val_loss, _ = batch_loss_and_grad(logits, monitor_y, model.task)
+        logits, _ = model.forward_batch(client.monitor_x, INFER)
+        val_loss, _ = batch_loss_and_grad(logits, client.monitor_y, model.task)
         if not math.isfinite(val_loss):
             raise TrainingError(f"client {client.client_id}: non-finite validation loss")
         val_losses.append(val_loss)
@@ -260,7 +258,7 @@ def local_train(
 
     if stopper.best_snapshot is not None:
         model.set_params(stopper.best_snapshot)
-    return LocalTrainLog(len(train_losses), train_losses, val_losses, stopped)
+    return ClientRound(client.client_id, train_losses, val_losses, stopped)
 
 
 def fed_avg(clients: list[ClientState]):
@@ -310,14 +308,6 @@ def make_clients(
     return clients
 
 
-def _pooled_validation(clients: list[ClientState]) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    for client in clients:
-        xs.append(client.x[client.monitor_rows])
-        ys.append(client.y[client.monitor_rows])
-    return np.concatenate(xs), np.concatenate(ys)
-
-
 def run_federation(
     dataset: Dataset,
     config: FederationConfig,
@@ -328,13 +318,16 @@ def run_federation(
     val_fraction: float = 0.10,
     stratified: bool = True,
     threshold: float = 0.5,
+    on_round: Callable[[RoundLog], None] | None = None,
 ) -> FederationResult:
     """Synchronous rounds with full participation.
 
     Per round: broadcast the global parameters, train every client locally,
     aggregate back by weighted averaging (unless aggregation is shape-only,
     in which case clients evolve independently and the global predictor is
-    the logit-mean ensemble).
+    the logit-mean ensemble). `on_round` receives each round's `RoundLog`
+    as the round ends, so a caller holds the completed rounds even when a
+    later one raises.
     """
     control = control or ControlConfig()
     shards = partition_clients(dataset.y_train, config.num_clients, config.seed, stratified)
@@ -343,8 +336,8 @@ def run_federation(
     parameter_averaging = config.aggregation == BOTH
     global_model = init.copy() if parameter_averaging else None
 
-    val_x, val_y = _pooled_validation(clients)
-    logs: list[RoundLog] = []
+    val_x = np.concatenate([c.monitor_x for c in clients])
+    val_y = np.concatenate([c.monitor_y for c in clients])
     for round_index in range(1, config.rounds + 1):
         entries = []
         for client in clients:
@@ -354,23 +347,13 @@ def run_federation(
                 [config.seed, _TAG_LOCAL_TRAIN, round_index, client.client_id]
             )
             try:
-                log = local_train(client, config.local_epochs, batch_size, control, rng)
+                entry = local_train(client, config.local_epochs, batch_size, control, rng)
             except TrainingError as exc:
-                failure = TrainingError(f"round {round_index}: {exc}")
-                failure.partial_logs = logs  # completed rounds survive the abort
-                raise failure from exc
-            rows = client.monitor_rows
-            val_loss, val_acc = _loss_and_accuracy(
-                client.model, client.x[rows], client.y[rows], threshold
+                raise TrainingError(f"round {round_index}: {exc}") from exc
+            entry.val_loss, entry.val_acc = _loss_and_accuracy(
+                client.model, client.monitor_x, client.monitor_y, threshold
             )
-            entries.append(
-                ClientRoundEntry(
-                    client_id=client.client_id,
-                    train_loss=log.train_losses[-1],
-                    val_loss=val_loss,
-                    val_acc=val_acc,
-                )
-            )
+            entries.append(entry)
         if parameter_averaging:
             global_model = fed_avg(clients)
             predictor = global_model
@@ -379,10 +362,9 @@ def run_federation(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tiny pooled val sets may be single-class
             global_stats = evaluate_model(predictor, val_x, val_y, threshold)
-        logs.append(
-            RoundLog(round_index, entries, global_stats["accuracy"], global_stats["auc"])
-        )
-    return FederationResult(global_model, predictor, clients, logs)
+        if on_round is not None:
+            on_round(RoundLog(round_index, entries, global_stats["accuracy"], global_stats["auc"]))
+    return FederationResult(global_model, predictor, clients)
 
 
 def train_centralized(

@@ -12,6 +12,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import federation
 from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunConfig, with_field
 from .data import Dataset
 from .errors import FedNamError, TrainingError
-from .federation import FederationResult, evaluate_model, run_federation
+from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam
 from .nn import OptimizerState
 
@@ -47,8 +48,11 @@ def make_optimizer_factory(opt_cfg: OptimizerConfig):
     return factory
 
 
-def run_from_config(dataset: Dataset, config: RunConfig) -> FederationResult:
-    """Train a NAM federation as described by a RunConfig."""
+def run_from_config(
+    dataset: Dataset, config: RunConfig, on_round: Callable[[RoundLog], None] | None = None
+) -> FederationResult:
+    """Train a NAM federation as described by a RunConfig; `on_round` receives
+    each round's log as the round ends."""
     return run_federation(
         dataset,
         config.federation.to_config(config.seed),
@@ -59,6 +63,7 @@ def run_from_config(dataset: Dataset, config: RunConfig) -> FederationResult:
         val_fraction=config.split.val_fraction,
         stratified=config.split.stratified,
         threshold=config.threshold,
+        on_round=on_round,
     )
 
 
@@ -106,14 +111,14 @@ def _run_trial(args) -> TrialResult:
 
 def _train_trial(trial_id, point, dataset, config) -> TrialResult:
     try:
-        result = run_from_config(dataset, config_at(config, point))
+        rounds: list[RoundLog] = []
+        result = run_from_config(dataset, config_at(config, point), on_round=rounds.append)
         per_client = []
         for client in result.clients:
-            rows = client.monitor_rows
             # accuracy without an AUC: that of a small shard would go unused, and
             # warn when the shard holds one class
             _, acc = federation._loss_and_accuracy(
-                result.global_predictor, client.x[rows], client.y[rows], config.threshold
+                result.global_predictor, client.monitor_x, client.monitor_y, config.threshold
             )
             per_client.append(acc)
         test_stats = evaluate_model(
@@ -124,7 +129,7 @@ def _train_trial(trial_id, point, dataset, config) -> TrialResult:
             *point,
             per_client_val_acc=per_client,
             mean_val_acc=float(np.mean(per_client)),
-            global_val_auc=result.round_logs[-1].global_val_auc,
+            global_val_auc=rounds[-1].global_val_auc,
             global_test_acc=test_stats["accuracy"],
             global_test_auc=test_stats["auc"],
         )

@@ -28,6 +28,12 @@ def fast_iris_config(tmp_path: Path, iris_csv: Path, out: str, **overrides) -> P
     return path
 
 
+def shape_average_config(tmp_path: Path, iris_csv: Path, out: str) -> Path:
+    """`fast_iris_config` with clients that train apart, under a logit-mean ensemble."""
+    return fast_iris_config(tmp_path, iris_csv, out, federation={
+        "num_clients": 3, "rounds": 4, "local_epochs": 2, "aggregation": "shape_average"})
+
+
 def files_under(out: Path) -> set[str]:
     """Every file a command wrote, as paths relative to its --out directory."""
     return {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
@@ -272,15 +278,18 @@ def test_non_finite_wine_target_exits_2_naming_file_and_place(tmp_path, iris_csv
 
 class TestTrain:
     def test_writes_expected_artifacts(self, tmp_path, iris_csv):
-        config = fast_iris_config(tmp_path, iris_csv, "run")
-        assert main(["train", "--config", str(config)]) == 0
-        out = tmp_path / "run"
         clients = {f"clients/client_{i}.json" for i in range(3)}
-        assert files_under(out) == TRAIN_FILES | clients
-        assert csv_headers(out) == TRAIN_HEADERS
-        with open(out / "metrics.csv") as f:
-            rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(f)}
-        assert set(rows) == {"accuracy", "auc"}
+        # a shape_average run has no global model to save: its global predictor is an ensemble
+        for config, files in ((fast_iris_config(tmp_path, iris_csv, "run"), TRAIN_FILES),
+                              (shape_average_config(tmp_path, iris_csv, "sa"),
+                               TRAIN_FILES - {"model.json"})):
+            assert main(["train", "--config", str(config)]) == 0
+            out = tmp_path / config.stem
+            assert files_under(out) == files | clients
+            assert csv_headers(out) == TRAIN_HEADERS
+            with open(out / "metrics.csv") as f:
+                rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(f)}
+            assert set(rows) == {"accuracy", "auc"}
 
     @pytest.mark.filterwarnings("ignore")
     def test_training_failure_keeps_completed_rounds(self, tmp_path, iris_csv, monkeypatch):
@@ -398,15 +407,20 @@ class TestExplain:
 
     def test_shape_row_counts(self, tmp_path, iris_csv):
         config, out = self.trained(tmp_path, iris_csv)
-        explain_out = tmp_path / "explain_out"
-        assert main(["explain", "--config", str(config), "--model", str(out / "model.json"),
-                     "--out", str(explain_out)]) == 0
-        with open(explain_out / "shapes.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 4 * 3 * 101  # features x classes x grid, owner=global
-        assert {r["owner"] for r in rows} == {"global"}
-        assert files_under(explain_out) == REPORT_FILES
-        assert csv_headers(explain_out) == REPORT_HEADERS
+        sa_config = shape_average_config(tmp_path, iris_csv, "sa")
+        assert main(["train", "--config", str(sa_config)]) == 0
+        # a shape_average run saves only client models, each of which explain reads
+        for config, model in ((config, out / "model.json"),
+                              (sa_config, tmp_path / "sa" / "clients" / "client_0.json")):
+            explain_out = tmp_path / f"explain_{config.stem}"
+            assert main(["explain", "--config", str(config), "--model", str(model),
+                         "--out", str(explain_out)]) == 0
+            with open(explain_out / "shapes.csv") as f:
+                rows = list(csv.DictReader(f))
+            assert len(rows) == 4 * 3 * 101  # features x classes x grid, owner=global
+            assert {r["owner"] for r in rows} == {"global"}
+            assert files_under(explain_out) == REPORT_FILES
+            assert csv_headers(explain_out) == REPORT_HEADERS
 
     def test_ranking_matches_train_time(self, tmp_path, iris_csv):
         config, out = self.trained(tmp_path, iris_csv)
@@ -545,19 +559,22 @@ class TestBenchmark:
     def test_schema_and_determinism(self, tmp_path, iris_csv):
         a = fast_iris_config(tmp_path, iris_csv, "b1")
         b = fast_iris_config(tmp_path, iris_csv, "b2")
-        assert main(["benchmark", "--config", str(a)]) == 0
-        assert main(["benchmark", "--config", str(b)]) == 0
-        with open(tmp_path / "b1" / "benchmark.csv") as f:
-            rows = list(csv.DictReader(f))
-        model_rows = [r for r in rows if r["row_type"] == "model"]
-        attribution_rows = [r for r in rows if r["row_type"] == "attribution"]
-        assert len(model_rows) == 2
-        assert {r["name"] for r in model_rows} == {"fednam", "dnn"}
-        assert len(attribution_rows) == 4  # one per iris feature
-        assert files_under(tmp_path / "b1") == {"benchmark.csv", "run_info.json"}
-        assert csv_headers(tmp_path / "b1") == {"benchmark.csv": [
-            "row_type", "name", "test_accuracy", "test_auc", "avg_attribution",
-        ]}
+        # under shape_average both models are client ensembles, the DNN's attributed as one
+        sa = shape_average_config(tmp_path, iris_csv, "sa")
+        for config in (a, b, sa):
+            assert main(["benchmark", "--config", str(config)]) == 0
+        for out in (tmp_path / "b1", tmp_path / "sa"):
+            with open(out / "benchmark.csv") as f:
+                rows = list(csv.DictReader(f))
+            model_rows = [r for r in rows if r["row_type"] == "model"]
+            attribution_rows = [r for r in rows if r["row_type"] == "attribution"]
+            assert len(model_rows) == 2
+            assert {r["name"] for r in model_rows} == {"fednam", "dnn"}
+            assert len(attribution_rows) == 4  # one per iris feature
+            assert files_under(out) == {"benchmark.csv", "run_info.json"}
+            assert csv_headers(out) == {"benchmark.csv": [
+                "row_type", "name", "test_accuracy", "test_auc", "avg_attribution",
+            ]}
         assert (tmp_path / "b1" / "benchmark.csv").read_bytes() == (
             tmp_path / "b2" / "benchmark.csv"
         ).read_bytes()

@@ -97,6 +97,8 @@ ACCEPTED_SPELLINGS = {
     # float() reads digit-group underscores; a C number parser does not
     "underscore_digits": "a,b,target\n" + "".join(
         f"{'1_0' if r[0] == 10.0 else r[0]},{r[1]},{r[2]}\n" for r in INGEST_ROWS),
+    # a UTF-8 byte-order mark, as spreadsheet exports write, is not part of the first name
+    "utf8_bom": "\ufeffa,b,target\n" + "".join(f"{r[0]},{r[1]},{r[2]}\n" for r in INGEST_ROWS),
 }
 
 

@@ -19,6 +19,7 @@ from fednam.federation import (
     partition_clients,
     run_federation,
     train_centralized,
+    _loss_and_accuracy,
 )
 from fednam.nam import build_nam
 from fednam.nn import BINARY, OptimizerState, SGD
@@ -131,10 +132,10 @@ class TestLocalTrain:
         x, y = toy_separable(n=100, seed=2)
         model = small_nam(rng_seed=2)
         client = make_client(0, x, y, model, lr=0.01)
-        first = evaluate_model(client.model, x, y)["loss"]
+        first, _ = _loss_and_accuracy(client.model, x, y, 0.5)
         for r in range(10):
             local_train(client, epochs=5, batch_size=16, control=ControlConfig(), rng=r)
-        assert evaluate_model(client.model, x, y)["loss"] < first
+        assert _loss_and_accuracy(client.model, x, y, 0.5)[0] < first
 
     # the finite checks report a diverged run; NumPy warns of nothing first
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,22 +283,29 @@ class TestRunFederation:
     def test_run_is_deterministic(self, tmp_path):
         dataset = tiny_dataset(tmp_path)
         cfg = FederationConfig(num_clients=3, rounds=3, local_epochs=2, seed=5)
+        rounds = [[], []]
         results = [
-            run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
-            for _ in range(2)
+            run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
+                           on_round=logs.append)
+            for logs in rounds
         ]
         for a, b in zip(results[0].global_model.param_tensors(),
                         results[1].global_model.param_tensors()):
             assert np.array_equal(a, b)
-        assert results[0].round_logs[-1].global_val_acc == results[1].round_logs[-1].global_val_acc
+        assert rounds[0][-1].global_val_acc == rounds[1][-1].global_val_acc
 
     def test_round_logs_complete(self, tmp_path):
         dataset = tiny_dataset(tmp_path)
         cfg = FederationConfig(num_clients=3, rounds=4, local_epochs=1, seed=1)
-        result = run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
-        assert [log.round_index for log in result.round_logs] == [1, 2, 3, 4]
-        for log in result.round_logs:
+        logs = []
+        run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
+                       on_round=logs.append)
+        assert [log.round_index for log in logs] == [1, 2, 3, 4]
+        for log in logs:
             assert [e.client_id for e in log.clients] == [0, 1, 2]
+            for e in log.clients:  # one loss each per epoch run, then the round-end score
+                assert len(e.train_losses) == len(e.val_losses) == 1 and not e.stopped_early
+                assert np.isfinite(e.val_loss) and 0.0 <= e.val_acc <= 1.0
 
     def test_single_client_matches_centralized_bitwise(self, tmp_path):
         dataset = tiny_dataset(tmp_path, n=50, seed=3)
@@ -324,8 +332,10 @@ class TestRunFederation:
     def test_validation_accuracy_not_collapsing(self, tmp_path):
         dataset = tiny_dataset(tmp_path, n=120, seed=6)
         cfg = FederationConfig(num_clients=3, rounds=8, local_epochs=3, seed=6)
-        result = run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
-        assert result.round_logs[-1].global_val_acc >= result.round_logs[0].global_val_acc
+        logs = []
+        run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
+                       on_round=logs.append)
+        assert logs[-1].global_val_acc >= logs[0].global_val_acc
 
     @pytest.mark.filterwarnings("ignore")
     def test_client_failure_preserves_partial_logs(self, tmp_path, monkeypatch):
@@ -343,7 +353,8 @@ class TestRunFederation:
             return real_local_train(client, *args, **kwargs)
 
         monkeypatch.setattr(federation_module, "local_train", flaky_local_train)
-        with pytest.raises(TrainingError, match="round 3") as excinfo:
-            run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
-        logs = excinfo.value.partial_logs
+        logs = []
+        with pytest.raises(TrainingError, match="round 3"):
+            run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
+                           on_round=logs.append)
         assert [log.round_index for log in logs] == [1, 2]
