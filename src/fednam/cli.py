@@ -30,7 +30,7 @@ from .interpret import (
     training_feature_ranges,
     InterpretBundle,
 )
-from .nam import NamModel, load_model, save_model
+from .nam import load_model, save_model
 from .tune import config_at, grid_search, make_optimizer_factory, run_from_config
 
 __all__ = ["main"]
@@ -153,8 +153,6 @@ def cmd_train(config: RunConfig, out: Path) -> None:
 
 def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
     nam, feature_names = load_model(model)
-    if not isinstance(nam, NamModel):
-        raise ConfigError("explain requires an additive model file")
     dataset = _load_run_dataset(config)
     if feature_names != dataset.feature_names:
         raise DataError(

@@ -312,8 +312,9 @@ def train_test_split(
     return np.flatnonzero(mask), test_idx
 
 
-def fit_scaler(x_train: np.ndarray) -> Scaler:
-    """Mean/std over training rows; constant features keep std 1 with a warning.
+def fit_scaler(x_train: np.ndarray, feature_names: list[str]) -> Scaler:
+    """Mean/std over training rows; constant features keep std 1 with a
+    warning that names them.
 
     A feature is constant when its minimum equals its maximum: its std can
     come out as rounding noise rather than 0.
@@ -322,7 +323,8 @@ def fit_scaler(x_train: np.ndarray) -> Scaler:
     std = x_train.std(axis=0)
     constant = x_train.min(axis=0) == x_train.max(axis=0)
     if constant.any():
-        warnings.warn("constant feature detected; using std=1 for standardization")
+        names = [name for name, flat in zip(feature_names, constant) if flat]
+        warnings.warn(f"constant feature {names}: using std=1 for standardization")
         std = np.where(constant, 1.0, std)
     return Scaler(mean, std)
 
@@ -355,7 +357,7 @@ def preprocess(
         class_names = class_names[:2]
         task = BINARY
     train_idx, test_idx = train_test_split(y, split)
-    scaler = fit_scaler(x[train_idx])
+    scaler = fit_scaler(x[train_idx], feature_names)
     return Dataset(
         X=scaler.transform(x),
         y=y,

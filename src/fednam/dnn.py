@@ -14,8 +14,6 @@ from .nn import (
     NetBank,
     bank_backward,
     bank_forward,
-    bank_from_dicts,
-    bank_to_dicts,
     xavier_bank,
 )
 
@@ -54,14 +52,6 @@ class DnnModel(NetBank):
     ) -> list[np.ndarray]:
         grads, _ = dnn_backward(self, cache, dlogits, out, input_grad=False)
         return grads
-
-    def to_dict(self) -> dict:
-        """The model file's keys of this kind: its one net's layers, activations and dropout."""
-        return bank_to_dicts(self)[0]
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> DnnModel:
-        return cls(*bank_from_dicts([doc]), doc["task"])
 
 
 def dnn_backward(

@@ -127,8 +127,6 @@ class FederationResult:
 class EnsembleModel:
     """Pointwise function average of client predictors (mean of logits)."""
 
-    kind = "ensemble"
-
     def __init__(self, members: list[object]):
         if not members:
             raise ShapeMismatchError("an ensemble needs at least one member")

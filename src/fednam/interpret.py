@@ -311,7 +311,9 @@ def render_shapes_svg(bundle: InterpretBundle) -> str:
             f'<rect x="{x0}" y="{y0}" width="{SVG_PANEL}" height="{SVG_PANEL}" '
             'fill="none" stroke="#ccc"/>'
         )
-        label = bundle.feature_names[key[0]]
+        name = bundle.feature_names[key[0]]
+        # escaped as XML text: & first, so that the other escapes keep their &
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         if bundle.n_classes > 1:
             label += f" / class {key[1]}"
         parts.append(

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dnn import DnnModel
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .nn import (
     BINARY,
@@ -23,8 +22,6 @@ from .nn import (
     as_rng,
     bank_backward,
     bank_forward,
-    bank_from_dicts,
-    bank_to_dicts,
     xavier_bank,
     xavier_init,
 )
@@ -84,17 +81,41 @@ class NamModel(NetBank):
         return grads
 
     def to_dict(self) -> dict:
-        """The model file's keys of this kind: the feature nets and the head."""
+        """The model file's keys: one dict per feature net, with its own layer
+        list, then the head."""
         return {
-            "feature_nets": bank_to_dicts(self),
+            "feature_nets": [
+                {
+                    "activations": list(self.activations),
+                    "dropout_rate": self.dropout_rate,
+                    "layers": [
+                        {"weights": w[k].tolist(), "biases": b[k].tolist()}
+                        for w, b in zip(self.weights, self.biases)
+                    ],
+                }
+                for k in range(self.n_features)
+            ],
             "output_weights": self.output_weights.tolist(),
             "output_bias": self.output_bias.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> NamModel:
+        """The model `to_dict` wrote. Every feature net must share the first
+        one's activations, dropout rate and layer shapes."""
+        nets = doc["feature_nets"]
+        first = nets[0]
+        for k, net in enumerate(nets):
+            if (net["activations"], net["dropout_rate"], len(net["layers"])) != (
+                first["activations"], first["dropout_rate"], len(first["layers"])
+            ):
+                raise ShapeMismatchError(f"feature net {k} has a different architecture than feature net 0")
+        layers = range(len(first["layers"]))
         return cls(
-            *bank_from_dicts(doc["feature_nets"]),
+            [np.array([net["layers"][i]["weights"] for net in nets], dtype=np.float64) for i in layers],
+            [np.array([net["layers"][i]["biases"] for net in nets], dtype=np.float64) for i in layers],
+            list(first["activations"]),
+            float(first["dropout_rate"]),
             np.array(doc["output_weights"], dtype=np.float64),
             np.array(doc["output_bias"], dtype=np.float64),
             doc["task"],
@@ -199,10 +220,10 @@ def _indented_json(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
-def save_model(model, feature_names: list[str], path: str | Path) -> None:
-    """Write the model as JSON: the header every kind shares, then the keys of
-    `model.to_dict()`. Floats use shortest round-trip decimals, so the on-disk
-    form restores bit-identical doubles; the bytes are those of
+def save_model(model: NamModel, feature_names: list[str], path: str | Path) -> None:
+    """Write the model as JSON: the header, then the keys of `model.to_dict()`.
+    Floats use shortest round-trip decimals, so the on-disk form restores
+    bit-identical doubles; the bytes are those of
     `json.dumps(doc, indent=1, sort_keys=True)`."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -214,11 +235,11 @@ def save_model(model, feature_names: list[str], path: str | Path) -> None:
     Path(path).write_text(_indented_json(doc))
 
 
-def load_model(path: str | Path):
+def load_model(path: str | Path) -> tuple[NamModel, list[str]]:
     """Load a model JSON written by save_model; returns (model, feature_names).
 
-    Missing keys, mismatched shapes or feature counts and non-finite weights
-    raise DataError.
+    A kind other than "nam", missing keys, mismatched shapes or feature
+    counts and non-finite weights raise DataError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -232,11 +253,10 @@ def load_model(path: str | Path):
             f"model schema version mismatch: expected {MODEL_SCHEMA_VERSION}, found {found}"
         )
     kind = doc.get("kind", NamModel.kind)
-    model_class = next((c for c in (NamModel, DnnModel) if c.kind == kind), None)
-    if model_class is None:
+    if kind != NamModel.kind:
         raise DataError(f"model file {path} has unknown model kind {kind!r}")
     try:
-        model = model_class.from_dict(doc)
+        model = NamModel.from_dict(doc)
         feature_names = list(doc["feature_names"])
     except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc

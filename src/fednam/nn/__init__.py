@@ -5,8 +5,6 @@ from .bank import (
     NetBank,
     bank_backward,
     bank_forward,
-    bank_from_dicts,
-    bank_to_dicts,
     xavier_bank,
 )
 from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, as_rng, sigmoid, softmax, xavier_init
@@ -30,8 +28,6 @@ __all__ = [
     "as_rng",
     "bank_backward",
     "bank_forward",
-    "bank_from_dicts",
-    "bank_to_dicts",
     "batch_loss_and_grad",
     "class_probabilities",
     "optimizer_step",

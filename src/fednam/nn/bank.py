@@ -149,38 +149,6 @@ class NetBank:
         return twin
 
 
-def bank_to_dicts(bank: NetBank) -> list[dict]:
-    """Schema v1's form of a bank: one dict per net, with its own layer list."""
-    return [
-        {
-            "activations": list(bank.activations),
-            "dropout_rate": bank.dropout_rate,
-            "layers": [
-                {"weights": w[k].tolist(), "biases": b[k].tolist()}
-                for w, b in zip(bank.weights, bank.biases)
-            ],
-        }
-        for k in range(bank.weights[0].shape[0])
-    ]
-
-
-def bank_from_dicts(nets: list[dict]) -> tuple[list[np.ndarray], list[np.ndarray], list[str], float]:
-    """Weights, biases, activations and dropout rate of the bank `bank_to_dicts` wrote.
-
-    Every net must share the first one's activations, dropout rate and layer shapes.
-    """
-    first = nets[0]
-    for k, net in enumerate(nets):
-        if (net["activations"], net["dropout_rate"], len(net["layers"])) != (
-            first["activations"], first["dropout_rate"], len(first["layers"])
-        ):
-            raise ShapeMismatchError(f"feature net {k} has a different architecture than feature net 0")
-    layers = range(len(first["layers"]))
-    weights = [np.array([net["layers"][i]["weights"] for net in nets], dtype=np.float64) for i in layers]
-    biases = [np.array([net["layers"][i]["biases"] for net in nets], dtype=np.float64) for i in layers]
-    return weights, biases, list(first["activations"]), float(first["dropout_rate"])
-
-
 def xavier_bank(k: int, dims: list[int], rng: int | np.random.Generator):
     """Xavier weights and zero biases of K nets with layer widths `dims`.
 

@@ -167,6 +167,7 @@ def grid_search(
             warnings.warn_explicit(message, category, filename, lineno, registry=registry)
     valid = [t for t in results if t.error is None]
     if not valid:
-        raise TrainingError("all grid trials failed")
+        first = results[0]
+        raise TrainingError(f"all grid trials failed; trial {first.trial_id}: {first.error}")
     winner = min(valid, key=_selection_key)
     return winner, results

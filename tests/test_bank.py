@@ -22,9 +22,9 @@ from _oracles import (
 from fednam.dnn import DnnModel, build_dnn, dnn_backward
 from fednam.errors import ShapeMismatchError, StaleCacheError
 from fednam.interpret import model_curves
-from fednam.nam import build_nam, nam_backward, nam_forward
+from fednam.nam import NamModel, build_nam, nam_backward, nam_forward
 from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, xavier_bank
-from fednam.nn.bank import INFER_BLOCK_ROWS, bank_from_dicts, bank_to_dicts
+from fednam.nn.bank import INFER_BLOCK_ROWS
 
 
 def same_bits(a, b) -> bool:
@@ -134,17 +134,18 @@ def test_bank_views_share_the_parameter_vector():
 
 
 def test_heterogeneous_feature_nets_rejected():
-    nets = bank_to_dicts(build_nam(2, BINARY, hidden_layers=2, hidden_units=4, rng=0))
+    doc = {"task": BINARY, **build_nam(2, BINARY, hidden_layers=2, hidden_units=4, rng=0).to_dict()}
+    nets = doc["feature_nets"]
     fewer_layers = [nets[0], {**nets[1], "layers": nets[1]["layers"][:2],
                               "activations": [RELU, IDENTITY]}]
     with pytest.raises(ShapeMismatchError, match="feature net 1"):
-        bank_from_dicts(fewer_layers)
+        NamModel.from_dict({**doc, "feature_nets": fewer_layers})
     mixed_units = [nets[0], {**nets[1], "activations": [EXU, EXU, IDENTITY]}]
     with pytest.raises(ShapeMismatchError, match="feature net 1"):
-        bank_from_dicts(mixed_units)
-    wider = bank_to_dicts(build_nam(2, BINARY, hidden_layers=2, hidden_units=5, rng=0))
+        NamModel.from_dict({**doc, "feature_nets": mixed_units})
+    wider = build_nam(2, BINARY, hidden_layers=2, hidden_units=5, rng=0).to_dict()["feature_nets"]
     with pytest.raises(ValueError):
-        bank_from_dicts([nets[0], wider[1]])
+        NamModel.from_dict({**doc, "feature_nets": [nets[0], wider[1]]})
 
 
 @st.composite

@@ -546,7 +546,7 @@ class TestTune:
         config = fast_iris_config(tmp_path, iris_csv, "tfail", grid=grid,
                                   federation={"num_clients": 2, "rounds": 1, "local_epochs": 1})
         assert main(["tune", "--config", str(config)]) == 3
-        assert "all grid trials failed" in capsys.readouterr().err
+        assert "all grid trials failed; trial 0: round 1: client 0: non-finite" in capsys.readouterr().err
 
     def test_invalid_federation_value_exits_1_before_any_trial(self, tmp_path, iris_csv, capsys):
         config = fast_iris_config(tmp_path, iris_csv, "tbad", federation={"rounds": 0})

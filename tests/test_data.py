@@ -304,7 +304,7 @@ class TestPreprocess:
     def test_constant_feature_warns(self, tmp_path):
         rows = [[5, i % 2] for i in range(20)]
         path = write_csv(tmp_path / "c.csv", ["a", "target"], rows)
-        with pytest.warns(UserWarning, match="constant feature"):
+        with pytest.warns(UserWarning, match=r"constant feature \['a'\]: using std=1"):
             dataset = load_dataset(path, HEART)
         assert np.all(dataset.X == 0.0)
 
@@ -387,7 +387,7 @@ class TestNoLeakage:
     def test_fit_scaler_statistics(self):
         rng = np.random.default_rng(4)
         x = rng.normal(loc=3.0, scale=2.0, size=(200, 3))
-        scaler = fit_scaler(x)
+        scaler = fit_scaler(x, ["a", "b", "c"])
         z = scaler.transform(x)
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-6)

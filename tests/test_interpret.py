@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -374,6 +376,13 @@ class TestExport:
         text = (tmp_path / "shapes.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
         assert render_shapes_svg(bundle).startswith("<svg")
+
+    def test_svg_escapes_feature_names(self):
+        bundle, _ = self.build_bundle()
+        bundle = dataclasses.replace(bundle, feature_names=["R&D", "x<y>"])
+        root = ElementTree.fromstring(render_shapes_svg(bundle))
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == ["R&D", "x<y>"]
 
     def test_synthetic_heart_emits_52_contribution_rows(self, tmp_path, synthetic_heart_csv):
         dataset = load_dataset(synthetic_heart_csv, HEART, SplitSpec(seed=0))

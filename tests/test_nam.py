@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from _models import linear_nam
 from _oracles import finite_diff_grads, max_rel_err
-from fednam.dnn import build_dnn
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from fednam.nam import (
     _indented_json,
@@ -134,7 +133,6 @@ class TestBackward:
 SAVED_MODELS = {
     "binary_nam": build_nam(3, BINARY, hidden_layers=2, hidden_units=5, rng=12),
     "multiclass_nam": build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=13),
-    "dnn": build_dnn(3, BINARY, hidden_layers=1, hidden_units=4, rng=14),
 }
 
 # any JSON document: dicts with str keys, lists (some of floats only, the writer's
@@ -186,13 +184,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="expected 1, found 999"):
             load_model(path)
 
-    def test_dense_model_feature_count_mismatch(self, tmp_path):
+    def test_dense_model_kind_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(build_dnn(3, BINARY, hidden_layers=1, hidden_units=4, rng=0), ["a", "b", "c"], path)
+        save_model(build_nam(2, BINARY, hidden_layers=1, hidden_units=3, rng=0), ["a", "b"], path)
         doc = json.loads(path.read_text())
-        doc["feature_names"].append("d")
+        doc["kind"] = "dnn"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=f"model file {path} names 4 features"):
+        with pytest.raises(DataError, match=f"model file {path} has unknown model kind 'dnn'"):
             load_model(path)
 
     def test_corrupted_file(self, tmp_path):

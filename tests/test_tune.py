@@ -109,7 +109,8 @@ class TestGridSearch:
         dataset = rigged_dataset(tmp_path, seed=5)
         grid = GridConfig(dropout=[0.0], learning_rate=[1e280],
                           hidden_layers=[1], batch_size=[8])
-        with pytest.raises(TrainingError, match="all grid trials failed"):
+        with pytest.raises(TrainingError,
+                           match="all grid trials failed; trial 0: round 1: client 0: non-finite"):
             grid_search(dataset, quick_config(grid))
 
     def test_parallel_jobs_match_serial(self, tmp_path):
