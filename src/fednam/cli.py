@@ -42,7 +42,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
@@ -102,7 +102,7 @@ def export_reports(
         rows = [[key, _fmt(metrics[key])] for key in sorted(metrics)]
         _write_csv(out / "metrics.csv", ["metric", "value"], rows)
     if svg:
-        (out / "shapes.svg").write_text(render_shapes_svg(bundle))
+        (out / "shapes.svg").write_text(render_shapes_svg(bundle), encoding="utf-8")
 
 
 def _load_run_dataset(config: RunConfig) -> Dataset:
@@ -167,7 +167,6 @@ def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
         client_curves=[],
         global_curves=curves,
         feature_names=dataset.feature_names,
-        n_classes=nam.out_dim,
     )
     export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
     print(f"wrote contribution and shape reports -> {out}")
@@ -304,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             COMMANDS[command][0](config, out, **handler_args)
         for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            print(f"warning: {w.message}", file=sys.stderr)
         info = {"command": command, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         (out / "run_info.json").write_text(json.dumps(info, indent=1, sort_keys=True))
         return 0

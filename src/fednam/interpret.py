@@ -9,7 +9,6 @@ importance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ class ShapeCurve:
     grid: np.ndarray
     values: np.ndarray  # mean-centered over the grid
     owner: str
-    center: float  # the mean removed; values + center == raw effective shape
 
     def __post_init__(self) -> None:
         if self.grid.shape != self.values.shape:
@@ -69,7 +67,6 @@ class InterpretBundle:
     client_curves: list[ShapeCurve]
     global_curves: list[ShapeCurve]
     feature_names: list[str]
-    n_classes: int
 
 
 def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
@@ -83,27 +80,21 @@ def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str)
     """Curves for every (feature, class) pair of one model, fixed ordering.
 
     One forward pass evaluates every feature on an evenly spaced grid over its
-    range. A feature with a degenerate range gets a single-point curve from a
-    one-row pass, since a row's outputs depend on the size of its batch.
+    range. A feature with a degenerate range (a constant column, which
+    `fit_scaler` already warns of) gets a single-point curve: the grid's first
+    row, whose centred value is 0.
     """
     for k, (lo, hi) in enumerate(ranges):
         if lo > hi:
             raise DataError(f"invalid range ({lo}, {hi}) for feature {k}")
-        if lo == hi:
-            warnings.warn(f"feature {k} has a degenerate range; single-point curve")
     grid = np.column_stack([np.linspace(lo, hi, GRID_POINTS) for lo, hi in ranges])
     _, terms, _ = nam_forward(model, grid, INFER)
-    if any(lo == hi for lo, hi in ranges):
-        _, low_terms, _ = nam_forward(model, np.array([[lo for lo, _ in ranges]]), INFER)
     curves = []
     for k, (lo, hi) in enumerate(ranges):
-        if lo == hi:
-            xs, raw = np.array([lo]), low_terms[:, :, k]
-        else:
-            xs, raw = grid[:, k].copy(), terms[:, :, k]
+        points = 1 if lo == hi else GRID_POINTS
+        xs, raw = grid[:points, k].copy(), terms[:points, :, k]
         for c in range(model.out_dim):
-            center = float(raw[:, c].mean())
-            curves.append(ShapeCurve(k, c, xs, raw[:, c] - center, owner, center))
+            curves.append(ShapeCurve(k, c, xs, raw[:, c] - raw[:, c].mean(), owner))
     return curves
 
 
@@ -120,17 +111,13 @@ def average_shape_functions(per_client_curves: list[list[ShapeCurve]]) -> list[S
     out: list[ShapeCurve] = []
     for i, reference in enumerate(first):
         values = np.zeros_like(reference.values)
-        center = 0.0
         for curves in per_client_curves:
             curve = curves[i]
-            if curve.grid.shape != reference.grid.shape or not np.array_equal(
-                curve.grid, reference.grid
-            ):
+            if not np.array_equal(curve.grid, reference.grid):
                 raise ShapeMismatchError(
                     f"grid mismatch between clients for feature {reference.feature_index}"
                 )
             values = values + curve.values
-            center = center + curve.center
         out.append(
             ShapeCurve(
                 reference.feature_index,
@@ -138,7 +125,6 @@ def average_shape_functions(per_client_curves: list[list[ShapeCurve]]) -> list[S
                 reference.grid.copy(),
                 values / n,
                 GLOBAL_OWNER,
-                center / n,
             )
         )
     return out
@@ -203,14 +189,12 @@ def global_interpret(
     global_curves = average_shape_functions(per_client_curves)
     global_report = contribution_scores(global_model, x_train, GLOBAL_OWNER, feature_names)
     flat_client_curves = [curve for curves in per_client_curves for curve in curves]
-    n_classes = clients[0].model.out_dim
     return InterpretBundle(
         client_contributions=client_reports,
         global_contribution=global_report,
         client_curves=flat_client_curves,
         global_curves=global_curves,
         feature_names=list(feature_names),
-        n_classes=n_classes,
     )
 
 
@@ -287,6 +271,8 @@ def render_shapes_svg(bundle: InterpretBundle) -> str:
     for curve in [*bundle.client_curves, *bundle.global_curves]:
         panels.setdefault((curve.feature_index, curve.class_index), []).append(curve)
     keys = sorted(panels)
+    # a binary model has one output row, a multiclass one at least 3
+    multiclass = any(c > 0 for _, c in keys)
     cols = max(1, min(4, len(keys)))
     rows = (len(keys) + cols - 1) // cols
     width = cols * (SVG_PANEL + SVG_PAD) + SVG_PAD
@@ -314,7 +300,7 @@ def render_shapes_svg(bundle: InterpretBundle) -> str:
         name = bundle.feature_names[key[0]]
         # escaped as XML text: & first, so that the other escapes keep their &
         label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        if bundle.n_classes > 1:
+        if multiclass:
             label += f" / class {key[1]}"
         parts.append(
             f'<text x="{x0}" y="{y0 - 6}" font-size="10" font-family="sans-serif">{label}</text>'

@@ -224,7 +224,7 @@ def per_layer_dnn_backward(model, trace: list, dlogits: np.ndarray):
 
 
 def per_feature_curves(model, ranges, n_points: int = 101):
-    """(grid, values, center) per (feature, class), feature-major: each feature's
+    """(grid, centred values) per (feature, class), feature-major: each feature's
     net evaluated alone on its grid, a single point for a degenerate range."""
     out = []
     for k, (lo, hi) in enumerate(ranges):
@@ -232,8 +232,7 @@ def per_feature_curves(model, ranges, n_points: int = 101):
         f, _ = dense_net_forward(*_net(model, k), model.activations, 0.0, grid[:, None])
         for c in range(model.output_weights.shape[0]):
             raw = model.output_weights[c, k] * f[:, 0]
-            center = float(raw.mean())
-            out.append((grid, raw - center, center))
+            out.append((grid, raw - raw.mean()))
     return out
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
+import fednam
 from conftest import HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows
 from fednam.cli import main
 from fednam.config import config_from_dict
@@ -757,7 +762,7 @@ def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv):
+def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv, capsys):
     """Two positives of 60 rows all land in training, so every trial's test
     split holds one class and its test AUC warns; worker processes return the
     warning to the parent."""
@@ -774,14 +779,69 @@ def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv):
     shown = {}
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("default")  # an interpreter's default for UserWarning
             assert main(["tune", "--config", str(config), "--jobs", str(jobs), "--out", str(out)]) == 0
-        shown[jobs] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        shown[jobs] = capsys.readouterr().err.splitlines()
     assert shown[1] == shown[2]
-    messages = [message for _, message, _, _ in shown[2]]
-    assert messages.count("ROC-AUC undefined with a single-class label set; returning NaN") == 1
+    assert shown[2].count("warning: ROC-AUC undefined with a single-class label set; returning NaN") == 1
     assert (tmp_path / "jobs1" / "trials.csv").read_bytes() == (tmp_path / "jobs2" / "trials.csv").read_bytes()
+
+
+def test_constant_feature_warns_once_and_gets_flat_single_point_curves(tmp_path, iris_csv, capsys):
+    """fit_scaler names the constant column; its curves are one point at the
+    column's value, 0 in standardized units, with a centred value of 0."""
+    lines = iris_csv.read_text().splitlines()
+    for i in range(1, len(lines)):
+        _set_cell(lines, i, 1, "3.0")
+    table = tmp_path / "const.csv"
+    table.write_text("\n".join(lines) + "\n")
+    config = fast_iris_config(tmp_path, table, "const",
+                              federation={"num_clients": 3, "rounds": 1, "local_epochs": 1})
+    warning = "warning: constant feature ['sepal_width']: using std=1 for standardization"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # an interpreter's default for UserWarning
+        assert main(["train", "--config", str(config), "--svg"]) == 0
+    assert capsys.readouterr().err.splitlines() == [warning]
+    out = tmp_path / "const"
+
+    def rows(path: Path) -> list[dict]:
+        with open(path, newline="") as f:
+            return [row for row in csv.DictReader(f) if row["feature"] == "sepal_width"]
+
+    shapes = rows(out / "shapes.csv")
+    assert len(shapes) == 12  # 3 clients and the global curve, 3 classes each
+    assert all((row["x"], row["value"]) == ("0.0", "0.0") for row in shapes)
+    assert {row["x_raw"] for row in rows(out / "shapes_raw_units.csv")} == {"3.0"}
+
+    explain_out = tmp_path / "explain"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["explain", "--config", str(config), "--model", str(out / "model.json"),
+                     "--out", str(explain_out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [warning]
+    explained = rows(explain_out / "shapes.csv")
+    assert [(row["owner"], row["class"], row["x"], row["value"]) for row in explained] == [
+        ("global", str(c), "0.0", "0.0") for c in range(3)]
+
+
+def test_non_ascii_names_are_written_as_utf8_whatever_the_locale(tmp_path, iris_csv):
+    """Under the C locale open() defaults to ASCII; every CSV and shapes.svg is UTF-8."""
+    lines = iris_csv.read_text().splitlines()
+    lines[0] = lines[0].replace("sepal_length,sepal_width,", "café,b€,", 1)
+    table = tmp_path / "utf.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = fast_iris_config(tmp_path, table, "utf",
+                              federation={"num_clients": 3, "rounds": 1, "local_epochs": 1})
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(fednam.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "fednam.cli", "train", "--config", str(config), "--svg"],
+                         capture_output=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, b"")
+    out = tmp_path / "utf"
+    assert "café" in (out / "contributions.csv").read_text(encoding="utf-8")
+    ElementTree.parse(out / "shapes.svg")
 
 
 def test_failed_command_prints_its_error_and_no_warning(tmp_path, iris_csv, capsys):

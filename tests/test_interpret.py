@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import tracemalloc
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -14,6 +15,7 @@ from fednam.cli import export_reports
 from fednam.data import HEART, Scaler, SplitSpec, load_dataset
 from fednam.dnn import build_dnn
 from fednam.errors import DataError, ShapeMismatchError
+from fednam import interpret
 from fednam.federation import ClientState, EnsembleModel, FederationConfig
 from fednam.interpret import (
     GLOBAL_OWNER,
@@ -42,7 +44,6 @@ class TestShapeCurves:
         model = linear_nam([1.0], [1.0])
         [curve] = model_curves(model, [(-1.0, 1.0)], "client1")
         assert np.allclose(curve.values, curve.grid, atol=1e-15)
-        assert curve.center == pytest.approx(0.0, abs=1e-15)
 
     def test_centering_over_random_models(self):
         for seed in range(100):
@@ -50,19 +51,29 @@ class TestShapeCurves:
             [curve] = model_curves(model, [(-2.0, 2.0)], "x")
             assert abs(curve.values.mean()) <= 1e-9
 
-    def test_curve_plus_center_reproduces_model(self):
+    def test_curve_is_the_centred_model_term(self):
         model = build_nam(2, BINARY, hidden_layers=2, hidden_units=6, rng=3)
         curve = model_curves(model, [(0.0, 1.0), (-1.5, 2.5)], "x")[1]
         x = np.column_stack([np.zeros_like(curve.grid), curve.grid])
         _, terms, _ = nam_forward(model, x)
-        assert np.all(np.abs((curve.values + curve.center) - terms[:, 0, 1]) <= 1e-9)
+        term = terms[:, 0, 1]
+        assert np.all(np.abs(curve.values - (term - term.mean())) <= 1e-9)
 
-    def test_degenerate_range_single_point(self):
+    def test_degenerate_range_single_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return nam_forward(*args, **kwargs)
+
+        monkeypatch.setattr(interpret, "nam_forward", counted)
         model = linear_nam([1.0, 1.0], [1.0, 1.0])
-        with pytest.warns(UserWarning, match="feature 1 has a degenerate range"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # fit_scaler, not the curves, names a constant feature
             curves = model_curves(model, [(0.0, 1.0), (2.0, 2.0)], "x")
         assert [len(c.grid) for c in curves] == [101, 1]
-        assert curves[1].grid[0] == 2.0 and curves[1].center == 2.0
+        assert curves[1].grid.tolist() == [2.0] and curves[1].values.tolist() == [0.0]
+        assert calls == [(101, 2)]
 
     def test_inverted_range_rejected(self):
         with pytest.raises(DataError, match="feature 0"):
@@ -71,12 +82,11 @@ class TestShapeCurves:
 
 class TestAverageShapeFunctions:
     def test_linear_example(self):
-        # client shapes x and 3x evaluated at x=2 average to 4
+        # client shapes x and 3x over [0, 2]: the centred ends, 2 - 1 and 6 - 3, average to 2
         a = model_curves(linear_nam([1.0], [1.0]), [(0.0, 2.0)], "client1")
         b = model_curves(linear_nam([3.0], [1.0]), [(0.0, 2.0)], "client2")
         merged = average_shape_functions([a, b])[0]
-        raw_at_end = merged.values[-1] + merged.center
-        assert raw_at_end == pytest.approx(4.0, abs=1e-12)
+        assert merged.values[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_clients_unchanged(self):
         curves = model_curves(build_nam(2, BINARY, hidden_layers=1, hidden_units=5, rng=4),
