@@ -302,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         # a failed command prints its one error line and no warning before it
         with warnings.catch_warnings(record=True) as caught:
             COMMANDS[command][0](config, out, **handler_args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+        for message in dict.fromkeys(str(w.message) for w in caught):  # each once, as first seen
+            print(f"warning: {message}", file=sys.stderr)
         info = {"command": command, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         (out / "run_info.json").write_text(json.dumps(info, indent=1, sort_keys=True))
         return 0
@@ -318,6 +318,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except FedNamError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the out_dir probe or a write under it; each read maps its own
+        where = exc.filename or out  # a failed write() names no file
+        print(f"config error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

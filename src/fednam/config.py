@@ -27,6 +27,8 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.kind not in DATASET_KINDS:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        if "\0" in self.csv:  # the OS takes no path with one
+            raise ConfigError(f"dataset.csv must not hold a NUL byte, got {self.csv!r}")
 
 
 @dataclass
@@ -213,10 +215,10 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep

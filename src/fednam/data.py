@@ -147,8 +147,6 @@ def load_csv(path: str | Path) -> RawTable:
     with the offending line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"CSV file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             first = f.readline()
@@ -167,6 +165,8 @@ def load_csv(path: str | Path) -> RawTable:
             rows, lines = _scan_rows(f, str(path), delim, len(columns))
     except UnicodeDecodeError as exc:  # _read_numbers takes it for a non-numeric cell
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except FileNotFoundError as exc:
+        raise DataError(f"CSV file not found: {path}") from exc
     except OSError as exc:
         raise DataError(f"cannot read CSV file {path}: {exc.strerror or exc}") from exc
     return RawTable(columns, str(path), delim, _rows=rows, _lines=lines)

@@ -190,41 +190,10 @@ def nam_backward(
     return grads, None if dh is None else np.ascontiguousarray(dh[:, :, 0].T)
 
 
-def _indented_json(obj, pad: str = "") -> str:
-    """The text of `json.dumps(obj, indent=1, sort_keys=True)` for a document
-    of dicts with str keys, lists, str, int, bool, None and float.
-
-    With an indent the json module runs its pure-Python encoder, which calls
-    `float.__repr__` once per float; here a list of finite floats is joined
-    in one pass. Everything else is encoded by `json.dumps` itself.
-    """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + " "
-        items = (f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in sorted(obj.items()))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + " "
-        sep = ",\n" + inner
-        try:
-            body = sep.join(map(float.__repr__, obj))
-        except TypeError:  # an item that is not a float
-            body = None
-        # "nan" and "inf" are the only float reprs with an "n"; json writes them as NaN and Infinity
-        if body is None or "n" in body:
-            body = sep.join(_indented_json(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
-
-
 def save_model(model: NamModel, feature_names: list[str], path: str | Path) -> None:
-    """Write the model as JSON: the header, then the keys of `model.to_dict()`.
-    Floats use shortest round-trip decimals, so the on-disk form restores
-    bit-identical doubles; the bytes are those of
-    `json.dumps(doc, indent=1, sort_keys=True)`."""
+    """Write the model as one line of JSON: the header, then the keys of
+    `model.to_dict()`, sorted. Floats use shortest round-trip decimals, so the
+    on-disk form restores bit-identical doubles."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
@@ -232,7 +201,7 @@ def save_model(model: NamModel, feature_names: list[str], path: str | Path) -> N
         "feature_names": list(feature_names),
         **model.to_dict(),
     }
-    Path(path).write_text(_indented_json(doc))
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_model(path: str | Path) -> tuple[NamModel, list[str]]:

@@ -81,8 +81,8 @@ class TrialResult:
     global_test_acc: float = math.nan
     global_test_auc: float = math.nan
     error: str | None = None
-    # (category, message, filename, lineno) of each warning the trial issued
-    warnings: list[tuple] = field(default_factory=list)
+    # the message of each warning the trial issued
+    warnings: list[str] = field(default_factory=list)
 
 
 def enumerate_grid(grid: GridConfig) -> list[tuple[float, float, int, int]]:
@@ -105,7 +105,7 @@ def _run_trial(args) -> TrialResult:
     """
     with warnings.catch_warnings(record=True) as caught:
         trial = _train_trial(*args)
-    trial.warnings = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    trial.warnings = [str(w.message) for w in caught]
     return trial
 
 
@@ -159,12 +159,10 @@ def grid_search(
             results = list(pool.map(_run_trial, work))
     else:
         results = [_run_trial(w) for w in work]
-    # issued here, in trial order, whatever process ran the trial; one registry
-    # shows a warning repeated by several trials once
-    registry: dict = {}
+    # issued here, in trial order, whatever process ran the trial
     for trial in results:
-        for category, message, filename, lineno in trial.warnings:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        for message in trial.warnings:
+            warnings.warn(message)
     valid = [t for t in results if t.error is None]
     if not valid:
         first = results[0]

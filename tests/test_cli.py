@@ -727,6 +727,47 @@ def test_config_naming_a_directory_exits_1(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag,code,start", [
+    ("--config", 1, "config error: cannot read config {path}: "),
+    ("--csv", 2, "data error: cannot read CSV file {path}: "),
+    ("--out", 1, "config error: cannot write {path}: "),
+], ids=["config", "csv", "out"])
+def test_path_the_os_refuses_exits_with_one_line(tmp_path, iris_csv, capsys, flag, code, start):
+    """A 300-byte name is past the file system's limit; before Python 3.12
+    `Path.exists` raises on it rather than returning False."""
+    config = fast_iris_config(tmp_path, iris_csv, "c", federation={"rounds": 1, "local_epochs": 1})
+    path = tmp_path / ("a" * 300) / "x"
+    assert main(["train", "--config", str(config), flag, str(path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start.format(path=path)), err
+    assert not (tmp_path / "c").exists()
+
+
+def test_out_too_long_to_write_under_exits_1_after_training(tmp_path, iris_csv, capsys):
+    """A 4,085-character out_dir passes the probe, but the paths of the files
+    under it are past Linux's PATH_MAX of 4,096 bytes."""
+    out = tmp_path
+    while len(str(out)) < 3900:
+        out /= "b" * 100
+    out /= "c" * (4084 - len(str(out)))
+    config = fast_iris_config(tmp_path, iris_csv, "c", federation={"rounds": 1, "local_epochs": 1})
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}"), err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_write_the_os_refuses_exits_1_naming_out_dir(tmp_path, iris_csv, capsys):
+    """metrics.csv links to /dev/full, where every write fails with ENOSPC and no file name."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.csv").symlink_to("/dev/full")
+    config = fast_iris_config(tmp_path, iris_csv, "c", federation={"rounds": 1, "local_epochs": 1})
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {out}: No space left on device"]
+
+
 def test_config_with_a_non_utf8_byte_exits_1(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_bytes(b'{"seed": 1, "out_dir": "caf\xe9"}')
@@ -762,10 +803,12 @@ def test_tune_on_a_tiny_table_warns_of_nothing(tmp_path, iris_csv, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv, capsys):
-    """Two positives of 60 rows all land in training, so every trial's test
-    split holds one class and its test AUC warns; worker processes return the
-    warning to the parent."""
+AUC_WARNING = "warning: ROC-AUC undefined with a single-class label set; returning NaN"
+
+
+def one_class_test_config(tmp_path: Path, iris_csv: Path, out: str) -> Path:
+    """A two-trial tune whose every test split holds one class, so each
+    trial's test AUC warns: two positives of 60 rows all land in training."""
     lines = heart_lines(60)
     target = HEART_COLUMNS.index("target")
     for i in range(1, len(lines)):
@@ -773,9 +816,14 @@ def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv, ca
     table = tmp_path / "one_class_test.csv"
     table.write_text("\n".join(lines) + "\n")
     grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01], "hidden_layers": [1], "batch_size": [16]}
-    config = fast_iris_config(tmp_path, iris_csv, "unused", grid=grid,
-                              dataset={"kind": "heart", "csv": str(table)},
-                              federation={"num_clients": 2, "rounds": 1, "local_epochs": 1})
+    return fast_iris_config(tmp_path, iris_csv, out, grid=grid,
+                            dataset={"kind": "heart", "csv": str(table)},
+                            federation={"num_clients": 2, "rounds": 1, "local_epochs": 1})
+
+
+def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv, capsys):
+    """Worker processes return the warning to the parent."""
+    config = one_class_test_config(tmp_path, iris_csv, "unused")
     shown = {}
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
@@ -784,8 +832,17 @@ def test_tune_shows_trial_warnings_once_whatever_the_jobs(tmp_path, iris_csv, ca
             assert main(["tune", "--config", str(config), "--jobs", str(jobs), "--out", str(out)]) == 0
         shown[jobs] = capsys.readouterr().err.splitlines()
     assert shown[1] == shown[2]
-    assert shown[2].count("warning: ROC-AUC undefined with a single-class label set; returning NaN") == 1
+    assert shown[2].count(AUC_WARNING) == 1
     assert (tmp_path / "jobs1" / "trials.csv").read_bytes() == (tmp_path / "jobs2" / "trials.csv").read_bytes()
+
+
+def test_tune_shows_each_warning_once_whatever_the_filters(tmp_path, iris_csv, capsys):
+    """Under "always" both trials' warnings reach `main`, which shows the message once."""
+    config = one_class_test_config(tmp_path, iris_csv, "always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["tune", "--config", str(config)]) == 0
+    assert capsys.readouterr().err.splitlines() == [AUC_WARNING]
 
 
 def test_constant_feature_warns_once_and_gets_flat_single_point_curves(tmp_path, iris_csv, capsys):

@@ -1,10 +1,12 @@
 """Fuzzing the CLI's three file inputs: a run config and a CSV table through
-`train`, a model file through `explain`.
+`train`, a model file through `explain`, and a run config through `tune` and
+`benchmark`.
 
 Whatever the document, `main` returns 0, 1, 2 or 3, and a non-zero code comes
 with exactly one stderr line naming the kind of error. Runs stay short: the
 config keeps 1 round of 1 local epoch, and network and batch sizes come from
-a small range or are invalid extremes, which config load rejects.
+a small range or are invalid extremes, which config load rejects. A `tune`
+runs at most 3 grid points on at most 2 workers.
 """
 
 import copy
@@ -18,12 +20,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import HEART_COLUMNS, synthetic_heart_rows
 from fednam.cli import main
-from fednam.config import RunConfig
+from fednam.config import RunConfig, config_from_dict
+from fednam.errors import FedNamError
+from fednam.tune import enumerate_grid
 
 PREFIXES = ("config error:", "data error:", "training error:")
 # ints stay small (valid as any size or count) or are extremes no size may take
@@ -134,6 +138,43 @@ def test_mutated_config_fails_cleanly(iris_csv, data):
         config = Path(folder) / "config.json"
         config.write_text(json.dumps(doc))
         check_outcome(*run_main(["train", "--config", str(config), "--out", f"{folder}/out"]))
+
+
+# a few values of each searched field, none repeated
+GRID_VALUES = {"dropout": [0.0, 0.1, 0.5], "learning_rate": [0.1, 0.01, 0.001],
+               "hidden_layers": [1, 2, 3], "batch_size": [8, 16, 32]}
+
+
+def small_enough(doc: dict) -> bool:
+    """Whether a config runs at most 3 grid points on at most 2 workers, or
+    fails to load before any trial."""
+    try:
+        config = config_from_dict(copy.deepcopy(doc))
+    except FedNamError:
+        return True
+    return len(enumerate_grid(config.grid)) <= 3 and config.jobs <= 2
+
+
+@pytest.mark.parametrize("command", ["tune", "benchmark"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_config_fails_cleanly_in_tune_and_benchmark(iris_csv, command, data):
+    doc = iris_config_doc(iris_csv)
+    for path, (low, high) in SIZES.items():
+        parent_of(doc, path)[path[-1]] = data.draw(st.integers(low, high))
+    # one field searches up to 3 values, the others 1
+    wide = data.draw(st.sampled_from(sorted(GRID_VALUES)))
+    doc["grid"] = {name: data.draw(st.lists(st.sampled_from(values), min_size=1,
+                                            max_size=3 if name == wide else 1, unique=True))
+                   for name, values in GRID_VALUES.items()}
+    doc["jobs"] = data.draw(st.integers(1, 2))
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate_config(doc, data)
+    assume(command == "benchmark" or small_enough(doc))
+    with tempfile.TemporaryDirectory() as folder:
+        config = Path(folder) / "config.json"
+        config.write_text(json.dumps(doc))
+        check_outcome(*run_main([command, "--config", str(config), "--out", f"{folder}/out"]))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from _models import linear_nam
 from _oracles import finite_diff_grads, max_rel_err
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, StaleCacheError
 from fednam.nam import (
-    _indented_json,
     build_nam,
     load_model,
     nam_backward,
@@ -135,16 +133,6 @@ SAVED_MODELS = {
     "multiclass_nam": build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=13),
 }
 
-# any JSON document: dicts with str keys, lists (some of floats only, the writer's
-# fast path), str, int, bool, None and floats, with every non-finite float
-JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf])
-JSON_DOCS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text() | JSON_FLOATS | st.lists(JSON_FLOATS),
-    lambda docs: st.lists(docs) | st.dictionaries(st.text(), docs),
-    max_leaves=25,
-)
-
-
 class TestSerialization:
     @pytest.mark.parametrize("name", sorted(SAVED_MODELS))
     def test_file_holds_the_json_module_text(self, tmp_path, name):
@@ -154,12 +142,18 @@ class TestSerialization:
         save_model(model, names, path)
         doc = {"schema_version": 1, "kind": model.kind, "task": model.task, "feature_names": names,
                **model.to_dict()}
-        assert path.read_bytes() == json.dumps(doc, indent=1, sort_keys=True).encode()
+        assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
 
-    @given(JSON_DOCS)
-    @settings(max_examples=200, deadline=None)
-    def test_writer_matches_json_module(self, doc):
-        assert _indented_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
+    @pytest.mark.parametrize("name", sorted(SAVED_MODELS))
+    def test_indented_file_still_loads(self, tmp_path, name):
+        """A file in the indented layout written before the one-line one."""
+        model = SAVED_MODELS[name]
+        path = tmp_path / "model.json"
+        save_model(model, ["a", "b", "c"], path)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True))
+        loaded, names = load_model(path)
+        assert names == ["a", "b", "c"]
+        assert loaded.params.tobytes() == model.params.tobytes()
 
     def test_bit_exact_roundtrip(self, tmp_path):
         model = build_nam(3, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=5, rng=10)
