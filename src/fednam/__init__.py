@@ -22,7 +22,6 @@ from .federation import (
     train_centralized,
 )
 from .interpret import (
-    AttributionReport,
     ContributionReport,
     ShapeCurve,
     average_shape_functions,

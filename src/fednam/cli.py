@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import time
 import warnings
@@ -31,7 +33,7 @@ from .interpret import (
     InterpretBundle,
 )
 from .nam import load_model, save_model
-from .tune import config_at, grid_search, make_optimizer_factory, run_from_config
+from .tune import grid_search, make_optimizer_factory, run_from_config
 
 __all__ = ["main"]
 
@@ -158,9 +160,9 @@ def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
         raise DataError(
             f"model features {feature_names} do not match dataset {dataset.feature_names}"
         )
-    ranges = training_feature_ranges(dataset.X_train)
-    curves = model_curves(nam, ranges, GLOBAL_OWNER)
-    report = contribution_scores(nam, dataset.X_train, GLOBAL_OWNER, dataset.feature_names)
+    x_train = dataset.X_train
+    curves = model_curves(nam, training_feature_ranges(x_train), GLOBAL_OWNER)
+    report = contribution_scores(nam, x_train, GLOBAL_OWNER, dataset.feature_names)
     bundle = InterpretBundle(
         client_contributions=[],
         global_contribution=report,
@@ -184,7 +186,8 @@ def cmd_tune(config: RunConfig, out: Path) -> None:
         + [f"client{i + 1}_val_acc" for i in range(n_clients)]
         + ["mean_val_acc", "global_test_acc", "global_test_auc"],
         (
-            [t.trial_id, _fmt(t.dropout), _fmt(t.learning_rate), t.hidden_layers, t.batch_size]
+            [t.trial_id, _fmt(t.config.model.dropout), _fmt(t.config.optimizer.learning_rate),
+             t.config.model.hidden_layers, t.config.batch_size]
             + [_fmt(a) for a in t.per_client_val_acc]
             + [""] * (n_clients - len(t.per_client_val_acc))
             + [_fmt(t.mean_val_acc), _fmt(t.global_test_acc), _fmt(t.global_test_auc)]
@@ -195,12 +198,12 @@ def cmd_tune(config: RunConfig, out: Path) -> None:
     if failed:
         _write_csv(out / "trial_errors.csv", ["trial_id", "error"], failed)
 
-    point = (winner.dropout, winner.learning_rate, winner.hidden_layers, winner.batch_size)
-    save_config(config_at(config, point), out / "best.json")
+    best = winner.config
+    save_config(best, out / "best.json")
     print(
-        f"best trial {winner.trial_id}: dropout={winner.dropout} lr={winner.learning_rate} "
-        f"layers={winner.hidden_layers} batch={winner.batch_size} "
-        f"mean_val_acc={winner.mean_val_acc:.4f} -> {out}"
+        f"best trial {winner.trial_id}: dropout={best.model.dropout} "
+        f"lr={best.optimizer.learning_rate} layers={best.model.hidden_layers} "
+        f"batch={best.batch_size} mean_val_acc={winner.mean_val_acc:.4f} -> {out}"
     )
 
 
@@ -210,7 +213,7 @@ def cmd_benchmark(config: RunConfig, out: Path) -> None:
     nam_stats = evaluate_model(
         nam_result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
     )
-    _, attribution, dnn_stats = baseline_attributions(
+    _, attributions, dnn_stats = baseline_attributions(
         dataset,
         config.federation.to_config(config.seed),
         make_optimizer_factory(config.optimizer),
@@ -229,7 +232,7 @@ def cmd_benchmark(config: RunConfig, out: Path) -> None:
             ["model", "dnn", _fmt(dnn_stats["accuracy"]), _fmt(dnn_stats["auc"]), ""],
         ]
         + [["attribution", name, "", "", _fmt(value)]
-           for name, value in zip(attribution.feature_names, attribution.values)],
+           for name, value in zip(dataset.feature_names, attributions)],
     )
     gap = abs(nam_stats["accuracy"] - dnn_stats["accuracy"])
     print(
@@ -299,6 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         existing = next(path for path in (out, *out.parents) if path.exists())
         if not existing.is_dir():
             raise ConfigError(f"out_dir {out}: {existing} is not a directory")
+        # so must the longest path the command writes under it: train's last
+        # client model, else shapes_raw_units.csv
+        last = f"clients/client_{config.federation.num_clients - 1}.json"
+        longest = out / (last if command == "train" else "shapes_raw_units.csv")
+        if len(os.fsencode(longest)) >= os.pathconf(existing, "PC_PATH_MAX"):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(out))
         # a failed command prints its one error line and no warning before it
         with warnings.catch_warnings(record=True) as caught:
             COMMANDS[command][0](config, out, **handler_args)

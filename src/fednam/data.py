@@ -28,6 +28,10 @@ DATASET_KINDS = (HEART, WINE, IRIS)
 DEFAULT_TARGETS = {HEART: "target", WINE: "quality", IRIS: "species"}
 WINE_QUALITY_THRESHOLD = 6
 
+# rng derivation tag of the train/test split; federation.py names the others,
+# and no two tags in the package share a value
+_TAG_SPLIT = 11
+
 
 @dataclass
 class RawTable:
@@ -283,7 +287,7 @@ def train_test_split(
     n_test = int(round(n * split.test_fraction))
     if n_test < 1 or n - n_test < 1:
         raise DataError(f"cannot split {n} rows with test_fraction {split.test_fraction}")
-    rng = np.random.default_rng([split.seed, 11])
+    rng = np.random.default_rng([split.seed, _TAG_SPLIT])
     stratified = split.stratified
     if stratified:
         _, counts = np.unique(y, return_counts=True)

@@ -22,8 +22,6 @@ class DnnModel(NetBank):
     """One dense net from all features to the logits: a bank of one net,
     with the same training surface as NamModel."""
 
-    kind = "dnn"
-
     def __init__(self, weights, biases, activations, dropout_rate, task):
         super().__init__(weights, biases, activations, dropout_rate, task)
         if self.weights[0].shape[0] != 1:

@@ -32,7 +32,8 @@ SHAPE_AVERAGE = "shape_average"
 BOTH = "both"
 AGGREGATIONS = (SHAPE_AVERAGE, BOTH)
 
-# rng derivation tags; every stream is a pure function of (seed, tags)
+# rng derivation tags; every stream is a pure function of (seed, tags). No two
+# tags in the package share a value: data.py's _TAG_SPLIT is 11.
 _TAG_PARTITION = 21
 _TAG_CLIENT_VAL = 31
 _TAG_MODEL_INIT = 41
@@ -278,31 +279,25 @@ def fed_avg(clients: list[ClientState]):
     return global_model
 
 
-def make_clients(
+def _start_clients(
     dataset: Dataset,
-    shards: list[np.ndarray],
-    init_model,
+    config: FederationConfig,
+    num_clients: int,
+    model_factory,
     optimizer_factory,
     val_fraction: float,
-    seed: int,
+    stratified: bool,
 ) -> list[ClientState]:
-    """Instantiate client states over train-set shard indices, all sharing one init."""
+    """Clients over `num_clients` shards of the training rows, each with its
+    validation rows carved out and a copy of one initial model."""
     x_train, y_train = dataset.X_train, dataset.y_train
+    shards = partition_clients(y_train, num_clients, config.seed, stratified)
+    init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
     clients = []
     for cid, shard in enumerate(shards):
-        model = init_model.copy()
-        train_rows, val_rows = _carve_validation(len(shard), val_fraction, seed, cid)
-        clients.append(
-            ClientState(
-                client_id=cid,
-                x=x_train[shard],
-                y=y_train[shard],
-                model=model,
-                optimizer=optimizer_factory(),
-                train_rows=train_rows,
-                val_rows=val_rows,
-            )
-        )
+        train_rows, val_rows = _carve_validation(len(shard), val_fraction, config.seed, cid)
+        clients.append(ClientState(cid, x_train[shard], y_train[shard], init.copy(),
+                                   optimizer_factory(), train_rows, val_rows))
     return clients
 
 
@@ -328,11 +323,11 @@ def run_federation(
     later one raises.
     """
     control = control or ControlConfig()
-    shards = partition_clients(dataset.y_train, config.num_clients, config.seed, stratified)
-    init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
-    clients = make_clients(dataset, shards, init, optimizer_factory, val_fraction, config.seed)
+    clients = _start_clients(
+        dataset, config, config.num_clients, model_factory, optimizer_factory, val_fraction, stratified
+    )
     parameter_averaging = config.aggregation == BOTH
-    global_model = init.copy() if parameter_averaging else None
+    global_model = clients[0].model.copy() if parameter_averaging else None
 
     val_x = np.concatenate([c.monitor_x for c in clients])
     val_y = np.concatenate([c.monitor_y for c in clients])
@@ -377,10 +372,9 @@ def train_centralized(
 ):
     """All data on one worker, same round/epoch structure, no aggregation step."""
     control = control or ControlConfig()
-    shards = partition_clients(dataset.y_train, 1, config.seed, stratified)
-    init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
-    clients = make_clients(dataset, shards, init, optimizer_factory, val_fraction, config.seed)
-    client = clients[0]
+    [client] = _start_clients(
+        dataset, config, 1, model_factory, optimizer_factory, val_fraction, stratified
+    )
     for round_index in range(1, config.rounds + 1):
         rng = np.random.default_rng([config.seed, _TAG_LOCAL_TRAIN, round_index, 0])
         local_train(client, config.local_epochs, batch_size, control, rng)

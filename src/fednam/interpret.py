@@ -55,12 +55,6 @@ class ContributionReport:
 
 
 @dataclass
-class AttributionReport:
-    feature_names: list[str]
-    values: np.ndarray  # (K,) signed mean gradient*input over test rows
-
-
-@dataclass
 class InterpretBundle:
     client_contributions: list[ContributionReport]
     global_contribution: ContributionReport
@@ -209,7 +203,8 @@ def baseline_attributions(
     threshold: float = 0.5,
 ):
     """Train the joint-input DNN with the same federation loop and attribute
-    its test predictions by input*gradient. Returns (model, report, metrics)."""
+    its test predictions by input*gradient. Returns (model, attributions,
+    metrics), the attributions a (K,) array aligned with `dataset.feature_names`."""
     def factory(rng):
         return build_dnn(dataset.X.shape[1], dataset.task, dataset.n_classes, rng=rng)
 
@@ -225,10 +220,10 @@ def baseline_attributions(
         threshold,
     )
     model = result.global_predictor
-    report = input_gradient_attributions(model, dataset.X_test, dataset.feature_names)
+    attributions = input_gradient_attributions(model, dataset.X_test)
     # through the module, so a wrapper set on federation.evaluate_model sees this call too
     stats = federation.evaluate_model(model, dataset.X_test, dataset.y_test, threshold)
-    return model, report, stats
+    return model, attributions, stats
 
 
 def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
@@ -251,13 +246,13 @@ def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
     return grads
 
 
-def input_gradient_attributions(model, x: np.ndarray, feature_names: list[str]) -> AttributionReport:
-    """Mean over rows of (dlogit/dx_k) * x_k; class-averaged for multiclass."""
+def input_gradient_attributions(model, x: np.ndarray) -> np.ndarray:
+    """(K,) mean over rows of (dlogit/dx_k) * x_k; class-averaged for multiclass."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("attributions need a non-empty (rows, features) matrix")
     per_class = np.array([(grads * x).mean(axis=0) for grads in _class_input_gradients(model, x)])
-    return AttributionReport(list(feature_names), per_class.mean(axis=0))
+    return per_class.mean(axis=0)
 
 
 SVG_PANEL = 160  # panel side, px

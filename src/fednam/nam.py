@@ -37,7 +37,7 @@ class NamModel(NetBank):
     (C_out, K) and `output_bias` (C_out,).
     """
 
-    kind = "nam"
+    kind = "nam"  # the model file's "kind"
 
     def __init__(self, weights, biases, activations, dropout_rate, output_weights, output_bias, task):
         super().__init__(weights, biases, activations, dropout_rate, task, [output_weights, output_bias])

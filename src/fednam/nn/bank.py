@@ -36,8 +36,7 @@ class BankCache:
     x: np.ndarray  # (K, batch, in) input of the first layer
     masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     version: int
-    out: np.ndarray | None = None  # (K, batch, out) output of the last layer
-    features: np.ndarray | None = None  # (batch, K) copy of a NAM's out[:, :, 0], which its head reads
+    features: np.ndarray | None = None  # (batch, K) a NAM's feature-net outputs, which its head reads
     inputs: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, in); inputs[0] is x
     preacts: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, out)
 
@@ -55,8 +54,6 @@ class NetBank:
     Dropout (inverted, rate in [0, 1)) applies after hidden activations only,
     never to the output layer. Inference is deterministic.
     """
-
-    kind: str
 
     def __init__(self, weights, biases, activations, dropout_rate: float, task: str, head=()):
         if task not in (BINARY, MULTICLASS):
@@ -101,7 +98,7 @@ class NetBank:
     @property
     def layout(self) -> tuple:
         """What two models must share for their parameter vectors to be averaged."""
-        return (self.kind, self.task, tuple(self._shapes), self.activations)
+        return (type(self), self.task, tuple(self._shapes), self.activations)
 
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like `params`, in `param_tensors()` order;
@@ -242,20 +239,18 @@ def bank_forward(
     """
     if mode == TRAIN:
         cache = BankCache(x, _dropout_masks(bank, x.shape[1], rng), bank.version)
-        cache.out = _run_layers(bank, x, cache.masks, cache)
-        return cache.out, cache
+        return _run_layers(bank, x, cache.masks, cache), cache
     if mode != INFER:
         raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
     masks = [None] * len(bank.weights)
     rows = x.shape[1]
     if rows <= INFER_BLOCK_ROWS:
-        h = _run_layers(bank, x, masks)
-        return h, BankCache(x, masks, bank.version, h)
+        return _run_layers(bank, x, masks), BankCache(x, masks, bank.version)
     ends = [*range(INFER_BLOCK_ROWS, rows - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), rows]
     h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
     for start, end in zip([0, *ends], ends):
         h[:, start:end] = _run_layers(bank, x[:, start:end], masks)
-    return h, BankCache(x, masks, bank.version, h)
+    return h, BankCache(x, masks, bank.version)
 
 
 def bank_backward(

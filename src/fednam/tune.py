@@ -70,10 +70,7 @@ def run_from_config(
 @dataclass
 class TrialResult:
     trial_id: int
-    dropout: float
-    learning_rate: float
-    hidden_layers: int
-    batch_size: int
+    config: RunConfig  # the run config at the trial's grid point
     # a failed trial keeps these defaults and sets `error`
     per_client_val_acc: list[float] = field(default_factory=list)
     mean_val_acc: float = math.nan
@@ -109,10 +106,10 @@ def _run_trial(args) -> TrialResult:
     return trial
 
 
-def _train_trial(trial_id, point, dataset, config) -> TrialResult:
+def _train_trial(trial_id, config, dataset) -> TrialResult:
     try:
         rounds: list[RoundLog] = []
-        result = run_from_config(dataset, config_at(config, point), on_round=rounds.append)
+        result = run_from_config(dataset, config, on_round=rounds.append)
         per_client = []
         for client in result.clients:
             # accuracy without an AUC: that of a small shard would go unused, and
@@ -126,7 +123,7 @@ def _train_trial(trial_id, point, dataset, config) -> TrialResult:
         )
         return TrialResult(
             trial_id,
-            *point,
+            config,
             per_client_val_acc=per_client,
             mean_val_acc=float(np.mean(per_client)),
             global_val_auc=rounds[-1].global_val_auc,
@@ -134,13 +131,14 @@ def _train_trial(trial_id, point, dataset, config) -> TrialResult:
             global_test_auc=test_stats["auc"],
         )
     except FedNamError as exc:
-        return TrialResult(trial_id, *point, error=str(exc))
+        return TrialResult(trial_id, config, error=str(exc))
 
 
 def _selection_key(trial: TrialResult):
     auc = trial.global_val_auc
     auc_key = -math.inf if math.isnan(auc) else auc
-    return (-trial.mean_val_acc, -auc_key, trial.learning_rate, trial.dropout, trial.trial_id)
+    return (-trial.mean_val_acc, -auc_key, trial.config.optimizer.learning_rate,
+            trial.config.model.dropout, trial.trial_id)
 
 
 def grid_search(
@@ -148,7 +146,7 @@ def grid_search(
 ) -> tuple[TrialResult, list[TrialResult]]:
     """Run every grid point; returns (winner, all results ordered by trial id)."""
     points = enumerate_grid(config.grid)
-    work = [(i, p, dataset, config) for i, p in enumerate(points)]
+    work = [(i, config_at(config, p), dataset) for i, p in enumerate(points)]
     # fork starts every worker at once: one per trial and per CPU at most
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:

@@ -756,6 +756,18 @@ def test_out_too_long_to_write_under_exits_1_after_training(tmp_path, iris_csv, 
     assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}"), err
 
 
+def test_out_too_long_to_write_under_exits_1_before_reading_data(tmp_path, capsys):
+    """The same out_dir fails before the CSV is opened: a missing one would exit 2."""
+    out = tmp_path
+    while len(str(out)) < 3900:
+        out /= "b" * 100
+    out /= "c" * (4084 - len(str(out)))
+    argv = ["train", "--csv", str(tmp_path / "missing.csv"), "--dataset", "iris", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {out}: File name too long"]
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_write_the_os_refuses_exits_1_naming_out_dir(tmp_path, iris_csv, capsys):
     """metrics.csv links to /dev/full, where every write fails with ENOSPC and no file name."""

@@ -3,10 +3,12 @@
 `benchmark`.
 
 Whatever the document, `main` returns 0, 1, 2 or 3, and a non-zero code comes
-with exactly one stderr line naming the kind of error. Runs stay short: the
-config keeps 1 round of 1 local epoch, and network and batch sizes come from
-a small range or are invalid extremes, which config load rejects. A `tune`
-runs at most 3 grid points on at most 2 workers.
+with exactly one stderr line naming the kind of error. Most config
+mutations draw a value that config load accepts, so most examples run; the
+rest break the document. Runs stay short: the config keeps 1 round of 1 local
+epoch, and network and batch sizes come from a small range or are invalid
+extremes, which config load rejects. A `tune` runs at most 3 grid points on at
+most 2 workers.
 """
 
 import copy
@@ -27,6 +29,8 @@ from conftest import HEART_COLUMNS, synthetic_heart_rows
 from fednam.cli import main
 from fednam.config import RunConfig, config_from_dict
 from fednam.errors import FedNamError
+from fednam.federation import AGGREGATIONS
+from fednam.nn import ADAM, EXU, RELU, SGD
 from fednam.tune import enumerate_grid
 
 PREFIXES = ("config error:", "data error:", "training error:")
@@ -43,6 +47,28 @@ FIXED = {("federation", "rounds"), ("federation", "local_epochs")}
 # each size field's small range, which an example draws from before it mutates
 SIZES = {("model", "hidden_layers"): (1, 3), ("model", "hidden_units"): (1, 8),
          ("federation", "num_clients"): (1, 5), ("batch_size",): (1, 64)}
+# values that config load accepts, for every field but the run length and the
+# grid: a mutation that draws from them leads to a run
+ACCEPTED = {
+    **{path: st.integers(low, high) for path, (low, high) in SIZES.items()},
+    ("seed",): st.integers(0, 2**32),
+    ("threshold",): st.floats(0.05, 0.95),
+    ("svg",): st.booleans(),
+    ("jobs",): st.integers(1, 2),
+    ("split", "test_fraction"): st.floats(0.1, 0.5),
+    ("split", "val_fraction"): st.floats(0.0, 0.5),
+    ("split", "stratified"): st.booleans(),
+    ("federation", "aggregation"): st.sampled_from(AGGREGATIONS),
+    ("model", "unit_kind"): st.sampled_from([RELU, EXU]),
+    ("model", "dropout"): st.floats(0.0, 0.9),
+    ("optimizer", "kind"): st.sampled_from([SGD, ADAM]),
+    ("optimizer", "learning_rate"): st.floats(1e-4, 0.5),
+    ("control", "early_stop_patience"): st.integers(1, 30),
+    ("control", "min_delta"): st.floats(0.0, 0.1),
+    ("control", "lr_factor"): st.floats(0.1, 0.9),
+    ("control", "lr_patience"): st.integers(1, 20),
+    ("control", "min_lr"): st.floats(1e-6, 1e-3),
+}
 
 
 def run_main(argv: list[str]) -> tuple[int, list[str]]:
@@ -83,6 +109,13 @@ def parent_of(doc, path: tuple):
 
 
 def mutate_config(doc: dict, data) -> None:
+    # three mutations in four set a field to an accepted value, so that most
+    # examples run; the rest break the document
+    if data.draw(st.integers(0, 3)):
+        path = data.draw(st.sampled_from(sorted(ACCEPTED)))
+        if path in paths(doc):
+            parent_of(doc, path)[path[-1]] = data.draw(ACCEPTED[path])
+        return
     op = data.draw(st.sampled_from(["drop", "add", "replace", "replace", "nest", "size"]))
     # the federation section may not go, nor turn into another dict: either would
     # bring back the default run length

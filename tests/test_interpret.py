@@ -260,14 +260,14 @@ class TestAttributions:
         w = np.array([[0.7, -1.3, 0.4]])
         model = one_layer(w, np.zeros(1), IDENTITY)
         x = rng.normal(size=(200, 3))
-        report = input_gradient_attributions(model, x, ["a", "b", "c"])
+        attributions = input_gradient_attributions(model, x)
         expected = w[0] * x.mean(axis=0)
-        assert np.allclose(report.values, expected, atol=1e-12)
+        assert np.allclose(attributions, expected, atol=1e-12)
 
     def test_zero_network_zero_attributions(self):
         model = one_layer(np.zeros((1, 3)), np.zeros(1), IDENTITY)
-        report = input_gradient_attributions(model, np.ones((10, 3)), ["a", "b", "c"])
-        assert np.all(report.values == 0.0)
+        attributions = input_gradient_attributions(model, np.ones((10, 3)))
+        assert attributions.shape == (3,) and np.all(attributions == 0.0)
 
     def test_input_gradients_match_finite_differences(self):
         model = build_dnn(4, BINARY, hidden_layers=2, hidden_units=10, rng=5)
@@ -294,10 +294,10 @@ class TestAttributions:
         monkeypatch.setattr(bank, "_run_layers", counted)
         members = [build_dnn(5, MULTICLASS, n_classes=3, hidden_units=12, rng=seed) for seed in (1, 2)]
         x = np.random.default_rng(3).normal(size=(50, 5))
-        report = input_gradient_attributions(members[0], x, list("abcde"))
+        single = input_gradient_attributions(members[0], x)
         assert runs == [(1, 50, 5)]
         runs.clear()
-        ensemble = input_gradient_attributions(EnsembleModel(members), x, list("abcde"))
+        ensemble = input_gradient_attributions(EnsembleModel(members), x)
         assert runs == [(1, 50, 5)] * 2
 
         # the mean over classes of mean(dlogit_c/dx * x), one class at a time
@@ -308,19 +308,19 @@ class TestAttributions:
             grads = [input_gradients(m, x, onehot) for m in members]
             per_class.append([(g * x).mean(axis=0) for g in (grads[0], (grads[0] + grads[1]) / 2)])
         want = np.array(per_class).mean(axis=0)
-        assert report.values.tobytes() == want[0].tobytes()
-        assert ensemble.values.tobytes() == want[1].tobytes()
+        assert single.tobytes() == want[0].tobytes()
+        assert ensemble.tobytes() == want[1].tobytes()
 
     def test_federated_baseline_pipeline(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", HEART_COLUMNS, synthetic_heart_rows(160))
         dataset = load_dataset(path, HEART, SplitSpec(seed=0))
         cfg = FederationConfig(num_clients=2, rounds=2, local_epochs=1, seed=0)
-        model, report, stats = baseline_attributions(
+        model, attributions, stats = baseline_attributions(
             dataset, cfg, lambda: OptimizerState(learning_rate=0.01),
             batch_size=16,
         )
-        assert len(report.values) == 13
-        assert np.all(np.isfinite(report.values))
+        assert attributions.shape == (len(dataset.feature_names),) == (13,)
+        assert np.all(np.isfinite(attributions))
         assert 0.0 <= stats["accuracy"] <= 1.0
 
     def test_test_set_evaluation_goes_through_the_federation_module(self, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,10 +10,13 @@ import pytest
 
 import fednam
 from conftest import write_csv
-from fednam.config import GridConfig, RunConfig, DatasetConfig, FederationSection, config_from_dict
+from fednam.cli import main
+from fednam.config import (
+    GridConfig, RunConfig, DatasetConfig, FederationSection, config_from_dict, load_config, save_config,
+)
 from fednam.data import HEART, SplitSpec, load_dataset
 from fednam.errors import ConfigError
-from fednam.tune import enumerate_grid, grid_search, _selection_key, TrialResult
+from fednam.tune import config_at, enumerate_grid, grid_search, _selection_key, TrialResult
 
 
 def rigged_dataset(tmp_path, n=60, seed=0):
@@ -65,8 +70,9 @@ class TestGridSearch:
         grid = GridConfig(dropout=[0.1], learning_rate=[0.005], hidden_layers=[1], batch_size=[8])
         winner, trials = grid_search(dataset, quick_config(grid))
         assert len(trials) == 1
-        assert (winner.dropout, winner.learning_rate) == (0.1, 0.005)
-        assert winner.hidden_layers == 1 and winner.batch_size == 8
+        best = winner.config
+        assert (best.model.dropout, best.optimizer.learning_rate) == (0.1, 0.005)
+        assert best.model.hidden_layers == 1 and best.batch_size == 8
 
     def test_rigged_configuration_selected(self, tmp_path):
         # lr=1e-300 cannot move the model; lr=1e-2 separates the toy data
@@ -75,8 +81,8 @@ class TestGridSearch:
                           hidden_layers=[1], batch_size=[8])
         winner, trials = grid_search(dataset, quick_config(grid, rounds=6, epochs=3))
         assert len(trials) == 2
-        assert winner.learning_rate == 1e-2
-        by_lr = {t.learning_rate: t for t in trials}
+        assert winner.config.optimizer.learning_rate == 1e-2
+        by_lr = {t.config.optimizer.learning_rate: t for t in trials}
         assert by_lr[1e-2].mean_val_acc >= by_lr[1e-300].mean_val_acc
         assert by_lr[1e-2].global_test_acc > by_lr[1e-300].global_test_acc
 
@@ -97,9 +103,9 @@ class TestGridSearch:
         grid = GridConfig(dropout=[0.0], learning_rate=[1e-2, 1e280],
                           hidden_layers=[1], batch_size=[8])
         winner, trials = grid_search(dataset, quick_config(grid))
-        assert winner.learning_rate == 1e-2
+        assert winner.config.optimizer.learning_rate == 1e-2
         failed = [t for t in trials if t.error is not None]
-        assert len(failed) == 1 and failed[0].learning_rate == 1e280
+        assert len(failed) == 1 and failed[0].config.optimizer.learning_rate == 1e280
         assert "non-finite" in failed[0].error
 
     @pytest.mark.filterwarnings("ignore")
@@ -112,6 +118,17 @@ class TestGridSearch:
         with pytest.raises(TrainingError,
                            match="all grid trials failed; trial 0: round 1: client 0: non-finite"):
             grid_search(dataset, quick_config(grid))
+
+    def test_each_trial_carries_the_config_at_its_point(self, tmp_path):
+        dataset = rigged_dataset(tmp_path, seed=6)
+        grid = GridConfig(dropout=[0.0, 0.2], learning_rate=[0.01, 0.02], hidden_layers=[1],
+                          batch_size=[8])
+        config = quick_config(grid, rounds=1, epochs=1)
+        _, trials = grid_search(dataset, config)
+        points = enumerate_grid(grid)
+        assert len(points) == 4
+        assert [t.trial_id for t in trials] == list(range(4))
+        assert [t.config for t in trials] == [config_at(config, p) for p in points]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         dataset = rigged_dataset(tmp_path, seed=3)
@@ -167,7 +184,8 @@ def pool_sizes(monkeypatch):
 
 class TestSelection:
     def trial(self, tid, mean, auc=0.5, lr=0.01, dropout=0.0):
-        return TrialResult(tid, dropout, lr, 2, 16, [mean], mean, auc, 0.0, 0.0)
+        config = config_at(RunConfig(), (dropout, lr, 2, 16))
+        return TrialResult(tid, config, [mean], mean, auc, 0.0, 0.0)
 
     def test_ties_broken_by_auc_then_lr_then_dropout(self):
         a = self.trial(0, 0.9, auc=0.7, lr=0.01, dropout=0.3)
@@ -236,3 +254,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(fednam.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_best_json_is_the_winners_config_and_its_trials_row(tmp_path):
+    dataset = rigged_dataset(tmp_path, seed=7)
+    grid = GridConfig(dropout=[0.0, 0.3], learning_rate=[0.01, 1e-300], hidden_layers=[1],
+                      batch_size=[8])
+    config = dataclasses.replace(quick_config(grid, rounds=2, epochs=1),
+                                 dataset=DatasetConfig(kind="heart", csv=str(tmp_path / "toy.csv")),
+                                 out_dir=str(tmp_path / "tune"))
+    save_config(config, tmp_path / "config.json")
+    assert main(["tune", "--config", str(tmp_path / "config.json")]) == 0
+    winner, _ = grid_search(dataset, config)
+    assert load_config(tmp_path / "tune" / "best.json") == winner.config
+    with open(tmp_path / "tune" / "trials.csv", newline="") as f:
+        row = next(r for r in csv.DictReader(f) if r["trial_id"] == str(winner.trial_id))
+    best = winner.config
+    assert (float(row["dropout"]), float(row["lr"]), int(row["layers"]), int(row["batch"])) == (
+        best.model.dropout, best.optimizer.learning_rate, best.model.hidden_layers, best.batch_size)
