@@ -101,36 +101,16 @@ class Scaler:
 
 @dataclass
 class Dataset:
-    """Standardized features, encoded labels, and the train/test index split."""
+    """Standardized features and encoded labels of the train and test splits."""
 
-    X: np.ndarray
-    y: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
     feature_names: list[str]
     task: str
+    n_classes: int
     scaler: Scaler
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-    class_names: list[str]
-
-    @property
-    def X_train(self) -> np.ndarray:
-        return self.X[self.train_idx]
-
-    @property
-    def y_train(self) -> np.ndarray:
-        return self.y[self.train_idx]
-
-    @property
-    def X_test(self) -> np.ndarray:
-        return self.X[self.test_idx]
-
-    @property
-    def y_test(self) -> np.ndarray:
-        return self.y[self.test_idx]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -255,7 +235,7 @@ def _raise_first_bad_cell(table: RawTable, columns: list[str]) -> NoReturn:
                 raise DataError(f"{table.path}: non-finite cell {cell!r} {where}")
 
 
-def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, list[str]]:
+def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, int]:
     if kind == IRIS:
         col = table.columns.index(target_col)
         raw = [row[col] for row in table.rows]
@@ -266,17 +246,17 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
         mapping = {name: i for i, name in enumerate(classes)}
         y = np.array([mapping[v] for v in raw], dtype=np.int64)
         if len(classes) == 2:
-            return y, BINARY, classes
-        return y, MULTICLASS, classes
+            return y, BINARY, 2
+        return y, MULTICLASS, len(classes)
     values = _numeric_columns(table, [target_col])[:, 0]
     if kind == WINE:
         y = (values >= WINE_QUALITY_THRESHOLD).astype(np.int64)
-        return y, BINARY, ["low", "high"]
+        return y, BINARY, 2
     # heart: already coded 0/1
     y = values.astype(np.int64)
     if not np.isin(y, (0, 1)).all() or not np.all(values == y):
         raise DataError(f"{table.path}: {kind} target column {target_col!r} must contain only 0/1")
-    return y, BINARY, ["absent", "present"]
+    return y, BINARY, 2
 
 
 def train_test_split(
@@ -352,25 +332,33 @@ def preprocess(
     if not feature_names:
         raise DataError("no feature columns left after removing the target")
     x = _numeric_columns(table, feature_names)
-    y, task, class_names = _encode_target(table, target, kind)
+    y, task, n_classes = _encode_target(table, target, kind)
     if kind == IRIS and iris_binary:
-        if len(class_names) < 2:
+        if n_classes < 2:
             raise DataError("iris_binary needs at least two classes")
         keep = np.flatnonzero(y <= 1)
         x, y = x[keep], y[keep]
-        class_names = class_names[:2]
+        n_classes = 2
         task = BINARY
     train_idx, test_idx = train_test_split(y, split)
-    scaler = fit_scaler(x[train_idx], feature_names)
+    x_train = x[train_idx]
+    with np.errstate(all="ignore"):  # an overflow is reported below, as a DataError
+        scaler = fit_scaler(x_train, feature_names)
+        x_test = scaler.transform(x[test_idx])
+    # a finite mean and nonzero std bound training z-scores by sqrt(rows), not test ones
+    finite = np.isfinite(scaler.mean) & np.isfinite(scaler.std) & np.isfinite(x_test).all(axis=0)
+    if not finite.all():
+        name = feature_names[int(np.argmin(finite))]
+        raise DataError(f"{table.path}: column {name!r} is too large to standardize")
     return Dataset(
-        X=scaler.transform(x),
-        y=y,
+        X_train=scaler.transform(x_train),
+        y_train=y[train_idx],
+        X_test=x_test,
+        y_test=y[test_idx],
         feature_names=feature_names,
         task=task,
+        n_classes=n_classes,
         scaler=scaler,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        class_names=class_names,
     )
 
 

@@ -206,7 +206,7 @@ def baseline_attributions(
     its test predictions by input*gradient. Returns (model, attributions,
     metrics), the attributions a (K,) array aligned with `dataset.feature_names`."""
     def factory(rng):
-        return build_dnn(dataset.X.shape[1], dataset.task, dataset.n_classes, rng=rng)
+        return build_dnn(len(dataset.feature_names), dataset.task, dataset.n_classes, rng=rng)
 
     result = run_federation(
         dataset,

@@ -19,7 +19,7 @@ import numpy as np
 from . import federation
 from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunConfig, with_field
 from .data import Dataset
-from .errors import FedNamError, TrainingError
+from .errors import TrainingError
 from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam
 from .nn import OptimizerState
@@ -28,7 +28,7 @@ from .nn import OptimizerState
 def make_nam_factory(dataset: Dataset, model_cfg: ModelConfig):
     def factory(rng):
         return build_nam(
-            n_features=dataset.X.shape[1],
+            n_features=len(dataset.feature_names),
             task=dataset.task,
             n_classes=dataset.n_classes,
             hidden_layers=model_cfg.hidden_layers,
@@ -130,7 +130,7 @@ def _train_trial(trial_id, config, dataset) -> TrialResult:
             global_test_acc=test_stats["accuracy"],
             global_test_auc=test_stats["auc"],
         )
-    except FedNamError as exc:
+    except TrainingError as exc:  # a trial fails by training; any other error ends the search
         return TrialResult(trial_id, config, error=str(exc))
 
 

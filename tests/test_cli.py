@@ -926,6 +926,41 @@ def test_failed_command_prints_its_error_and_no_warning(tmp_path, iris_csv, caps
         "data error: cannot split 2 rows across 3 clients"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tune_data_error_exits_2_with_trains_line(tmp_path, iris_csv, capsys, jobs):
+    """The partition fails alike at every grid point: a data error, not a failed trial."""
+    table = tmp_path / "iris3.csv"
+    table.write_text("\n".join(iris_csv.read_text().splitlines()[:4]) + "\n")
+    config = fast_iris_config(tmp_path, table, "tiny3")
+    assert main(["train", "--config", str(config)]) == 2
+    trained = capsys.readouterr().err.splitlines()
+    assert main(["tune", "--config", str(config), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err.splitlines() == trained == [
+        "data error: cannot split 2 rows across 3 clients"]
+    assert not (tmp_path / "tiny3").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_column_too_large_to_standardize_exits_2_naming_file_and_column(tmp_path, iris_csv, capsys,
+                                                                         command):
+    """Every cell is finite, but the column's std overflows: a data error, not a training one."""
+    lines = iris_csv.read_text().splitlines()
+    for i in range(1, len(lines)):
+        _set_cell(lines, i, 0, "1e308" if i % 2 else "-1e308")
+    table = tmp_path / "huge.csv"
+    table.write_text("\n".join(lines) + "\n")
+    args = [command, "--config", str(fast_iris_config(tmp_path, table, "huge"))]
+    if command == "explain":
+        model = tmp_path / "model.json"
+        save_model(build_nam(4, MULTICLASS, n_classes=3, hidden_layers=1, hidden_units=3, rng=0),
+                   lines[0].split(",")[:4], model)
+        args += ["--model", str(model)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {table}: column 'sepal_length' is too large to standardize"]
+    assert not (tmp_path / "huge").exists()
+
+
 def test_config_nested_too_deep_exits_1(tmp_path, capsys):
     config = tmp_path / "deep.json"
     config.write_text("[" * 100_000)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import WINE_COLUMNS, write_csv
+from conftest import HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows, write_csv
 from fednam.data import (
+    DEFAULT_TARGETS,
     HEART,
     IRIS,
     WINE,
@@ -75,11 +76,14 @@ def clean_text(rows, columns=("a", "b", "target")) -> str:
 
 def same_dataset(a, b) -> bool:
     """Bit-equality of everything preprocess derives from a table."""
-    arrays = [(a.X, b.X), (a.y, b.y), (a.train_idx, b.train_idx), (a.test_idx, b.test_idx),
-              (a.scaler.mean, b.scaler.mean), (a.scaler.std, b.scaler.std)]
-    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
-               for u, v in arrays) and (a.feature_names, a.class_names, a.task) == (
-               b.feature_names, b.class_names, b.task)
+    arrays = [(a.X_train, b.X_train), (a.y_train, b.y_train), (a.X_test, b.X_test),
+              (a.y_test, b.y_test), (a.scaler.mean, b.scaler.mean), (a.scaler.std, b.scaler.std)]
+    return all(same_array(u, v) for u, v in arrays) and (a.feature_names, a.n_classes, a.task) == (
+               b.feature_names, b.n_classes, b.task)
+
+
+def same_array(u: np.ndarray, v: np.ndarray) -> bool:
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 ACCEPTED_SPELLINGS = {
@@ -187,9 +191,11 @@ class TestIngestionRules:
         rows = [f"{i}.5,{i % 4},{labels[i % 3]}\n" for i in range(9)]
         path = write_text(tmp_path / "i.csv", "x1,x2,species\n" + "".join(rows))
         dataset = load_dataset(path, IRIS)
-        assert dataset.class_names == class_names
-        expected = [class_names.index(labels[i % 3].strip()) for i in range(9)]
-        assert dataset.y.tolist() == expected
+        assert dataset.n_classes == 3
+        expected = np.array([class_names.index(labels[i % 3].strip()) for i in range(9)])
+        train, test = train_test_split(expected, SplitSpec())
+        assert dataset.y_train.tolist() == expected[train].tolist()
+        assert dataset.y_test.tolist() == expected[test].tolist()
         assert dataset.task == MULTICLASS
 
     @given(st.data())
@@ -237,29 +243,35 @@ class TestPreprocess:
         rows = [[7.0, 0.5, 0.2, 2.0, 0.08, 15, 50, 0.996, 3.3, 0.6, 9.8, q]
                 for q in (3, 4, 5, 6, 7, 8)]
         path = write_csv(tmp_path / "w.csv", WINE_COLUMNS, rows)
-        dataset = load_dataset(path, WINE, SplitSpec(test_fraction=0.34, seed=0))
-        quality = np.array([3, 4, 5, 6, 7, 8])
-        assert np.array_equal(dataset.y, (quality >= 6).astype(int))
+        split = SplitSpec(test_fraction=0.34, seed=0)
+        dataset = load_dataset(path, WINE, split)
+        expected = (np.array([3, 4, 5, 6, 7, 8]) >= 6).astype(int)
+        train, test = train_test_split(expected, split)
+        assert np.array_equal(dataset.y_train, expected[train])
+        assert np.array_equal(dataset.y_test, expected[test])
         assert dataset.task == BINARY
 
     def test_wine_label_balance_on_real_file(self, wine_csv):
         dataset = load_dataset(wine_csv, WINE)
-        positive = dataset.y.mean()
+        positive = np.concatenate([dataset.y_train, dataset.y_test]).mean()
         assert 0.50 <= positive <= 0.57  # ~53% of red wines rate quality >= 6
 
     def test_iris_labels(self, iris_csv):
         dataset = load_dataset(iris_csv, IRIS)
         assert dataset.task == MULTICLASS
-        values, counts = np.unique(dataset.y, return_counts=True)
+        values, counts = np.unique(np.concatenate([dataset.y_train, dataset.y_test]),
+                                   return_counts=True)
         assert list(values) == [0, 1, 2]
         assert list(counts) == [50, 50, 50]
-        assert dataset.class_names == sorted(dataset.class_names)
+        assert dataset.n_classes == 3
 
     def test_iris_binary_subset(self, iris_csv):
         dataset = load_dataset(iris_csv, IRIS, iris_binary=True)
         assert dataset.task == BINARY
-        assert len(dataset.y) == 100
-        assert set(dataset.y) == {0, 1}
+        y = np.concatenate([dataset.y_train, dataset.y_test])
+        assert len(y) == 100
+        assert set(y) == {0, 1}
+        assert dataset.n_classes == 2
 
     def test_standardization_on_train_split(self, iris_csv):
         dataset = load_dataset(iris_csv, IRIS)
@@ -306,7 +318,7 @@ class TestPreprocess:
         path = write_csv(tmp_path / "c.csv", ["a", "target"], rows)
         with pytest.warns(UserWarning, match=r"constant feature \['a'\]: using std=1"):
             dataset = load_dataset(path, HEART)
-        assert np.all(dataset.X == 0.0)
+        assert np.all(dataset.X_train == 0.0) and np.all(dataset.X_test == 0.0)
 
     def test_constant_feature_with_inexact_mean_warns(self, tmp_path, iris_csv):
         """A constant 0.2 has a mean that is not exactly 0.2, so its std is
@@ -318,13 +330,83 @@ class TestPreprocess:
         with pytest.warns(UserWarning, match="constant feature"):
             dataset = load_dataset(path, IRIS)
         assert dataset.scaler.std[3] == 1.0
-        assert np.all(np.abs(dataset.X[:, 3]) < 1e-15)
+        assert np.all(np.abs(dataset.X_train[:, 3]) < 1e-15)
+        assert np.all(np.abs(dataset.X_test[:, 3]) < 1e-15)
+
+
+TOO_LARGE = {
+    "alternating": lambda i: "1e308" if i % 2 else "-1e308",  # the std overflows
+    "constant": lambda i: "1e308",  # the mean overflows
+    "growing": lambda i: repr(1e200 * i),  # the std overflows; the mean does not
+}
+
+
+class TestTooLargeToStandardize:
+    @pytest.mark.parametrize("case", sorted(TOO_LARGE))
+    def test_column_names_file_and_column(self, tmp_path, iris_csv, case):
+        """Each cell is finite, but a z-score of the column is not: a data error, and no
+        NumPy warning on the way."""
+        header, *rows = [line.split(",") for line in Path(iris_csv).read_text().splitlines()]
+        rows = [[TOO_LARGE[case](i)] + row[1:] for i, row in enumerate(rows, start=1)]
+        path = write_csv(tmp_path / "huge.csv", header, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the constant case is a constant feature
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError) as info:
+                load_dataset(path, IRIS)
+        assert str(info.value) == f"{path}: column 'sepal_length' is too large to standardize"
+
+
+def whole_table_arrays(path: Path, kind: str, iris_binary: bool = False):
+    """The features and encoded labels of every row, read apart from preprocess."""
+    table = load_csv(path)
+    target = table.columns.index(DEFAULT_TARGETS[kind])
+    x = np.array([row[:target] + row[target + 1:] for row in table.rows], dtype=np.float64)
+    labels = [row[target] for row in table.rows]
+    if kind == IRIS:
+        y = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+        if iris_binary:
+            x, y = x[y <= 1], y[y <= 1]
+    elif kind == WINE:
+        y = (np.array(labels, dtype=np.float64) >= 6).astype(np.int64)
+    else:
+        y = np.array(labels, dtype=np.float64).astype(np.int64)
+    return x, y, [c for c in table.columns if c != DEFAULT_TARGETS[kind]]
+
+
+class TestSplitArrays:
+    def test_each_split_is_one_array(self, iris_csv):
+        dataset = load_dataset(iris_csv, IRIS)
+        for name in ("X_train", "y_train", "X_test", "y_test"):
+            assert getattr(dataset, name) is getattr(dataset, name)
+
+    @pytest.mark.parametrize("table", ["heart", "wine", "iris_binary"])
+    def test_splits_are_the_standardized_table_gathered(self, tmp_path, iris_csv, table):
+        """Each split is bit-equal to the whole table standardized by the training
+        rows' scaler, then gathered by the split's indices."""
+        if table == "heart":
+            path = write_csv(tmp_path / "heart.csv", HEART_COLUMNS, synthetic_heart_rows(1025, 3))
+            kind, iris_binary = HEART, False
+        elif table == "wine":
+            path = write_csv(tmp_path / "wine.csv", WINE_COLUMNS, synthetic_wine_rows(1599, 3))
+            kind, iris_binary = WINE, False
+        else:
+            path, kind, iris_binary = iris_csv, IRIS, True
+        split = SplitSpec(seed=4)
+        dataset = load_dataset(path, kind, split, iris_binary=iris_binary)
+        x, y, names = whole_table_arrays(path, kind, iris_binary)
+        train, test = train_test_split(y, split)
+        z = fit_scaler(x[train], names).transform(x)
+        assert same_array(dataset.X_train, z[train])
+        assert same_array(dataset.y_train, y[train])
+        assert same_array(dataset.X_test, z[test])
+        assert same_array(dataset.y_test, y[test])
 
 
 class TestSplits:
     def test_iris_stratified_counts(self, iris_csv):
         dataset = load_dataset(iris_csv, IRIS, SplitSpec(test_fraction=0.2, seed=0))
-        assert len(dataset.train_idx) == 120 and len(dataset.test_idx) == 30
+        assert len(dataset.y_train) == 120 and len(dataset.y_test) == 30
         _, counts = np.unique(dataset.y_test, return_counts=True)
         assert list(counts) == [10, 10, 10]
 
@@ -373,13 +455,14 @@ class TestNoLeakage:
 
         # corrupt the feature cells of every test row; labels untouched so the
         # seeded split comes out identical
-        for i in base.test_idx:
+        _, test_idx = train_test_split(np.array([row[2] for row in rows]), SplitSpec(seed=5))
+        for i in test_idx:
             rows[int(i)][0] = 1e6
             rows[int(i)][1] = -1e6
         path2 = write_csv(tmp_path / "d2.csv", ["f1", "f2", "target"], rows)
         perturbed = load_dataset(path2, HEART, SplitSpec(seed=5))
 
-        assert np.array_equal(base.train_idx, perturbed.train_idx)
+        assert np.array_equal(base.y_train, perturbed.y_train)
         assert np.array_equal(base.scaler.mean, perturbed.scaler.mean)
         assert np.array_equal(base.scaler.std, perturbed.scaler.std)
         assert np.array_equal(base.X_train, perturbed.X_train)

@@ -262,7 +262,7 @@ def tiny_dataset(tmp_path, n=60, seed=0):
 
 def nam_factory(dataset):
     def factory(rng):
-        return build_nam(dataset.X.shape[1], dataset.task, n_classes=dataset.n_classes,
+        return build_nam(len(dataset.feature_names), dataset.task, n_classes=dataset.n_classes,
                          hidden_layers=1, hidden_units=8, rng=rng)
     return factory
 
