@@ -30,6 +30,9 @@ class EarlyStopState:
     def __post_init__(self) -> None:
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        # with inf or nan no epoch would ever improve, with -inf every epoch would
+        if not math.isfinite(self.min_delta):
+            raise ValueError(f"min_delta must be finite, got {self.min_delta}")
 
 
 def early_stop_update(

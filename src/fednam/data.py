@@ -300,12 +300,13 @@ def fit_scaler(x_train: np.ndarray, feature_names: list[str]) -> Scaler:
     """Mean/std over training rows; constant features keep std 1 with a
     warning that names them.
 
-    A feature is constant when its minimum equals its maximum: its std can
-    come out as rounding noise rather than 0.
+    A feature is constant when its minimum equals its maximum, as its std can
+    come out as rounding noise rather than 0, or when its std is 0: cells that
+    differ by a subnormal amount have a spread that underflows when squared.
     """
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
-    constant = x_train.min(axis=0) == x_train.max(axis=0)
+    constant = (x_train.min(axis=0) == x_train.max(axis=0)) | (std == 0.0)
     if constant.any():
         names = [name for name, flat in zip(feature_names, constant) if flat]
         warnings.warn(f"constant feature {names}: using std=1 for standardization")

@@ -106,8 +106,8 @@ class ClientRound:
     train_losses: list[float]
     val_losses: list[float]
     stopped_early: bool
-    val_loss: float = math.nan
-    val_acc: float = math.nan
+    val_loss: float
+    val_acc: float
 
 
 @dataclass
@@ -204,12 +204,13 @@ def local_train(
     batch_size: int,
     control: ControlConfig,
     rng: int | np.random.Generator,
+    threshold: float = 0.5,
 ) -> ClientRound:
     """Mini-batch training on the client's shard with early stopping and lr scheduling.
 
-    Hook state is fresh per call; the learning rate lives on the client's
-    optimizer and so persists across rounds. At exit the best-validation-loss
-    snapshot observed during the call is restored.
+    Hook state is fresh per call; the learning rate lives on the client's optimizer
+    and so persists across rounds. At exit the parameters of the best validation epoch
+    are restored, and the round record holds that epoch's validation loss and accuracy.
     """
     if epochs < 1:
         raise TrainingError(f"client {client.client_id}: epochs must be >= 1")
@@ -223,7 +224,6 @@ def local_train(
     schedule = control.make_schedule()
     train_losses: list[float] = []
     val_losses: list[float] = []
-    stopped = False
     grads = np.empty_like(model.params)  # rewritten whole by every backward
 
     for _ in range(epochs):
@@ -251,13 +251,16 @@ def local_train(
         client.optimizer.learning_rate = schedule_lr(
             schedule, client.optimizer.learning_rate, val_loss
         )
-        if early_stop_update(stopper, val_loss, model.params) == STOP:
-            stopped = True
+        stopped = early_stop_update(stopper, val_loss, model.params) == STOP
+        if stopper.epochs_since_improvement == 0:  # this epoch's parameters were snapshot
+            best_logits = logits
+        if stopped:
             break
 
-    if stopper.best_snapshot is not None:
-        model.set_params(stopper.best_snapshot)
-    return ClientRound(client.client_id, train_losses, val_losses, stopped)
+    model.set_params(stopper.best_snapshot)  # a finite min_delta: epoch 1 improves on inf
+    val_acc = accuracy(class_probabilities(best_logits, model.task), client.monitor_y, model.task,
+                       threshold)
+    return ClientRound(client.client_id, train_losses, val_losses, stopped, stopper.best_loss, val_acc)
 
 
 def fed_avg(clients: list[ClientState]):
@@ -340,12 +343,9 @@ def run_federation(
                 [config.seed, _TAG_LOCAL_TRAIN, round_index, client.client_id]
             )
             try:
-                entry = local_train(client, config.local_epochs, batch_size, control, rng)
+                entry = local_train(client, config.local_epochs, batch_size, control, rng, threshold)
             except TrainingError as exc:
                 raise TrainingError(f"round {round_index}: {exc}") from exc
-            entry.val_loss, entry.val_acc = _loss_and_accuracy(
-                client.model, client.monitor_x, client.monitor_y, threshold
-            )
             entries.append(entry)
         if parameter_averaging:
             global_model = fed_avg(clients)

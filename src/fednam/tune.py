@@ -152,9 +152,13 @@ def grid_search(
     if workers > 1:
         # imported here: it costs every other command's start-up 15-18 ms
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, work))
+            try:
+                results = list(pool.map(_run_trial, work))
+            except BrokenProcessPool as exc:  # a worker died, say killed for its memory
+                raise TrainingError(f"the tune worker pool broke: {exc}") from exc
     else:
         results = [_run_trial(w) for w in work]
     # issued here, in trial order, whatever process ran the trial

@@ -559,6 +559,32 @@ class TestTune:
         assert "config error: federation.rounds must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "tbad").exists()
 
+    def test_worker_that_dies_exits_3_with_one_line(self, tmp_path, iris_csv, capsys, monkeypatch):
+        """A dead worker breaks the pool: one training error line, no traceback.
+        The pool is a fake whose map raises, so no worker process starts."""
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("a process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path on a 1-CPU runner too
+        config = fast_iris_config(tmp_path, iris_csv, "tbroken")
+        assert main(["tune", "--config", str(config), "--jobs", "2"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("training error: the tune worker pool broke: ")
+
 
 class TestBenchmark:
     def test_schema_and_determinism(self, tmp_path, iris_csv):
@@ -892,6 +918,23 @@ def test_constant_feature_warns_once_and_gets_flat_single_point_curves(tmp_path,
     explained = rows(explain_out / "shapes.csv")
     assert [(row["owner"], row["class"], row["x"], row["value"]) for row in explained] == [
         ("global", str(c), "0.0", "0.0") for c in range(3)]
+
+
+def test_column_whose_std_underflows_trains_with_the_constant_feature_warning(tmp_path, iris_csv,
+                                                                               capsys):
+    """Cells 0 and 5e-324 differ, but the column's std underflows to 0."""
+    lines = iris_csv.read_text().splitlines()
+    for i in range(1, len(lines)):
+        _set_cell(lines, i, 0, "5e-324" if i % 2 else "0")
+    table = tmp_path / "tiny_spread.csv"
+    table.write_text("\n".join(lines) + "\n")
+    config = fast_iris_config(tmp_path, table, "tiny_spread",
+                              federation={"num_clients": 3, "rounds": 1, "local_epochs": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # an interpreter's default for UserWarning
+        assert main(["train", "--config", str(config)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: constant feature ['sepal_length']: using std=1 for standardization"]
 
 
 def test_non_ascii_names_are_written_as_utf8_whatever_the_locale(tmp_path, iris_csv):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fednam.control import (
     CONTINUE,
@@ -11,6 +12,7 @@ from fednam.control import (
     early_stop_update,
     schedule_lr,
 )
+from fednam.errors import ConfigError
 
 
 class TestEarlyStopping:
@@ -100,3 +102,12 @@ def test_control_config_builds_fresh_state():
     assert a is not b and a.patience == 7 and a.min_delta == 1e-3
     s = cfg.make_schedule()
     assert s.patience == 4 and math.isinf(s.best_loss)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_min_delta_rejected(value):
+    """inf and nan would record no improvement, so nothing to restore; -inf one every epoch."""
+    with pytest.raises(ValueError, match="min_delta must be finite"):
+        EarlyStopState(min_delta=value)
+    with pytest.raises(ConfigError, match="control.min_delta: min_delta must be finite"):
+        ControlConfig(min_delta=value)

@@ -333,6 +333,18 @@ class TestPreprocess:
         assert np.all(np.abs(dataset.X_train[:, 3]) < 1e-15)
         assert np.all(np.abs(dataset.X_test[:, 3]) < 1e-15)
 
+    def test_column_whose_std_underflows_is_constant(self, tmp_path, iris_csv):
+        """Cells 0 and 5e-324 differ, but their deviations square to 0: a std
+        of 0 makes the column constant, not too large to standardize."""
+        header, *rows = [line.split(",") for line in Path(iris_csv).read_text().splitlines()]
+        for i, row in enumerate(rows):
+            row[0] = "5e-324" if i % 2 else "0"
+        path = write_csv(tmp_path / "iris.csv", header, rows)
+        with pytest.warns(UserWarning, match=r"constant feature \['sepal_length'\]: using std=1"):
+            dataset = load_dataset(path, IRIS)
+        assert dataset.scaler.std[0] == 1.0
+        assert np.isfinite(dataset.X_train).all() and np.isfinite(dataset.X_test).all()
+
 
 TOO_LARGE = {
     "alternating": lambda i: "1e308" if i % 2 else "-1e308",  # the std overflows

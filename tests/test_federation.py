@@ -22,7 +22,7 @@ from fednam.federation import (
     _loss_and_accuracy,
 )
 from fednam.nam import build_nam
-from fednam.nn import BINARY, OptimizerState, SGD
+from fednam.nn import BINARY, MULTICLASS, OptimizerState, SGD
 
 
 def make_client(cid, x, y, model, lr=0.01, kind="adam", val_fraction=0.0):
@@ -49,6 +49,21 @@ def toy_separable(n=80, seed=0):
 
 def small_nam(rng_seed=0, k=2):
     return build_nam(k, BINARY, hidden_layers=1, hidden_units=8, rng=rng_seed)
+
+
+def toy_three_class(n=80, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    y = np.digitize(x[:, 0] + x[:, 1], [-0.5, 0.5])
+    return x, y
+
+
+# min_delta 1e9 keeps the first epoch: only an improvement on inf exceeds it
+ROUND_CONTROLS = {
+    "default": ControlConfig(),
+    "first_epoch_kept": ControlConfig(min_delta=1e9),
+    "stopped_early": ControlConfig(early_stop_patience=1, min_delta=1e9),
+}
 
 
 class TestPartition:
@@ -136,6 +151,23 @@ class TestLocalTrain:
         for r in range(10):
             local_train(client, epochs=5, batch_size=16, control=ControlConfig(), rng=r)
         assert _loss_and_accuracy(client.model, x, y, 0.5)[0] < first
+
+    @pytest.mark.parametrize("task", [BINARY, MULTICLASS])
+    @pytest.mark.parametrize("setting", sorted(ROUND_CONTROLS))
+    def test_round_record_scores_the_restored_parameters(self, task, setting):
+        """The record's validation loss and accuracy are those of a fresh pass
+        of the restored parameters over the monitor rows, bit for bit."""
+        x, y = toy_separable(n=40) if task == BINARY else toy_three_class(n=40)
+        model = build_nam(2, task, n_classes=3, hidden_layers=1, hidden_units=8, rng=0)
+        client = make_client(0, x, y, model, val_fraction=0.25)
+        entry = local_train(client, epochs=4, batch_size=8, control=ROUND_CONTROLS[setting], rng=0,
+                            threshold=0.3)
+        assert (entry.val_loss, entry.val_acc) == _loss_and_accuracy(
+            client.model, client.monitor_x, client.monitor_y, 0.3)
+        assert entry.stopped_early == (setting == "stopped_early")
+        assert len(entry.val_losses) == (2 if setting == "stopped_early" else 4)
+        if setting != "default":  # the restored epoch is the first, not the last
+            assert entry.val_loss == entry.val_losses[0] != entry.val_losses[-1]
 
     # the finite checks report a diverged run; NumPy warns of nothing first
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -306,6 +338,19 @@ class TestRunFederation:
             for e in log.clients:  # one loss each per epoch run, then the round-end score
                 assert len(e.train_losses) == len(e.val_losses) == 1 and not e.stopped_early
                 assert np.isfinite(e.val_loss) and 0.0 <= e.val_acc <= 1.0
+
+    def test_round_scores_use_the_run_threshold(self, tmp_path):
+        """The last round's client scores are the clients' final models scored
+        on their monitor rows at the run's threshold."""
+        dataset = tiny_dataset(tmp_path)
+        cfg = FederationConfig(num_clients=3, rounds=2, local_epochs=2, seed=1)
+        logs = []
+        result = run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
+                                val_fraction=0.5, threshold=0.3, on_round=logs.append)
+        scores = {t: [_loss_and_accuracy(c.model, c.monitor_x, c.monitor_y, t) for c in result.clients]
+                  for t in (0.3, 0.5)}
+        assert [(e.val_loss, e.val_acc) for e in logs[-1].clients] == scores[0.3]
+        assert scores[0.3] != scores[0.5]  # the threshold decides some row
 
     def test_single_client_matches_centralized_bitwise(self, tmp_path):
         dataset = tiny_dataset(tmp_path, n=50, seed=3)
