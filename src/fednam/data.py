@@ -95,9 +95,6 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
-
 
 @dataclass
 class Dataset:
@@ -270,7 +267,7 @@ def train_test_split(
     rng = np.random.default_rng([split.seed, _TAG_SPLIT])
     stratified = split.stratified
     if stratified:
-        _, counts = np.unique(y, return_counts=True)
+        classes, counts = np.unique(y, return_counts=True)
         if counts.min() < 2:
             warnings.warn("a class has fewer than 2 members; falling back to unstratified split")
             stratified = False
@@ -279,8 +276,7 @@ def train_test_split(
         return np.sort(perm[n_test:]), np.sort(perm[:n_test])
     test_parts: list[np.ndarray] = []
     # largest-remainder allocation keeps the test set at exactly n_test rows
-    classes = np.unique(y)
-    shares = [(len(np.flatnonzero(y == c)) * split.test_fraction, c) for c in classes]
+    shares = [(int(count) * split.test_fraction, c) for c, count in zip(classes, counts)]
     base = {c: int(np.floor(s)) for s, c in shares}
     remainder = n_test - sum(base.values())
     order = sorted(shares, key=lambda sc: (-(sc[0] - np.floor(sc[0])), sc[1]))
@@ -342,17 +338,20 @@ def preprocess(
         n_classes = 2
         task = BINARY
     train_idx, test_idx = train_test_split(y, split)
-    x_train = x[train_idx]
+    x_train, x_test = x[train_idx], x[test_idx]
+    del x  # each split is standardized in place, so no copy of the table outlives this
     with np.errstate(all="ignore"):  # an overflow is reported below, as a DataError
         scaler = fit_scaler(x_train, feature_names)
-        x_test = scaler.transform(x[test_idx])
+        for part in (x_train, x_test):  # (x - mean) / std, rounded the same way
+            part -= scaler.mean
+            part /= scaler.std
     # a finite mean and nonzero std bound training z-scores by sqrt(rows), not test ones
     finite = np.isfinite(scaler.mean) & np.isfinite(scaler.std) & np.isfinite(x_test).all(axis=0)
     if not finite.all():
         name = feature_names[int(np.argmin(finite))]
         raise DataError(f"{table.path}: column {name!r} is too large to standardize")
     return Dataset(
-        X_train=scaler.transform(x_train),
+        X_train=x_train,
         y_train=y[train_idx],
         X_test=x_test,
         y_test=y[test_idx],

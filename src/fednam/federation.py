@@ -162,7 +162,8 @@ def partition_clients(
         raise DataError(f"cannot split {n} rows across {num_clients} clients")
     rng = np.random.default_rng([seed, _TAG_PARTITION])
     if stratified:
-        groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        classes, inverse = np.unique(labels, return_inverse=True)
+        groups = [np.flatnonzero(inverse == c) for c in range(len(classes))]
     else:
         groups = [np.arange(n)]
     # the cursor runs on across groups, so dealing the shuffled groups laid end

@@ -142,13 +142,15 @@ def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
     repeats its last. The rows then gather their terms, and every row holding
     a value gets the same term bits.
     """
-    distinct = [np.unique(col, return_inverse=True) for col in x.T]
-    values = np.empty((max((len(v) for v, _ in distinct), default=0), x.shape[1]))
     inverse = np.empty(x.shape, dtype=np.intp)
-    for k, (v, inv) in enumerate(distinct):
+    distinct = []
+    for k, col in enumerate(x.T):
+        v, inverse[:, k] = np.unique(col, return_inverse=True)
+        distinct.append(v)
+    values = np.empty((max(map(len, distinct), default=0), x.shape[1]))
+    for k, v in enumerate(distinct):
         values[: len(v), k] = v
         values[len(v) :, k] = v[-1]
-        inverse[:, k] = inv
     terms = _distinct_terms(model, values)
     return np.take_along_axis(terms, inverse[:, None, :], axis=0)
 
@@ -161,7 +163,7 @@ def contribution_scores(
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("contribution scores need a non-empty (rows, features) matrix")
     terms = _per_feature_terms(model, x)
-    scores = np.abs(terms).mean(axis=(0, 1))
+    scores = np.abs(terms, out=terms).mean(axis=(0, 1))
     ranking = sorted(range(len(scores)), key=lambda k: (-scores[k], k))
     return ContributionReport(owner, list(feature_names), scores, ranking)
 

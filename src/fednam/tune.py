@@ -19,7 +19,7 @@ import numpy as np
 from . import federation
 from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunConfig, with_field
 from .data import Dataset
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam
 from .nn import OptimizerState
@@ -48,11 +48,31 @@ def make_optimizer_factory(opt_cfg: OptimizerConfig):
     return factory
 
 
+# the most bytes one NAM training pass may hold in its activations
+MAX_PASS_BYTES = 2 * 1024**3
+
+
+def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
+    """Refuse a config whose NAM training pass would hold more than
+    MAX_PASS_BYTES, before it trains: the pass keeps each hidden layer's input
+    and pre-activation, (K, batch, units) floats each, and backward adds about
+    two arrays more."""
+    features, units = len(dataset.feature_names), config.model.hidden_units
+    rows = min(config.batch_size, len(dataset.y_train))
+    need = 8 * features * rows * units * (2 * config.model.hidden_layers + 2)
+    if need > MAX_PASS_BYTES:
+        raise ConfigError(
+            f"batch_size {config.batch_size} and model.hidden_units {units} give a training "
+            f"pass of {need} bytes over {features} features, more than {MAX_PASS_BYTES}"
+        )
+
+
 def run_from_config(
     dataset: Dataset, config: RunConfig, on_round: Callable[[RoundLog], None] | None = None
 ) -> FederationResult:
     """Train a NAM federation as described by a RunConfig; `on_round` receives
     each round's log as the round ends."""
+    check_pass_memory(dataset, config)
     return run_federation(
         dataset,
         config.federation.to_config(config.seed),
@@ -147,6 +167,11 @@ def grid_search(
     """Run every grid point; returns (winner, all results ordered by trial id)."""
     points = enumerate_grid(config.grid)
     work = [(i, config_at(config, p), dataset) for i, p in enumerate(points)]
+    for trial_id, trial_config, _ in work:  # refused before any trial runs
+        try:
+            check_pass_memory(dataset, trial_config)
+        except ConfigError as exc:
+            raise ConfigError(f"grid trial {trial_id}: {exc}") from exc
     # fork starts every worker at once: one per trial and per CPU at most
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:

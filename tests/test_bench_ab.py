@@ -1,7 +1,10 @@
-"""The summary of tools/bench_ab.py on canned perfbench output; no subprocess runs."""
+"""The summary of tools/bench_ab.py on canned perfbench output, and its
+probe launcher on one short subprocess."""
 
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,8 +37,9 @@ def calls(runs: dict[str, list[tuple]]) -> list[dict]:
 def test_summary_of_pairs():
     base = [(1.40, 0.30), (1.50, 0.31), (1.30, 0.29), (1.45, 0.30), (1.35, 0.32)]
     head = [(1.20, 0.31), (1.25, 0.30), (1.35, 0.30), (1.22, 0.31), (1.21, 0.31, None, False)]
-    probes = [{"workload": "iris-tune", "side": side, "seconds": s}
-              for side, s in [("base", 0.28), ("head", 0.27), ("head", 0.29), ("base", 0.30)]]
+    probes = [{"workload": "iris-tune", "side": side, "seconds": s, "peak_rss_mb": mb}
+              for side, s, mb in [("base", 0.28, 40.0), ("head", 0.27, 39.0), ("head", 0.29, 38.8),
+                                  ("base", 0.30, 40.2)]]
     report = bench_ab.summarize(calls({"base": base, "head": head}), probes, END_TO_END)
     entry = report["iris-tune"]
     assert entry["pairs"] == 5
@@ -56,6 +60,19 @@ def test_summary_of_pairs():
     probe = entry["setup_probe_s"]
     assert probe["base"]["values"] == [0.28, 0.30] and probe["head"]["values"] == [0.27, 0.29]
     assert probe["head_wins"] == 2
+    rss = entry["setup_probe_peak_rss_mb"]
+    assert rss["base"]["values"] == [40.0, 40.2] and rss["head"]["values"] == [39.0, 38.8]
+    assert rss["head_wins"] == 2 and rss["median_change"] == pytest.approx(-1.2 / 40.1)
+
+
+def test_launcher_reads_the_commands_own_peak_rss():
+    """A child's peak RSS starts at its parent's RSS at fork: run straight
+    from this process, a bare interpreter would read over 64 MB here."""
+    ballast = b"x" * 64_000_000  # written, so resident
+    probe = bench_ab.launch([sys.executable, "-c", "pass"], ROOT, dict(os.environ))
+    del ballast
+    assert probe["seconds"] > 0
+    assert 0 < probe["peak_rss_mb"] < 40, probe
 
 
 def test_a_single_value_is_its_own_quartiles():

@@ -10,7 +10,8 @@ from xml.etree import ElementTree
 import pytest
 
 import fednam
-from conftest import HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows
+from conftest import (HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthetic_wine_rows,
+                      write_csv)
 from fednam.cli import main
 from fednam.config import config_from_dict
 from fednam.errors import TrainingError
@@ -180,6 +181,49 @@ def test_hidden_weights_beyond_their_cap_exit_1_naming_both_keys(tmp_path, iris_
     # the bound admits up to 3 hidden layers at the width cap
     assert config_from_dict({"model": {"hidden_layers": 3, "hidden_units": 1024},
                              "grid": {"hidden_layers": [1, 3]}}).model.hidden_units == 1024
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "benchmark"])
+def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path, capsys,
+                                                                        monkeypatch, command):
+    """50 features, 800 training rows and 1024 units per layer: 2.6 GB per pass."""
+    monkeypatch.setattr("fednam.tune.build_nam", lambda **kwargs: pytest.fail("built a model"))
+    rows = [[(i * 7 + k) % 13 for k in range(50)] + [i % 2] for i in range(1000)]
+    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
+    config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
+                              model={"hidden_units": 1024}, batch_size=1000,
+                              grid={"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [3],
+                                    "batch_size": [8, 1000]})
+    assert main([command, "--config", str(config)]) == 1
+    prefix = "grid trial 1: " if command == "tune" else ""
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {prefix}batch_size 1000 and model.hidden_units 1024 give a training pass "
+        "of 2621440000 bytes over 50 features, more than 2147483648"]
+
+
+def test_no_command_imports_numpy_ma(tmp_path, iris_csv):
+    """NumPy's masked-array package costs a process over 1 MB; `np.unique(x)`
+    without a return_* flag imports it. NumPy 1.24 loads it with `numpy`."""
+    config = fast_iris_config(tmp_path, iris_csv, "ma", federation={"rounds": 1, "local_epochs": 1},
+                              grid={"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [1],
+                                    "batch_size": [16]})
+    out = tmp_path / "ma"
+    code = f"""
+import contextlib, io, sys
+import numpy
+bare = "numpy.ma" in sys.modules
+from fednam.cli import main
+commands = [["train", "--out", {str(out / "train")!r}],
+            ["explain", "--model", {str(out / "train" / "model.json")!r}, "--out", {str(out / "explain")!r}],
+            ["tune", "--jobs", "1", "--out", {str(out / "tune")!r}],
+            ["benchmark", "--out", {str(out / "benchmark")!r}]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([c[0], "--config", {str(config)!r}, *c[1:]]) for c in commands]
+print(codes, bare or "numpy.ma" not in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(fednam.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "[0, 0, 0, 0] True\n"), run.stderr
 
 
 def heart_lines(n: int = 40) -> list[str]:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from fednam.data import (
     HEART,
     IRIS,
     WINE,
+    RawTable,
     SplitSpec,
     fit_scaler,
     load_csv,
     load_dataset,
+    preprocess,
     train_test_split,
 )
 from fednam.errors import ConfigError, DataError
@@ -345,6 +348,21 @@ class TestPreprocess:
         assert dataset.scaler.std[0] == 1.0
         assert np.isfinite(dataset.X_train).all() and np.isfinite(dataset.X_test).all()
 
+    def test_peak_memory_is_about_two_tables(self):
+        """The feature columns are gathered into the two splits, then dropped,
+        and each split is standardized in place: no third copy is held."""
+        rng = np.random.default_rng(3)
+        values = np.column_stack([rng.uniform(0.0, 15.0, size=(50_000, 11)),
+                                  rng.integers(3, 9, size=50_000)])
+        table = RawTable(WINE_COLUMNS, "wine.csv", ",", values=values)
+        tracemalloc.start()
+        try:
+            preprocess(table, WINE, SplitSpec(seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the table"
+
 
 TOO_LARGE = {
     "alternating": lambda i: "1e308" if i % 2 else "-1e308",  # the std overflows
@@ -408,7 +426,8 @@ class TestSplitArrays:
         dataset = load_dataset(path, kind, split, iris_binary=iris_binary)
         x, y, names = whole_table_arrays(path, kind, iris_binary)
         train, test = train_test_split(y, split)
-        z = fit_scaler(x[train], names).transform(x)
+        scaler = fit_scaler(x[train], names)
+        z = (x - scaler.mean) / scaler.std
         assert same_array(dataset.X_train, z[train])
         assert same_array(dataset.y_train, y[train])
         assert same_array(dataset.X_test, z[test])
@@ -483,7 +502,7 @@ class TestNoLeakage:
         rng = np.random.default_rng(4)
         x = rng.normal(loc=3.0, scale=2.0, size=(200, 3))
         scaler = fit_scaler(x, ["a", "b", "c"])
-        z = scaler.transform(x)
+        z = (x - scaler.mean) / scaler.std
         assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-6)
         assert np.allclose(z * scaler.std + scaler.mean, x)

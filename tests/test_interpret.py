@@ -185,7 +185,8 @@ class TestGlobalInterpret:
 
 
 def test_contribution_scores_keep_no_activations():
-    """An inference pass over many rows holds one block's activations at a time."""
+    """An inference pass over many rows holds one block's activations at a time,
+    and the scores take the absolute terms in place."""
     model = build_nam(11, BINARY, rng=0)
     x = np.random.default_rng(0).normal(size=(50_000, 11))
     tracemalloc.start()
@@ -194,7 +195,7 @@ def test_contribution_scores_keep_no_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @st.composite

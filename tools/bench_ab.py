@@ -13,12 +13,17 @@ either. Each side runs its own `perfbench/child.py`, which puts that side's
 
 `perfbench` times its set-up probes right after command runs. The script
 also alternates `--probes` direct `perfbench/child.py setup` calls per side,
-on inputs prepared once, so the two set-up readings can be compared.
+on inputs prepared once, so the two set-up readings can be compared. Each
+probe runs under a small launcher process, which reads the probe's wall time
+and its own peak RSS (Linux `ru_maxrss`) from `wait4`: a child's peak RSS
+starts at its parent's RSS at fork, so a probe run straight from this script
+would read at least this script's RSS.
 
 It writes BENCH_<label>.json: per workload and side, the median and
 quartiles of each end-to-end metric of BENCHMARK.json, how many pairs the
 working tree won on each, and `correct` of every call; the same for the
-direct set-up probes; the host, both commit ids, the seed and the seconds.
+direct set-up probes' seconds and peak RSS; the host, both commit ids, the
+seed and the seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ SIDES = ("base", "head")
 # perfbench runs its children with one BLAS thread; the probes do the same
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CALL_TIMEOUT_S = 1800
+# `python -c LAUNCHER CMD...` runs CMD and prints one JSON line: its wall
+# seconds, its own peak RSS and its exit code. The launcher's RSS, the floor
+# of CMD's reading, is that of a bare interpreter.
+LAUNCHER = """
+import json, os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"seconds": time.perf_counter() - start, "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "returncode": os.waitstatus_to_exitcode(status)}))
+"""
 
 
 def last_json_line(stdout: str) -> dict:
@@ -84,7 +100,7 @@ def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict]) -> 
 
     `calls` hold {"workload", "pair", "side", "result"}, where `result` is the
     last JSON line of a perfbench/run.py call; `probes` hold {"workload",
-    "side", "seconds"} in the order they ran.
+    "side", "seconds", "peak_rss_mb"} in the order they ran.
     """
     report = {}
     for workload in dict.fromkeys(c["workload"] for c in calls):
@@ -101,9 +117,10 @@ def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict]) -> 
             )
             for m in end_to_end
         }
-        timed = {side: [p["seconds"] for p in probes if p["workload"] == workload and p["side"] == side]
-                 for side in SIDES}
-        entry["setup_probe_s"] = compare(timed["base"], timed["head"], "lower")
+        for key, name in (("seconds", "setup_probe_s"), ("peak_rss_mb", "setup_probe_peak_rss_mb")):
+            read = [[p[key] for p in probes if p["workload"] == workload and p["side"] == side]
+                    for side in SIDES]
+            entry[name] = compare(*read, "lower")
         report[workload] = entry
     return report
 
@@ -150,15 +167,21 @@ def _perfbench_module(root: Path):
     return module
 
 
-def setup_probe(root: Path, args: list[str]) -> float:
+def launch(cmd: list[str], cwd: Path, env: dict[str, str]) -> dict:
+    """Run `cmd` under LAUNCHER: {"seconds", "peak_rss_mb"} of `cmd` alone."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *cmd], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=CALL_TIMEOUT_S)
+    if proc.returncode == 0:
+        result = last_json_line(proc.stdout)
+        if result.pop("returncode") == 0:
+            return result
+    raise RuntimeError(f"{' '.join(cmd)} in {cwd} failed:\n{proc.stderr[-2000:]}")
+
+
+def setup_probe(root: Path, args: list[str]) -> dict:
+    """One `perfbench/child.py setup` call: its seconds and its own peak RSS."""
     cmd = [sys.executable, str(root / "perfbench" / "child.py"), "setup", *args]
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True,
-                          timeout=CALL_TIMEOUT_S)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"set-up probe in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return seconds
+    return launch(cmd, root, _env())
 
 
 def host() -> dict:
@@ -224,7 +247,7 @@ def main() -> int:
             for i in range(args.probes):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     probes.append({"workload": workload, "side": side,
-                                   "seconds": setup_probe(roots[side], probe_args)})
+                                   **setup_probe(roots[side], probe_args)})
     doc["workloads"] = summarize(calls, probes, spec["end_to_end"])
     doc["wall_s"] = time.perf_counter() - started
     out = head_root / f"BENCH_{args.label}.json"
