@@ -68,25 +68,23 @@ def export_reports(
     bundle: InterpretBundle,
     out: Path,
     scaler: Scaler,
-    metrics: dict[str, float] | None = None,
     svg: bool = False,
 ) -> None:
     """Write contributions.csv, shapes.csv and shapes_raw_units.csv, plus
-    metrics.csv when metrics are given and shapes.svg when asked."""
+    shapes.svg when asked."""
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "contributions.csv",
         ["owner", "feature", "score", "rank"],
         (
             [report.owner, name, _fmt(report.scores[k]), report.rank_of(name)]
-            for report in [*bundle.client_contributions, bundle.global_contribution]
+            for report in bundle.contributions
             for k, name in enumerate(report.feature_names)
         ),
     )
-    curves = [*bundle.client_curves, *bundle.global_curves]
 
     def shape_rows(units: Scaler | None):
-        for curve in curves:
+        for curve in bundle.curves:
             k = curve.feature_index
             xs = curve.grid if units is None else curve.grid * units.std[k] + units.mean[k]
             # _fmt's strings, one array at a time
@@ -100,9 +98,6 @@ def export_reports(
         ["owner", "feature", "class", "x_raw", "value"],
         shape_rows(scaler),
     )
-    if metrics is not None:
-        rows = [[key, _fmt(metrics[key])] for key in sorted(metrics)]
-        _write_csv(out / "metrics.csv", ["metric", "value"], rows)
     if svg:
         (out / "shapes.svg").write_text(render_shapes_svg(bundle), encoding="utf-8")
 
@@ -142,13 +137,9 @@ def cmd_train(config: RunConfig, out: Path) -> None:
     bundle = global_interpret(
         result.clients, result.global_predictor, dataset.X_train, dataset.feature_names
     )
-    export_reports(
-        bundle,
-        out,
-        scaler=dataset.scaler,
-        metrics={"accuracy": stats["accuracy"], "auc": stats["auc"]},
-        svg=config.svg,
-    )
+    export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
+    _write_csv(out / "metrics.csv", ["metric", "value"],
+               [[key, _fmt(stats[key])] for key in ("accuracy", "auc")])
     save_config(config, out / "config.json")
     print(f"test accuracy {stats['accuracy']:.4f}  auc {stats['auc']:.4f}  -> {out}")
 
@@ -163,13 +154,7 @@ def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
     x_train = dataset.X_train
     curves = model_curves(nam, training_feature_ranges(x_train), GLOBAL_OWNER)
     report = contribution_scores(nam, x_train, GLOBAL_OWNER, dataset.feature_names)
-    bundle = InterpretBundle(
-        client_contributions=[],
-        global_contribution=report,
-        client_curves=[],
-        global_curves=curves,
-        feature_names=dataset.feature_names,
-    )
+    bundle = InterpretBundle([report], curves, dataset.feature_names)
     export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
     print(f"wrote contribution and shape reports -> {out}")
 
@@ -327,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except FedNamError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a forked tune worker's reaches here through the pool too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the out_dir probe or a write under it; each read maps its own
         where = exc.filename or out  # a failed write() names no file

@@ -56,11 +56,16 @@ class ContributionReport:
 
 @dataclass
 class InterpretBundle:
-    client_contributions: list[ContributionReport]
-    global_contribution: ContributionReport
-    client_curves: list[ShapeCurve]
-    global_curves: list[ShapeCurve]
+    """One run's interpretation in owner order: each client's, in client
+    order, then the global model's."""
+
+    contributions: list[ContributionReport]  # one per owner, the global last
+    curves: list[ShapeCurve]  # each owner's (feature, class) curves in turn
     feature_names: list[str]
+
+    @property
+    def global_contribution(self) -> ContributionReport:
+        return self.contributions[-1]
 
 
 def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
@@ -92,20 +97,20 @@ def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str)
     return curves
 
 
-def average_shape_functions(per_client_curves: list[list[ShapeCurve]]) -> list[ShapeCurve]:
+def average_shape_functions(by_client: list[list[ShapeCurve]]) -> list[ShapeCurve]:
     """Pointwise mean over clients, one global curve per (feature, class).
 
     All clients must have sampled the same grids; the mean is accumulated in
     client order so an independent per-point loop reproduces it exactly.
     """
-    if not per_client_curves:
+    if not by_client:
         raise ShapeMismatchError("need curves from at least one client")
-    first = per_client_curves[0]
-    n = len(per_client_curves)
+    first = by_client[0]
+    n = len(by_client)
     out: list[ShapeCurve] = []
     for i, reference in enumerate(first):
         values = np.zeros_like(reference.values)
-        for curves in per_client_curves:
+        for curves in by_client:
             curve = curves[i]
             if not np.array_equal(curve.grid, reference.grid):
                 raise ShapeMismatchError(
@@ -176,22 +181,15 @@ def global_interpret(
 ) -> InterpretBundle:
     """Client-level and global reports: curves, averaged curves, contribution rankings."""
     ranges = training_feature_ranges(x_train)
-    per_client_curves = []
-    client_reports = []
+    by_client, contributions = [], []
     for client in clients:
         owner = f"client{client.client_id + 1}"
-        per_client_curves.append(model_curves(client.model, ranges, owner))
-        client_reports.append(contribution_scores(client.model, client.x, owner, feature_names))
-    global_curves = average_shape_functions(per_client_curves)
-    global_report = contribution_scores(global_model, x_train, GLOBAL_OWNER, feature_names)
-    flat_client_curves = [curve for curves in per_client_curves for curve in curves]
-    return InterpretBundle(
-        client_contributions=client_reports,
-        global_contribution=global_report,
-        client_curves=flat_client_curves,
-        global_curves=global_curves,
-        feature_names=list(feature_names),
-    )
+        by_client.append(model_curves(client.model, ranges, owner))
+        contributions.append(contribution_scores(client.model, client.x, owner, feature_names))
+    curves = [curve for owned in by_client for curve in owned]
+    curves += average_shape_functions(by_client)
+    contributions.append(contribution_scores(global_model, x_train, GLOBAL_OWNER, feature_names))
+    return InterpretBundle(contributions, curves, list(feature_names))
 
 
 def baseline_attributions(
@@ -265,7 +263,7 @@ def render_shapes_svg(bundle: InterpretBundle) -> str:
     """Small-multiples grid: one panel per (feature, class); client curves thin
     gray, the global curve thick black. Decorative output, not golden-tested."""
     panels: dict[tuple[int, int], list[ShapeCurve]] = {}
-    for curve in [*bundle.client_curves, *bundle.global_curves]:
+    for curve in bundle.curves:
         panels.setdefault((curve.feature_index, curve.class_index), []).append(curve)
     keys = sorted(panels)
     # a binary model has one output row, a multiclass one at least 3

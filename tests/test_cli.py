@@ -201,6 +201,49 @@ def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path
         "of 2621440000 bytes over 50 features, more than 2147483648"]
 
 
+def test_out_of_memory_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 400. MiB for an array")
+
+    monkeypatch.setattr("fednam.cli.run_from_config", exhausted)
+    config = fast_iris_config(tmp_path, iris_csv, "oom")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 400. MiB for an array"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with RLIMIT_AS")
+@pytest.mark.parametrize("command", [["train"], ["tune", "--jobs", "2"]], ids=["train", "tune"])
+def test_weights_past_the_address_space_exit_1_with_one_line(tmp_path, command):
+    """50 features at 3 hidden layers of 1024 units pass the training-pass bound,
+    but each hidden-to-hidden weight stack is 400 MiB: under a 512 MiB address
+    space the weights fail to allocate in `train` and in a forked `tune` worker
+    alike. The cap also keeps what each process can take small."""
+    import resource
+
+    rows = [[(i * 7 + k) % 13 for k in range(50)] + [i % 2] for i in range(200)]
+    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
+    config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
+                              model={"hidden_layers": 3, "hidden_units": 1024}, batch_size=16,
+                              grid={"dropout": [0.0, 0.1], "learning_rate": [0.01],
+                                    "hidden_layers": [3], "batch_size": [16]})
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 512 * 1024**2 if hard == resource.RLIM_INFINITY else min(512 * 1024**2, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(fednam.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    code = "import sys; from fednam.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, *command, "--config", str(config)],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=cap_address_space)
+    lines = run.stderr.splitlines()
+    assert run.returncode == 1 and len(lines) == 1, run.stderr[-2000:]
+    assert lines[0].startswith("error: out of memory: "), lines
+
+
 def test_no_command_imports_numpy_ma(tmp_path, iris_csv):
     """NumPy's masked-array package costs a process over 1 MB; `np.unique(x)`
     without a return_* flag imports it. NumPy 1.24 loads it with `numpy`."""
@@ -439,6 +482,28 @@ class TestTrain:
         assert f"non-finite cell '{cell}' in row 5, column '{column}'" in err
         assert f"{bad_csv}: non-finite cell" in err
         assert not (tmp_path / "bad").exists()
+
+    def test_shape_average_global_rows_are_the_client_rows_mean(self, tmp_path, iris_csv):
+        """Each written global value is its three client values summed in client
+        order from 0.0, then divided by 3: the file's shortest round-trip
+        decimals make the comparison exact."""
+        config = shape_average_config(tmp_path, iris_csv, "sa")
+        assert main(["train", "--config", str(config)]) == 0
+        owners = ["client1", "client2", "client3", "global"]
+        with open(tmp_path / "sa" / "contributions.csv", newline="") as f:
+            written = [row["owner"] for row in csv.DictReader(f)]
+        assert written == [owner for owner in owners for _ in range(4)]  # 4 iris features
+        values = {}
+        with open(tmp_path / "sa" / "shapes.csv", newline="") as f:
+            for row in csv.DictReader(f):
+                key = (row["feature"], row["class"], row["x"])
+                values.setdefault(key, {})[row["owner"]] = float(row["value"])
+        assert values and all(list(by_owner) == owners for by_owner in values.values())
+        for by_owner in values.values():
+            total = 0.0
+            for owner in owners[:3]:
+                total += by_owner[owner]
+            assert by_owner["global"] == total / 3
 
     def test_cli_overrides(self, tmp_path, iris_csv):
         config = fast_iris_config(tmp_path, iris_csv, "x")

@@ -169,19 +169,24 @@ class TestGlobalInterpret:
     def test_identical_clients_global_equals_client(self):
         clients, x = self.make_clients(identical=True)
         bundle = global_interpret(clients, clients[0].model, x, ["a", "b"])
-        client_report = bundle.client_contributions[0]
+        [client_report] = [r for r in bundle.contributions if r.owner == "client1"]
         assert np.allclose(bundle.global_contribution.scores, client_report.scores, atol=1e-12)
-        per_feature = {(c.feature_index, c.class_index): c for c in bundle.global_curves}
-        for curve in bundle.client_curves[: len(bundle.global_curves)]:
+        per_feature = {(c.feature_index, c.class_index): c
+                       for c in bundle.curves if c.owner == GLOBAL_OWNER}
+        for curve in [c for c in bundle.curves if c.owner == "client1"]:
             merged = per_feature[(curve.feature_index, curve.class_index)]
             assert np.allclose(merged.values, curve.values, atol=1e-15)
 
     def test_counts(self):
+        """Both lists run in owner order: the clients in client order, then global."""
         clients, x = self.make_clients()
         bundle = global_interpret(clients, clients[0].model, x, ["a", "b"])
-        assert len(bundle.client_contributions) == 3
-        assert len(bundle.client_curves) == 3 * 2  # owners x features (binary: 1 class)
-        assert len(bundle.global_curves) == 2
+        owners = ["client1", "client2", "client3", GLOBAL_OWNER]
+        assert [r.owner for r in bundle.contributions] == owners
+        assert bundle.global_contribution is bundle.contributions[-1]
+        # owners x features (binary: 1 class)
+        assert [c.owner for c in bundle.curves] == [owner for owner in owners for _ in range(2)]
+        assert [c.feature_index for c in bundle.curves] == [0, 1] * len(owners)
 
 
 def test_contribution_scores_keep_no_activations():
@@ -371,14 +376,15 @@ class TestExport:
                 by_key.setdefault(
                     (row["owner"], row["feature"], int(row["class"])), []
                 ).append(float(row["value"]))
-        for curve in bundle.global_curves:
+        for curve in [c for c in bundle.curves if c.owner == GLOBAL_OWNER]:
             name = bundle.feature_names[curve.feature_index]
             parsed = np.array(by_key[(GLOBAL_OWNER, name, curve.class_index)])
             assert np.array_equal(parsed, curve.values)
         with open(tmp_path / "shapes_raw_units.csv") as f:
             x_raw = [float(r["x_raw"]) for r in csv.DictReader(f)
                      if (r["owner"], r["feature"], r["class"]) == (GLOBAL_OWNER, "b", "0")]
-        [curve] = [c for c in bundle.global_curves if (c.feature_index, c.class_index) == (1, 0)]
+        [curve] = [c for c in bundle.curves
+                   if (c.owner, c.feature_index, c.class_index) == (GLOBAL_OWNER, 1, 0)]
         assert np.array_equal(x_raw, curve.grid * 3.0 - 2.0)
 
     def test_svg_renders(self, tmp_path):
