@@ -22,16 +22,9 @@ from .config import RunConfig, load_config, save_config, with_field
 from .data import DATASET_KINDS, Dataset, Scaler, load_dataset
 from .errors import ConfigError, DataError, FedNamError, TrainingError
 from .federation import RoundLog, evaluate_model
-from .interpret import (
-    GLOBAL_OWNER,
-    baseline_attributions,
-    contribution_scores,
-    global_interpret,
-    model_curves,
-    render_shapes_svg,
-    training_feature_ranges,
-    InterpretBundle,
-)
+from .interpret import InterpretBundle, baseline_attributions, global_interpret, render_shapes_svg
+# unused here, but perfbench/tracing.py wraps them on this module by name
+from .interpret import contribution_scores, model_curves
 from .nam import load_model, save_model
 from .tune import grid_search, make_optimizer_factory, run_from_config
 
@@ -151,10 +144,7 @@ def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
         raise DataError(
             f"model features {feature_names} do not match dataset {dataset.feature_names}"
         )
-    x_train = dataset.X_train
-    curves = model_curves(nam, training_feature_ranges(x_train), GLOBAL_OWNER)
-    report = contribution_scores(nam, x_train, GLOBAL_OWNER, dataset.feature_names)
-    bundle = InterpretBundle([report], curves, dataset.feature_names)
+    bundle = global_interpret([], nam, dataset.X_train, dataset.feature_names)
     export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
     print(f"wrote contribution and shape reports -> {out}")
 

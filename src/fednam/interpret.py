@@ -4,12 +4,13 @@ A curve samples one feature's effective shape g_{c,k}(x) = w_{c,k} * f_k(x)
 on a grid spanning that feature's training range; values are mean-centered
 over the grid at reporting time. Contribution scores are the mean absolute
 effective shape over an owner's rows, the conventional additive-model
-importance.
+importance. Each owner, a client or the global predictor, is described by
+its own model's curves and scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,14 +76,18 @@ def training_feature_ranges(x_train: np.ndarray) -> list[tuple[float, float]]:
 
 # an overflow is reported by ShapeCurve's finite check, not by NumPy warnings
 @np.errstate(all="ignore")
-def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str) -> list[ShapeCurve]:
-    """Curves for every (feature, class) pair of one model, fixed ordering.
+def model_curves(model, ranges: list[tuple[float, float]], owner: str) -> list[ShapeCurve]:
+    """Curves for every (feature, class) pair of a NAM or NAM ensemble, fixed ordering.
 
     One forward pass evaluates every feature on an evenly spaced grid over its
     range. A feature with a degenerate range (a constant column, which
     `fit_scaler` already warns of) gets a single-point curve: the grid's first
-    row, whose centred value is 0.
+    row, whose centred value is 0. An ensemble's curves are the pointwise mean
+    of its members' curves: its term k is the mean of theirs.
     """
+    if isinstance(model, EnsembleModel):
+        members = [model_curves(m, ranges, owner) for m in model.members]
+        return [replace(curve, owner=owner) for curve in average_shape_functions(members)]
     for k, (lo, hi) in enumerate(ranges):
         if lo > hi:
             raise DataError(f"invalid range ({lo}, {hi}) for feature {k}")
@@ -100,13 +105,17 @@ def model_curves(model: NamModel, ranges: list[tuple[float, float]], owner: str)
 def average_shape_functions(by_client: list[list[ShapeCurve]]) -> list[ShapeCurve]:
     """Pointwise mean over clients, one global curve per (feature, class).
 
-    All clients must have sampled the same grids; the mean is accumulated in
-    client order so an independent per-point loop reproduces it exactly.
+    All clients must hold the same (feature, class) curves in the same order,
+    sampled on the same grids; the mean is accumulated in client order so an
+    independent per-point loop reproduces it exactly.
     """
     if not by_client:
         raise ShapeMismatchError("need curves from at least one client")
     first = by_client[0]
     n = len(by_client)
+    keys = [(c.feature_index, c.class_index) for c in first]
+    if any([(c.feature_index, c.class_index) for c in curves] != keys for curves in by_client):
+        raise ShapeMismatchError("clients hold different (feature, class) curves")
     out: list[ShapeCurve] = []
     for i, reference in enumerate(first):
         values = np.zeros_like(reference.values)
@@ -179,16 +188,14 @@ def global_interpret(
     x_train: np.ndarray,
     feature_names: list[str],
 ) -> InterpretBundle:
-    """Client-level and global reports: curves, averaged curves, contribution rankings."""
+    """Each owner's curves and ranking: each client's model on its rows, in client
+    order, then the global predictor on x_train (alone when there are no clients)."""
     ranges = training_feature_ranges(x_train)
-    by_client, contributions = [], []
-    for client in clients:
-        owner = f"client{client.client_id + 1}"
-        by_client.append(model_curves(client.model, ranges, owner))
-        contributions.append(contribution_scores(client.model, client.x, owner, feature_names))
-    curves = [curve for owned in by_client for curve in owned]
-    curves += average_shape_functions(by_client)
-    contributions.append(contribution_scores(global_model, x_train, GLOBAL_OWNER, feature_names))
+    owners = [(f"client{c.client_id + 1}", c.model, c.x) for c in clients]
+    curves, contributions = [], []
+    for owner, model, x in owners + [(GLOBAL_OWNER, global_model, x_train)]:
+        curves += model_curves(model, ranges, owner)
+        contributions.append(contribution_scores(model, x, owner, feature_names))
     return InterpretBundle(contributions, curves, list(feature_names))
 
 

@@ -550,6 +550,22 @@ class TestExplain:
             explain_out / "contributions.csv"
         )
 
+    def test_global_rows_redraw_train_bit_for_bit(self, tmp_path, iris_csv):
+        """explain of a `both`-mode model with the run's config writes the
+        global rows train wrote: both describe the one averaged model."""
+        config = fast_iris_config(tmp_path, iris_csv, "train_out", seed=3, federation={
+            "num_clients": 3, "rounds": 2, "local_epochs": 2, "aggregation": "both"})
+        assert main(["train", "--config", str(config)]) == 0
+        out = tmp_path / "train_out"
+        explain_out = tmp_path / "explain_out"
+        assert main(["explain", "--config", str(config), "--model", str(out / "model.json"),
+                     "--out", str(explain_out)]) == 0
+        for name in ("contributions.csv", "shapes.csv", "shapes_raw_units.csv"):
+            train_rows = [line for line in (out / name).read_bytes().splitlines()
+                          if line.startswith(b"global,")]
+            explain_rows = (explain_out / name).read_bytes().splitlines()[1:]
+            assert train_rows and train_rows == explain_rows, name
+
     def test_corrupted_model_clean_error_no_outputs(self, tmp_path, iris_csv, capsys):
         config = fast_iris_config(tmp_path, iris_csv, "c")
         bad = tmp_path / "bad.json"

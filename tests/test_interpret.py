@@ -114,6 +114,23 @@ class TestAverageShapeFunctions:
         with pytest.raises(ShapeMismatchError, match="grid mismatch"):
             average_shape_functions([a, b])
 
+    @pytest.mark.parametrize("case", ["fewer_first", "fewer_later", "reordered"])
+    def test_misaligned_clients_rejected(self, case):
+        """Curves pair by position, so every client must hold the same
+        (feature, class) curves in the same order, not merely equal grids."""
+        def curves(n_features, task=BINARY, n_classes=2):
+            model = build_nam(n_features, task, n_classes, hidden_layers=1, hidden_units=4, rng=0)
+            return model_curves(model, [(-1.0, 1.0)] * n_features, "c")
+
+        by_client = {
+            "fewer_first": [curves(2), curves(4)],
+            "fewer_later": [curves(4), curves(2)],
+            # class 1 of feature 0 would meet feature 1 of a binary model, on the same grid
+            "reordered": [curves(1, MULTICLASS, 3), curves(3)],
+        }[case]
+        with pytest.raises(ShapeMismatchError, match="different \\(feature, class\\) curves"):
+            average_shape_functions(by_client)
+
 
 class TestContributions:
     def test_zero_model_all_zero(self):
@@ -187,6 +204,31 @@ class TestGlobalInterpret:
         # owners x features (binary: 1 class)
         assert [c.owner for c in bundle.curves] == [owner for owner in owners for _ in range(2)]
         assert [c.feature_index for c in bundle.curves] == [0, 1] * len(owners)
+
+    def test_global_curves_are_the_global_models_own(self):
+        """The global rows describe the global predictor, here a model no client
+        holds, not the mean of the client curves."""
+        clients, x = self.make_clients()
+        global_model = build_nam(2, BINARY, hidden_layers=1, hidden_units=5, rng=9)
+        bundle = global_interpret(clients, global_model, x, ["a", "b"])
+        got = [c for c in bundle.curves if c.owner == GLOBAL_OWNER]
+        want = model_curves(global_model, interpret.training_feature_ranges(x), GLOBAL_OWNER)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g.grid, w.grid) and np.array_equal(g.values, w.values)
+
+    def test_ensemble_curves_are_the_member_curves_mean(self):
+        ranges = [(-2.0, 2.0), (0.0, 1.0), (-1.0, 1.0)]
+        models = [build_nam(3, MULTICLASS, 3, hidden_layers=1, hidden_units=6, rng=seed)
+                  for seed in range(3)]
+        got = model_curves(EnsembleModel(models), ranges, GLOBAL_OWNER)
+        want = average_shape_functions(
+            [model_curves(m, ranges, f"client{i + 1}") for i, m in enumerate(models)])
+        assert len(got) == len(want) == 9
+        for g, w in zip(got, want):
+            assert (g.feature_index, g.class_index, g.owner) == (w.feature_index, w.class_index,
+                                                                 GLOBAL_OWNER)
+            assert np.array_equal(g.grid, w.grid) and np.array_equal(g.values, w.values)
 
 
 def test_contribution_scores_keep_no_activations():
