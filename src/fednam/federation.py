@@ -23,7 +23,7 @@ from .nn import (
     TRAIN,
     OptimizerState,
     batch_loss_and_grad,
-    class_probabilities,
+    cross_entropy,
     optimizer_step,
 )
 from .nn.layers import as_rng
@@ -187,14 +187,15 @@ def _carve_validation(n_rows: int, val_fraction: float, seed: int, client_id: in
 def evaluate_model(model, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> dict[str, float]:
     """Inference-mode accuracy and AUC of any predictor on (x, y)."""
     logits, _ = model.forward_batch(x, INFER)
-    return compute_metrics(class_probabilities(logits, model.task), y, model.task, threshold)
+    _, probabilities = cross_entropy(logits, y, model.task)
+    return compute_metrics(probabilities, y, model.task, threshold)
 
 
 def _loss_and_accuracy(model, x: np.ndarray, y: np.ndarray, threshold: float) -> tuple[float, float]:
     """Round-log client stats; tiny shards make AUC meaningless so it is skipped."""
     logits, _ = model.forward_batch(x, INFER)
-    loss, _ = batch_loss_and_grad(logits, y, model.task)
-    return loss, accuracy(class_probabilities(logits, model.task), y, model.task, threshold)
+    loss, probabilities = cross_entropy(logits, y, model.task)
+    return loss, accuracy(probabilities, y, model.task, threshold)
 
 
 # an overflow is reported by the finite checks below, not by NumPy warnings
@@ -245,7 +246,7 @@ def local_train(
         train_losses.append(float(np.add.reduce(batch_losses) / len(batch_losses)))
 
         logits, _ = model.forward_batch(client.monitor_x, INFER)
-        val_loss, _ = batch_loss_and_grad(logits, client.monitor_y, model.task)
+        val_loss, probabilities = cross_entropy(logits, client.monitor_y, model.task)
         if not math.isfinite(val_loss):
             raise TrainingError(f"client {client.client_id}: non-finite validation loss")
         val_losses.append(val_loss)
@@ -254,13 +255,12 @@ def local_train(
         )
         stopped = early_stop_update(stopper, val_loss, model.params) == STOP
         if stopper.epochs_since_improvement == 0:  # this epoch's parameters were snapshot
-            best_logits = logits
+            best_probabilities = probabilities
         if stopped:
             break
 
     model.set_params(stopper.best_snapshot)  # a finite min_delta: epoch 1 improves on inf
-    val_acc = accuracy(class_probabilities(best_logits, model.task), client.monitor_y, model.task,
-                       threshold)
+    val_acc = accuracy(best_probabilities, client.monitor_y, model.task, threshold)
     return ClientRound(client.client_id, train_losses, val_losses, stopped, stopper.best_loss, val_acc)
 
 

@@ -141,6 +141,13 @@ def build_nam(
     return NamModel(weights, biases, activations, dropout_rate, head, np.zeros(out_dim), task)
 
 
+def nam_parameter_count(n_features: int, out_dim: int, hidden_layers: int, hidden_units: int) -> int:
+    """The size of `params` of the NamModel `build_nam` makes, without building it:
+    each feature net's layers 1 -> units -> ... -> units -> 1, then the head."""
+    net = (hidden_layers - 1) * (hidden_units + 1) * hidden_units + 3 * hidden_units + 1
+    return n_features * net + out_dim * (n_features + 1)
+
+
 def nam_forward(
     model: NamModel, x: np.ndarray, mode: str = INFER, rng: int | np.random.Generator = 0
 ) -> tuple[np.ndarray, np.ndarray, BankCache]:

@@ -7,8 +7,8 @@ from .bank import (
     bank_forward,
     xavier_bank,
 )
-from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, as_rng, sigmoid, softmax, xavier_init
-from .losses import BINARY, MULTICLASS, batch_loss_and_grad, class_probabilities
+from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, as_rng, xavier_init
+from .losses import BINARY, MULTICLASS, batch_loss_and_grad, cross_entropy
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
 __all__ = [
@@ -29,10 +29,8 @@ __all__ = [
     "bank_backward",
     "bank_forward",
     "batch_loss_and_grad",
-    "class_probabilities",
+    "cross_entropy",
     "optimizer_step",
-    "sigmoid",
-    "softmax",
     "xavier_bank",
     "xavier_init",
 ]

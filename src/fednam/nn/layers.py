@@ -32,23 +32,6 @@ def xavier_init(in_dim: int, out_dim: int, rng: int | np.random.Generator) -> np
     return gen.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax; outputs sum to 1 and every component is strictly inside (0, 1).
-
-    The shifted exponent is floored at -LOGIT_CLAMP: a wider spread would round
-    components to exactly 0 or 1 in double precision.
-    """
-    z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-    shifted = np.maximum(z - z.max(axis=-1, keepdims=True), -LOGIT_CLAMP)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def activate(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == RELU:
         return np.maximum(z, 0.0)

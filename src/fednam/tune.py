@@ -21,8 +21,8 @@ from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunCo
 from .data import Dataset
 from .errors import ConfigError, TrainingError
 from .federation import FederationResult, RoundLog, evaluate_model, run_federation
-from .nam import build_nam
-from .nn import OptimizerState
+from .nam import build_nam, nam_parameter_count
+from .nn import BINARY, OptimizerState
 
 
 def make_nam_factory(dataset: Dataset, model_cfg: ModelConfig):
@@ -48,15 +48,23 @@ def make_optimizer_factory(opt_cfg: OptimizerConfig):
     return factory
 
 
-# the most bytes one NAM training pass may hold in its activations
+# the most bytes one NAM training pass may hold in its activations, and the
+# most a run's parameter vectors may hold together
 MAX_PASS_BYTES = 2 * 1024**3
+MAX_PARAM_BYTES = 4 * 1024**3
 
 
 def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
-    """Refuse a config whose NAM training pass would hold more than
-    MAX_PASS_BYTES, before it trains: the pass keeps each hidden layer's input
-    and pre-activation, (K, batch, units) floats each, and backward adds about
-    two arrays more."""
+    """Refuse a config whose NAM would hold more than MAX_PASS_BYTES in a
+    training pass, or more than MAX_PARAM_BYTES in parameter vectors, before
+    any weight is allocated.
+
+    The pass keeps each hidden layer's input and pre-activation, (K, batch,
+    units) floats each, and backward adds about two arrays more. The vectors
+    are, per client, the parameters, Adam's two moments and its two scratch
+    vectors; the training client's gradient buffer, its early-stop snapshot
+    and the vector the optimizer returns; and the global model.
+    """
     features, units = len(dataset.feature_names), config.model.hidden_units
     rows = min(config.batch_size, len(dataset.y_train))
     need = 8 * features * rows * units * (2 * config.model.hidden_layers + 2)
@@ -64,6 +72,17 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
         raise ConfigError(
             f"batch_size {config.batch_size} and model.hidden_units {units} give a training "
             f"pass of {need} bytes over {features} features, more than {MAX_PASS_BYTES}"
+        )
+    layers = config.model.hidden_layers
+    out_dim = 1 if dataset.task == BINARY else dataset.n_classes
+    count = nam_parameter_count(features, out_dim, layers, units)
+    vectors = 5 * config.federation.num_clients + 4
+    need = 8 * count * vectors
+    if need > MAX_PARAM_BYTES:
+        raise ConfigError(
+            f"model.hidden_layers {layers} and model.hidden_units {units} give {count} "
+            f"parameters over {features} features; the {vectors} parameter vectors of a run "
+            f"take {need} bytes, more than {MAX_PARAM_BYTES}"
         )
 
 

@@ -2,15 +2,37 @@
 
 These deliberately avoid the library's own code paths: finite differences for
 gradients, O(n^2) pair counting for AUC, plain Python loops for weighted means
-and pointwise curve averages.
+and pointwise curve averages. `reference_federation` composes them into a
+training loop of its own.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 from fednam.errors import ShapeMismatchError
-from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS, sigmoid, softmax
+from fednam.federation import BOTH, ClientRound, _carve_validation, partition_clients
+from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS
+from fednam.tune import make_nam_factory
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of the logits clipped to [-LOGIT_CLAMP, LOGIT_CLAMP]."""
+    z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the clipped logits, one exponential of the shifted
+    logits floored at -LOGIT_CLAMP: the reference for `cross_entropy`'s
+    probabilities, which take that floor only when a row needs it."""
+    z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+    shifted = np.maximum(z - z.max(axis=-1, keepdims=True), -LOGIT_CLAMP)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def finite_diff_grads(loss_fn, tensors: list[np.ndarray], eps: float = 1e-5) -> list[np.ndarray]:
@@ -304,3 +326,146 @@ def loop_midranks(values: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
         i = j + 1
     return ranks
+
+
+# the tags of the streams a federation initialises its model and trains each
+# client's round with: default_rng([seed, tag, ...])
+_INIT_TAG = 41
+_LOCAL_TRAIN_TAG = 51
+
+
+def _nam_of(tensors: list[np.ndarray], init) -> SimpleNamespace:
+    """What the per-feature oracles read of a NAM: `init`'s architecture
+    with these tensors, W0, b0, W1, b1, ..., then the head."""
+    n = len(init.activations)
+    return SimpleNamespace(weights=tensors[0 : 2 * n : 2], biases=tensors[1 : 2 * n : 2],
+                           output_weights=tensors[-2], output_bias=tensors[-1],
+                           activations=init.activations, dropout_rate=init.dropout_rate,
+                           n_features=init.n_features)
+
+
+def _probabilities(logits: np.ndarray, task: str) -> np.ndarray:
+    return sigmoid(logits) if task == BINARY else softmax(logits)
+
+
+def _accuracy(probabilities: np.ndarray, y: np.ndarray, task: str, threshold: float) -> float:
+    predicted = probabilities[:, 0] >= threshold if task == BINARY else probabilities.argmax(axis=1)
+    return float((predicted == y).mean())
+
+
+def _pairwise_auc_of(probabilities: np.ndarray, y: np.ndarray, task: str) -> float:
+    """`pairwise_auc` of P(class 1), or its mean over the classes present one
+    versus the rest."""
+    if task == BINARY:
+        return pairwise_auc(probabilities[:, 0], y)
+    aucs = [pairwise_auc(probabilities[:, c], (y == c).astype(int))
+            for c in range(probabilities.shape[1]) if 0 < (y == c).sum() < len(y)]
+    return float(np.mean(aucs)) if aucs else math.nan
+
+
+def _reference_local_train(client, init, config, gen) -> ClientRound:
+    """One client's round: epochs of shuffled mini-batches, each step a
+    per-feature forward and backward, the two-exp loss and a per-tensor
+    optimizer step; after each epoch the validation loss feeds the
+    reduce-on-plateau rate, then early stopping, which keeps the parameters
+    of the best epoch and restores them at the end."""
+    control, task = config.control, init.task
+    opt = client.optimizer
+    x, y, (mx, my) = client.x, client.y, client.monitor
+    early_best, early_since, plateau_best, plateau_since = math.inf, 0, math.inf, 0
+    train_losses, val_losses = [], []
+    for _ in range(config.federation.local_epochs):
+        order = client.train_rows[gen.permutation(len(client.train_rows))]
+        batch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            model = _nam_of(client.tensors, init)
+            logits, _, outputs, traces = per_feature_nam_forward(model, x[rows], "train", gen)
+            loss, dlogits = two_exp_batch_loss_and_grad(logits, y[rows], task)
+            grads, _ = per_feature_nam_backward(model, outputs, traces, dlogits)
+            opt.step += 1
+            client.tensors = per_tensor_optimizer_step(config.optimizer.kind, opt.lr, opt.step,
+                                                       client.tensors, grads, opt.m, opt.v)
+            batch_losses.append(loss)
+        train_losses.append(float(np.mean(batch_losses)))
+
+        logits = per_feature_nam_forward(_nam_of(client.tensors, init), mx)[0]
+        val_loss = two_exp_batch_loss_and_grad(logits, my, task)[0]
+        val_losses.append(val_loss)
+        if val_loss < plateau_best:
+            plateau_best, plateau_since = val_loss, 0
+        else:
+            plateau_since += 1
+            if plateau_since >= control.lr_patience:
+                plateau_since = 0
+                if opt.lr > control.min_lr:
+                    opt.lr = max(opt.lr * control.lr_factor, control.min_lr)
+        if early_best - val_loss > control.min_delta:
+            early_best, early_since = val_loss, 0
+            kept = [t.copy() for t in client.tensors]
+            kept_acc = _accuracy(_probabilities(logits, task), my, task, config.threshold)
+        else:
+            early_since += 1
+        stopped = early_since >= control.early_stop_patience
+        if stopped:
+            break
+    client.tensors = kept
+    return ClientRound(client.client_id, train_losses, val_losses, stopped, early_best, kept_acc)
+
+
+def reference_federation(dataset, config) -> SimpleNamespace:
+    """`run_from_config`'s federation, rebuilt from the per-operation oracles
+    above: FedAvg by `weighted_mean_tensors`, every model as per-feature nets
+    over separate tensors.
+
+    It reuses `partition_clients`, `_carve_validation` and the init factory,
+    which have tests of their own. Each round broadcasts the global tensors
+    (under `both` aggregation), trains every client on its own stream
+    default_rng([seed, 51, round, client]), and scores the global predictor,
+    the FedAvg model or the logit mean of the clients, on the clients'
+    pooled monitor rows: their validation rows, else their training rows.
+    Each client keeps its optimizer state and learning rate across rounds.
+    Returns `clients` and `global_params` as flat vectors (None for no global
+    model), and one (client rounds, accuracy, AUC) per round.
+    """
+    seed, fed = config.seed, config.federation
+    init = make_nam_factory(dataset, config.model)(np.random.default_rng([seed, _INIT_TAG]))
+    x_train, y_train = dataset.X_train, dataset.y_train
+    clients = []
+    for cid, shard in enumerate(partition_clients(y_train, fed.num_clients, seed,
+                                                  config.split.stratified)):
+        train_rows, val_rows = _carve_validation(len(shard), config.split.val_fraction, seed, cid)
+        x, y = x_train[shard], y_train[shard]
+        monitor = val_rows if len(val_rows) else train_rows
+        clients.append(SimpleNamespace(
+            client_id=cid, x=x, y=y, train_rows=train_rows, monitor=(x[monitor], y[monitor]),
+            tensors=[t.copy() for t in init.param_tensors()],
+            optimizer=SimpleNamespace(lr=config.optimizer.learning_rate, step=0,
+                                      m=[np.zeros_like(t) for t in init.param_tensors()],
+                                      v=[np.zeros_like(t) for t in init.param_tensors()])))
+    pooled_x = np.concatenate([c.monitor[0] for c in clients])
+    pooled_y = np.concatenate([c.monitor[1] for c in clients])
+    averaging = fed.aggregation == BOTH
+    global_tensors = [t.copy() for t in init.param_tensors()] if averaging else None
+    rounds = []
+    for round_index in range(1, fed.rounds + 1):
+        entries = []
+        for c in clients:
+            if averaging:
+                c.tensors = [t.copy() for t in global_tensors]
+            gen = np.random.default_rng([seed, _LOCAL_TRAIN_TAG, round_index, c.client_id])
+            entries.append(_reference_local_train(c, init, config, gen))
+        if averaging:
+            global_tensors = weighted_mean_tensors([c.tensors for c in clients],
+                                                   [len(c.y) for c in clients])
+            logits = per_feature_nam_forward(_nam_of(global_tensors, init), pooled_x)[0]
+        else:
+            logits = np.mean(np.stack([per_feature_nam_forward(_nam_of(c.tensors, init), pooled_x)[0]
+                                       for c in clients]), axis=0)
+        probabilities = _probabilities(logits, init.task)
+        rounds.append((entries, _accuracy(probabilities, pooled_y, init.task, config.threshold),
+                       _pairwise_auc_of(probabilities, pooled_y, init.task)))
+    return SimpleNamespace(
+        clients=[np.concatenate(c.tensors, axis=None) for c in clients],
+        global_params=None if global_tensors is None else np.concatenate(global_tensors, axis=None),
+        rounds=rounds)

@@ -1,5 +1,6 @@
-"""The summary of tools/bench_ab.py on canned perfbench output, and its
-probe launcher on one short subprocess."""
+"""The summary of tools/bench_ab.py on canned perfbench output, its artifact
+comparison on two written trees, and its probe launcher on one short
+subprocess."""
 
 import importlib.util
 import json
@@ -84,3 +85,21 @@ def test_last_json_line_skips_trailing_blank_lines():
     assert bench_ab.last_json_line('x 1\n{"correct": true}\n\n') == {"correct": True}
     with pytest.raises(ValueError):
         bench_ab.last_json_line("\n")
+
+
+def test_artifact_comparison_lists_changed_and_missing_files(tmp_path):
+    """Two output trees, hashed as bench_ab hashes them: a changed byte and a
+    file only one side wrote are listed; run_info.json is not compared."""
+    digests = bench_ab._perfbench_module(ROOT).artifact_digests
+    trees = {side: tmp_path / side for side in ("base", "head")}
+    for side, tree in trees.items():
+        (tree / "clients").mkdir(parents=True)
+        (tree / "shapes.csv").write_text("x,value\n0.5,1.0\n")
+        (tree / "clients" / "client_0.json").write_text("{}" if side == "base" else "{ }")
+        (tree / "run_info.json").write_text(f'{{"finished_at": "{side}"}}')
+    (trees["base"] / "rounds.csv").write_text("round\n1\n")
+    assert bench_ab.differing_artifacts(digests(trees["base"]), digests(trees["head"])) == [
+        str(Path("clients", "client_0.json")), "rounds.csv"]
+    (trees["head"] / "rounds.csv").write_text("round\n1\n")
+    (trees["head"] / "clients" / "client_0.json").write_text("{}")
+    assert bench_ab.differing_artifacts(digests(trees["base"]), digests(trees["head"])) == []

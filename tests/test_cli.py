@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -15,7 +16,7 @@ from conftest import (HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthet
 from fednam.cli import main
 from fednam.config import config_from_dict
 from fednam.errors import TrainingError
-from fednam.nam import build_nam, save_model
+from fednam.nam import build_nam, nam_parameter_count, save_model
 from fednam.nn import BINARY, MULTICLASS
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -193,9 +194,10 @@ def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path
     config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
                               model={"hidden_units": 1024}, batch_size=1000,
                               grid={"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [3],
-                                    "batch_size": [8, 1000]})
+                                    "batch_size": [1000, 8]})
     assert main([command, "--config", str(config)]) == 1
-    prefix = "grid trial 1: " if command == "tune" else ""
+    # the pass is checked first; at batch size 8 the parameters exceed their bound
+    prefix = "grid trial 0: " if command == "tune" else ""
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {prefix}batch_size 1000 and model.hidden_units 1024 give a training pass "
         "of 2621440000 bytes over 50 features, more than 2147483648"]
@@ -212,17 +214,51 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeyp
         "error: out of memory: Unable to allocate 400. MiB for an array"]
 
 
+@pytest.mark.parametrize("command", ["train", "tune", "benchmark"])
+def test_parameters_beyond_their_memory_bound_exit_1_before_allocating(tmp_path, capsys, command):
+    """50 features at 3 hidden layers of 1024 units pass the training-pass
+    bound at batch size 16, but each parameter vector takes 841 MB, and a run
+    of 3 clients holds 19 of them: refused before any weight is allocated."""
+    rows = [[(i * 7 + k) % 13 for k in range(50)] + [i % 2] for i in range(1000)]
+    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
+    config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
+                              model={"hidden_layers": 3, "hidden_units": 1024}, batch_size=16,
+                              grid={"dropout": [0.0, 0.1], "learning_rate": [0.01],
+                                    "hidden_layers": [3], "batch_size": [16]})
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(config)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 64 * 1024**2, peak  # far below the 841 MB of one parameter vector
+    prefix = "grid trial 0: " if command == "tune" else ""
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {prefix}model.hidden_layers 3 and model.hidden_units 1024 give 105113701 "
+        "parameters over 50 features; the 19 parameter vectors of a run take 15977282552 bytes, "
+        "more than 4294967296"]
+    assert not (tmp_path / "wide").exists()
+
+
+def test_parameter_estimate_counts_the_models_parameters():
+    for n_features, task, n_classes, layers, units in [(3, BINARY, 2, 1, 5), (4, MULTICLASS, 3, 3, 7),
+                                                       (2, BINARY, 2, 2, 1)]:
+        model = build_nam(n_features, task, n_classes, layers, units)
+        assert nam_parameter_count(n_features, model.out_dim, layers, units) == model.params.size
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with RLIMIT_AS")
 @pytest.mark.parametrize("command", [["train"], ["tune", "--jobs", "2"]], ids=["train", "tune"])
 def test_weights_past_the_address_space_exit_1_with_one_line(tmp_path, command):
-    """50 features at 3 hidden layers of 1024 units pass the training-pass bound,
-    but each hidden-to-hidden weight stack is 400 MiB: under a 512 MiB address
-    space the weights fail to allocate in `train` and in a forked `tune` worker
-    alike. The cap also keeps what each process can take small."""
+    """13 features at 3 hidden layers of 1024 units pass both memory bounds,
+    but each parameter vector takes 219 MB: under a 512 MiB address space the
+    weights fail to allocate in `train` and in a forked `tune` worker alike.
+    The cap also keeps what each process can take small."""
     import resource
 
-    rows = [[(i * 7 + k) % 13 for k in range(50)] + [i % 2] for i in range(200)]
-    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
+    rows = [[(i * 7 + k) % 13 for k in range(13)] + [i % 2] for i in range(200)]
+    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(13)] + ["target"], rows)
     config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
                               model={"hidden_layers": 3, "hidden_units": 1024}, batch_size=16,
                               grid={"dropout": [0.0, 0.1], "learning_rate": [0.01],

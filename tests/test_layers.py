@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _models import one_layer
 from fednam.dnn import DnnModel
 from fednam.errors import ShapeMismatchError
-from fednam.nn import BINARY, EXU, IDENTITY, softmax, xavier_bank, xavier_init
+from fednam.nn import BINARY, EXU, IDENTITY, xavier_bank, xavier_init
 
 
 def layer_output(weights, biases, activation, x):
@@ -73,19 +73,6 @@ class TestExu:
     @settings(max_examples=200, deadline=None)
     def test_output_always_in_unit_interval(self, w, b, x):
         assert 0.0 <= layer_output([[w]], [b], EXU, x) <= 1.0
-
-
-class TestSoftmax:
-    @given(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_normalized_and_open_interval(self, logits):
-        out = softmax(np.array(logits, dtype=float))
-        assert abs(out.sum() - 1.0) <= 1e-9
-        assert np.all(out > 0.0) and np.all(out < 1.0)
-
-    def test_uniform(self):
-        out = softmax(np.zeros(3))
-        assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_identity_layer_passes_bias_through():

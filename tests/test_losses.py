@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fednam.errors import ShapeMismatchError
-from _oracles import loss_and_grad, two_exp_batch_loss_and_grad
-from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS, batch_loss_and_grad
+from _oracles import loss_and_grad, sigmoid, softmax, two_exp_batch_loss_and_grad
+from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS, batch_loss_and_grad, cross_entropy
 
 
 class TestBinary:
@@ -147,3 +147,57 @@ def test_binary_keeps_its_bits(batch):
         want_loss, want_grad = two_exp_batch_loss_and_grad(z, y, BINARY)
     assert same_bits(loss, want_loss)
     assert same_bits(grad, want_grad)
+
+
+@given(logit_batches(MULTICLASS))
+@example((np.array([[0.0, -30.0]]), np.array([1])))
+@example((np.array([[0.0, np.nextafter(-30.0, -np.inf)]]), np.array([0])))
+@example((np.array([[0.0, np.nextafter(-30.0, np.inf)]]), np.array([0])))
+@example((np.array([[45.0, -45.0, 0.0]]), np.array([2])))
+@example((np.array([[60.0, -60.0], [1.0, 2.0]]), np.array([0, 1])))  # one row past the floor
+@example((np.array([[np.nan, 1.0], [2.0, 3.0]]), np.array([0, 1])))
+@settings(max_examples=300, deadline=None)
+def test_multiclass_probabilities_are_the_softmax_bit_for_bit(batch):
+    """The probabilities are those of the one-exp, always-floored softmax,
+    whichever side of the floor each row lies on; the gradient is
+    (probabilities - one-hot) / n."""
+    z, y = batch
+    loss, probabilities = cross_entropy(z, y, MULTICLASS)
+    assert same_bits(probabilities, softmax(z))
+    onehot = np.zeros_like(z)
+    onehot[np.arange(len(y)), y] = 1.0
+    got_loss, grad = batch_loss_and_grad(z, y, MULTICLASS)
+    assert same_bits(got_loss, loss) and same_bits(grad, (probabilities - onehot) / len(y))
+
+
+@given(logit_batches(BINARY))
+@example((np.array([[-60.0]]), np.array([1])))
+@example((np.array([[np.nan]]), np.array([0])))
+@settings(max_examples=100, deadline=None)
+def test_binary_probabilities_are_the_sigmoid_bit_for_bit(batch):
+    z, y = batch
+    with np.errstate(invalid="ignore"):  # logaddexp warns on a NaN logit
+        loss, probabilities = cross_entropy(z, y, BINARY)
+        got_loss, grad = batch_loss_and_grad(z, y, BINARY)
+    assert same_bits(probabilities, sigmoid(z))
+    assert same_bits(got_loss, loss) and same_bits(grad, (probabilities - y[:, None]) / len(y))
+
+
+class TestProbabilities:
+    @given(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
+    @example([45.0, -45.0])  # a spread the floor keeps off exactly 0 and 1
+    @settings(max_examples=200, deadline=None)
+    def test_normalized_and_open_interval(self, logits):
+        _, out = cross_entropy(np.array([logits], dtype=float), np.array([0]), MULTICLASS)
+        assert abs(out.sum() - 1.0) <= 1e-9
+        assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_uniform(self):
+        _, out = cross_entropy(np.zeros((1, 3)), np.array([0]), MULTICLASS)
+        assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]])
+
+    @given(st.floats(-100, 100))
+    @settings(max_examples=100, deadline=None)
+    def test_binary_open_interval(self, logit):
+        _, out = cross_entropy(np.array([[logit]]), np.array([1]), BINARY)
+        assert out.shape == (1, 1) and 0.0 < out[0, 0] < 1.0

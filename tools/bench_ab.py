@@ -19,10 +19,16 @@ and its own peak RSS (Linux `ru_maxrss`) from `wait4`: a child's peak RSS
 starts at its parent's RSS at fork, so a probe run straight from this script
 would read at least this script's RSS.
 
+Before the pairs, it runs each workload's CLI command once per side through
+that side's `perfbench/child.py run`, on the same prepared inputs and into
+the same `--out` path, and compares the two output trees byte for byte.
+Every file counts but `run_info.json`, which holds a timestamp.
+
 It writes BENCH_<label>.json: per workload and side, the median and
 quartiles of each end-to-end metric of BENCHMARK.json, how many pairs the
 working tree won on each, and `correct` of every call; the same for the
-direct set-up probes' seconds and peak RSS; the host, both commit ids, the
+direct set-up probes' seconds and peak RSS; `artifacts_identical` and the
+sorted paths of the artifacts that differ; the host, both commit ids, the
 seed and the seconds.
 """
 
@@ -33,6 +39,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -92,6 +99,12 @@ def compare(base: list, head: list, better: str) -> dict:
     gain = b["median"] - h["median"] if better == "lower" else h["median"] - b["median"]
     out["gain_exceeds_base_iqr"] = gain > b["q3"] - b["q1"]
     return out
+
+
+def differing_artifacts(base: dict[str, str], head: dict[str, str]) -> list[str]:
+    """Sorted paths whose digests differ between two runs' artifacts, or that
+    only one run wrote."""
+    return sorted(path for path in base.keys() | head.keys() if base.get(path) != head.get(path))
 
 
 def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict]) -> dict:
@@ -184,6 +197,28 @@ def setup_probe(root: Path, args: list[str]) -> dict:
     return launch(cmd, root, _env())
 
 
+def artifact_run(root: Path, args: list[str], out: Path) -> None:
+    """One plain CLI command through `root`'s perfbench/child.py, writing under `out`."""
+    cmd = [sys.executable, str(root / "perfbench" / "child.py"), "run", "--", *args, "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True,
+                          timeout=CALL_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+
+
+def compare_artifacts(roots: dict[str, Path], args: list[str], work: Path, perfbench) -> dict:
+    """Run the command once per side into the one path work/out, and compare
+    the digests of what the two sides wrote (perfbench's, which leave out
+    run_info.json)."""
+    out, digests = work / "out", {}
+    for side in SIDES:
+        artifact_run(roots[side], args, out)
+        digests[side] = perfbench.artifact_digests(out)
+        shutil.rmtree(out)
+    differing = differing_artifacts(digests["base"], digests["head"])
+    return {"artifacts_identical": not differing, "differing_artifacts": differing}
+
+
 def host() -> dict:
     import numpy
 
@@ -226,7 +261,7 @@ def main() -> int:
         "host": host(),
     }
     started = time.perf_counter()
-    calls, probes = [], []
+    calls, probes, artifacts = [], [], {}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         roots = {"base": export_base(args.base, Path(tmp)), "head": head_root}
         perfbench = _perfbench_module(head_root)
@@ -237,6 +272,10 @@ def main() -> int:
             probe_args = ["--config", str(prepared.config)]
             if prepared.model is not None:
                 probe_args += ["--model", str(prepared.model)]
+            artifacts[workload] = compare_artifacts(
+                roots, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
+            print(f"{workload} artifacts differ: {artifacts[workload]['differing_artifacts']}",
+                  file=sys.stderr)
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     result = perfbench_call(roots[side], workload, args.seed, args.seconds)
@@ -249,6 +288,8 @@ def main() -> int:
                     probes.append({"workload": workload, "side": side,
                                    **setup_probe(roots[side], probe_args)})
     doc["workloads"] = summarize(calls, probes, spec["end_to_end"])
+    for workload, comparison in artifacts.items():
+        doc["workloads"].setdefault(workload, {}).update(comparison)
     doc["wall_s"] = time.perf_counter() - started
     out = head_root / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
