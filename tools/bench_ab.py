@@ -160,14 +160,18 @@ def _env() -> dict[str, str]:
     return env
 
 
-def perfbench_call(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+def run_in(root: Path, cmd: list[str]) -> str:
+    """The standard output of `cmd` run in `root`; a non-zero exit raises."""
     proc = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True,
                           timeout=CALL_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return last_json_line(proc.stdout)
+    return proc.stdout
+
+
+def perfbench_call(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    return last_json_line(run_in(root, [sys.executable, "perfbench/run.py", "--workload", workload,
+                                        "--seed", str(seed), "--seconds", str(seconds)]))
 
 
 def _perfbench_module(root: Path):
@@ -197,22 +201,15 @@ def setup_probe(root: Path, args: list[str]) -> dict:
     return launch(cmd, root, _env())
 
 
-def artifact_run(root: Path, args: list[str], out: Path) -> None:
-    """One plain CLI command through `root`'s perfbench/child.py, writing under `out`."""
-    cmd = [sys.executable, str(root / "perfbench" / "child.py"), "run", "--", *args, "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True,
-                          timeout=CALL_TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-
-
 def compare_artifacts(roots: dict[str, Path], args: list[str], work: Path, perfbench) -> dict:
     """Run the command once per side into the one path work/out, and compare
     the digests of what the two sides wrote (perfbench's, which leave out
     run_info.json)."""
     out, digests = work / "out", {}
     for side in SIDES:
-        artifact_run(roots[side], args, out)
+        root = roots[side]
+        run_in(root, [sys.executable, str(root / "perfbench" / "child.py"), "run", "--", *args,
+                      "--out", str(out)])
         digests[side] = perfbench.artifact_digests(out)
         shutil.rmtree(out)
     differing = differing_artifacts(digests["base"], digests["head"])
