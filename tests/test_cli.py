@@ -193,11 +193,11 @@ def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path
     table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
     config = fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
                               model={"hidden_units": 1024}, batch_size=1000,
-                              grid={"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [3],
-                                    "batch_size": [1000, 8]})
+                              grid={"dropout": [0.0], "learning_rate": [0.01], "hidden_layers": [1, 3],
+                                    "batch_size": [1000]})
     assert main([command, "--config", str(config)]) == 1
-    # the pass is checked first; at batch size 8 the parameters exceed their bound
-    prefix = "grid trial 0: " if command == "tune" else ""
+    # trial 0, at 1 hidden layer, passes both bounds: every point is checked before any runs
+    prefix = "grid trial 1: " if command == "tune" else ""
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {prefix}batch_size 1000 and model.hidden_units 1024 give a training pass "
         "of 2621440000 bytes over 50 features, more than 2147483648"]
@@ -238,6 +238,42 @@ def test_parameters_beyond_their_memory_bound_exit_1_before_allocating(tmp_path,
         f"config error: {prefix}model.hidden_layers 3 and model.hidden_units 1024 give 105113701 "
         "parameters over 50 features; the 19 parameter vectors of a run take 15977282552 bytes, "
         "more than 4294967296"]
+    assert not (tmp_path / "wide").exists()
+
+
+class ModelBuilt(Exception):
+    """Raised in place of building a model: the config passed every memory bound."""
+
+
+@pytest.mark.parametrize("optimizer,aggregation,most_clients,vectors_above",
+                         [("sgd", "both", 15, 20), ("sgd", "shape_average", 16, 20),
+                          ("adam", "both", 3, 24), ("adam", "shape_average", 3, 23)])
+def test_parameter_bound_counts_the_vectors_of_the_optimizer_and_aggregation(
+        tmp_path, capsys, monkeypatch, optimizer, aggregation, most_clients, vectors_above):
+    """13 features at 3 hidden layers of 1024 units: 218636504 bytes per
+    parameter vector, so at most 19 vectors fit in the bound. Adam adds four
+    vectors per client, and only parameter averaging keeps a global model."""
+    def refuse_to_build(**kwargs):
+        raise ModelBuilt
+
+    monkeypatch.setattr("fednam.tune.build_nam", refuse_to_build)
+    rows = [[(i * 7 + k) % 13 for k in range(13)] + [i % 2] for i in range(1000)]
+    table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(13)] + ["target"], rows)
+
+    def config(clients):
+        return fast_iris_config(tmp_path, table, "wide", dataset={"kind": "heart", "csv": str(table)},
+                                model={"hidden_layers": 3, "hidden_units": 1024}, batch_size=16,
+                                optimizer={"kind": optimizer},
+                                federation={"num_clients": clients, "rounds": 1, "local_epochs": 1,
+                                            "aggregation": aggregation})
+
+    with pytest.raises(ModelBuilt):
+        main(["train", "--config", str(config(most_clients))])
+    assert main(["train", "--config", str(config(most_clients + 1))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: model.hidden_layers 3 and model.hidden_units 1024 give 27329563 parameters "
+        f"over 13 features; the {vectors_above} parameter vectors of a run take "
+        f"{vectors_above * 218636504} bytes, more than 4294967296"]
     assert not (tmp_path / "wide").exists()
 
 
