@@ -35,34 +35,22 @@ _TAG_SPLIT = 11
 
 @dataclass
 class RawTable:
-    """A parsed CSV: header names, the data cells, and the file they came from.
+    """A parsed CSV: header names, the data cells as they were read, and the file.
 
-    `values` holds every cell as a float when all of them are finite numbers,
-    and is None otherwise. `rows` holds the stripped string cells, `_lines` the
-    file line of each row: read with the file when `values` is None, else read
-    from the file on first use, for a target whose class names are its cells.
+    `values` holds every cell as a float when NumPy's parser read the table;
+    else `rows` holds the stripped string cells and `lines` the file line each
+    row starts on.
     """
 
     columns: list[str]
     path: str
-    delimiter: str
     values: np.ndarray | None = None
-    _rows: list[list[str]] | None = field(default=None, repr=False)
-    _lines: list[int] | None = field(default=None, repr=False)
+    rows: list[list[str]] | None = field(default=None, repr=False)
+    lines: list[int] | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
-        return len(self.values) if self.values is not None else len(self._rows)
-
-    @property
-    def rows(self) -> list[list[str]]:
-        if self._rows is None:
-            with open(self.path, newline="", encoding="utf-8-sig") as f:
-                rows, lines = _scan_rows(f, self.path, self.delimiter, len(self.columns))
-            if len(rows) != self.n_rows:
-                raise DataError(f"{self.path}: file changed while it was read")
-            self._rows, self._lines = rows, lines
-        return self._rows
+        return len(self.values) if self.values is not None else len(self.rows)
 
 
 @dataclass
@@ -117,15 +105,15 @@ def _sniff_delimiter(header_line: str) -> str:
     return ","
 
 
-def load_csv(path: str | Path) -> RawTable:
+def load_csv(path: str | Path, as_text: bool = False) -> RawTable:
     """Parse a delimited file with a header row into a RawTable.
 
-    The data rows are read once as floats by NumPy's C parser, which takes
-    the same decimal strings as `float()` and rounds them the same way. A
-    file it cannot read that way (quoted or non-numeric cells, blank-only
-    lines, ragged rows, non-finite values) is read again row by row as
-    strings; ragged rows and files without data rows are rejected there,
-    with the offending line number.
+    Unless `as_text`, the data rows are read as floats by NumPy's C parser,
+    which takes the same decimal strings as `float()` and rounds them the same
+    way. A table read `as_text`, or one NumPy cannot read (quoted or
+    non-numeric cells, blank-only lines, ragged rows, non-finite values), is
+    read row by row as strings; ragged rows and files without data rows are
+    rejected there, with the offending line number.
     """
     path = Path(path)
     try:
@@ -135,13 +123,13 @@ def load_csv(path: str | Path) -> RawTable:
                 raise DataError(f"{path}: empty file")
             delim = _sniff_delimiter(first)
             f.seek(0)
-            columns = [c.strip().strip('"') for c in next(_records(f, str(path), delim))]
+            columns = [c.strip().strip('"') for c in next(_records(f, str(path), delim))[1]]
             if len(set(columns)) < len(columns):  # a lookup by name reads only the first
                 name = next(c for i, c in enumerate(columns) if c in columns[:i])
                 raise DataError(f"{path}: duplicate column name {name!r}")
-            values = _read_numbers(f, delim, len(columns))
+            values = None if as_text else _read_numbers(f, delim, len(columns))
             if values is not None:
-                return RawTable(columns, str(path), delim, values=values)
+                return RawTable(columns, str(path), values=values)
             f.seek(0)
             rows, lines = _scan_rows(f, str(path), delim, len(columns))
     except UnicodeDecodeError as exc:  # _read_numbers takes it for a non-numeric cell
@@ -150,7 +138,7 @@ def load_csv(path: str | Path) -> RawTable:
         raise DataError(f"CSV file not found: {path}") from exc
     except OSError as exc:
         raise DataError(f"cannot read CSV file {path}: {exc.strerror or exc}") from exc
-    return RawTable(columns, str(path), delim, _rows=rows, _lines=lines)
+    return RawTable(columns, str(path), rows=rows, lines=lines)
 
 
 def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
@@ -168,26 +156,31 @@ def _read_numbers(f, delim: str, width: int) -> np.ndarray | None:
 
 
 def _records(f, path: str, delim: str):
-    """The cells of each record of an open CSV file; a record the csv module
-    rejects, such as one with a cell over its field size limit, raises DataError."""
+    """The file line each record of an open CSV file starts on, and its cells;
+    a record the csv module rejects, such as one with a cell over its field
+    size limit, raises DataError."""
     reader = csv.reader(f, delimiter=delim)
+    lineno = 1
     try:
-        yield from reader
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1  # a quoted cell may span lines
     except csv.Error as exc:  # the limit is process-wide, so it is left as it is
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _scan_rows(f, path: str, delim: str, width: int) -> tuple[list[list[str]], list[int]]:
-    """The stripped string cells of each data row of an open CSV file, and its line.
+    """The stripped string cells of each data row of an open CSV file, and the
+    file line it starts on.
 
     Blank and whitespace-only lines are skipped; a row of other than `width`
     cells, or a file without data rows, raises DataError.
     """
-    reader = _records(f, path, delim)
-    next(reader)  # the header
+    records = _records(f, path, delim)
+    next(records)  # the header
     rows: list[list[str]] = []
     lines: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
@@ -218,7 +211,7 @@ def _numeric_columns(table: RawTable, columns: list[str]) -> np.ndarray:
 def _raise_first_bad_cell(table: RawTable, columns: list[str]) -> NoReturn:
     """Raise DataError for the first missing, non-numeric or non-finite cell of
     the named columns, in row-major order."""
-    for row, line in zip(table.rows, table._lines):
+    for row, line in zip(table.rows, table.lines):
         for column in columns:
             cell = row[table.columns.index(column)]
             where = f"in row {line}, column {column!r}"
@@ -237,7 +230,7 @@ def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndar
         col = table.columns.index(target_col)
         raw = [row[col] for row in table.rows]
         if "" in raw:
-            line = table._lines[raw.index("")]
+            line = table.lines[raw.index("")]
             raise DataError(f"{table.path}: missing value in row {line}, column {target_col!r}")
         classes = sorted(set(raw))
         mapping = {name: i for i, name in enumerate(classes)}
@@ -369,5 +362,5 @@ def load_dataset(
     target_col: str | None = None,
     iris_binary: bool = False,
 ) -> Dataset:
-    table = load_csv(csv_path)
+    table = load_csv(csv_path, as_text=kind == IRIS)  # iris classes are the cell texts
     return preprocess(table, kind, split or SplitSpec(), target_col, iris_binary)

@@ -194,8 +194,10 @@ def grid_search(
             check_pass_memory(dataset, trial_config)
         except ConfigError as exc:
             raise ConfigError(f"grid trial {trial_id}: {exc}") from exc
-    # fork starts every worker at once: one per trial and per CPU at most
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    # fork starts every worker at once: one per trial and per CPU at most,
+    # counting only the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(work), cpus or 1)
     if workers > 1:
         # imported here: it costs every other command's start-up 15-18 ms
         from concurrent.futures import ProcessPoolExecutor

@@ -41,7 +41,7 @@ def test_summary_of_pairs():
     probes = [{"workload": "iris-tune", "side": side, "seconds": s, "peak_rss_mb": mb}
               for side, s, mb in [("base", 0.28, 40.0), ("head", 0.27, 39.0), ("head", 0.29, 38.8),
                                   ("base", 0.30, 40.2)]]
-    report = bench_ab.summarize(calls({"base": base, "head": head}), probes, END_TO_END)
+    report = bench_ab.summarize(calls({"base": base, "head": head}), probes, END_TO_END, {})
     entry = report["iris-tune"]
     assert entry["pairs"] == 5
     assert entry["base_correct"] == [True] * 5 and entry["head_correct"] == [True] * 4 + [False]
@@ -64,6 +64,35 @@ def test_summary_of_pairs():
     rss = entry["setup_probe_peak_rss_mb"]
     assert rss["base"]["values"] == [40.0, 40.2] and rss["head"]["values"] == [39.0, 38.8]
     assert rss["head_wins"] == 2 and rss["median_change"] == pytest.approx(-1.2 / 40.1)
+
+
+def traced_stdout(metrics: dict[str, float | None]) -> str:
+    """What perfbench/run.py --trace 1 prints: per-layer metric lines, then one JSON line."""
+    line = {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
+    return f"environment {{}}\nnam.forward_calls 689 count\n{json.dumps(line)}\n"
+
+
+def test_per_layer_metrics_land_beside_the_pairs_and_artifacts():
+    """Each side's traced metrics go under the workload's `per_layer`, keyed by metric
+    then side; a metric one side does not report, or reports as null, reads None."""
+    traced = {"base": bench_ab.last_json_line(traced_stdout(
+                  {"nam.forward_calls": 689, "data.load_csv_s": 0.004, "dnn.test_auc": None})),
+              "head": bench_ab.last_json_line(traced_stdout(
+                  {"nam.forward_calls": 689, "data.load_csv_s": 0.003, "trace.spans": 1402}))}
+    layers = bench_ab.per_layer(traced)
+    assert layers == {"nam.forward_calls": {"base": 689, "head": 689},
+                      "data.load_csv_s": {"base": 0.004, "head": 0.003},
+                      "dnn.test_auc": {"base": None, "head": None},
+                      "trace.spans": {"base": None, "head": 1402}}
+    extras = {"iris-tune": {"artifacts_identical": True, "differing_artifacts": [], "per_layer": layers}}
+    runs = [(1.40, 0.30), (1.50, 0.31)]
+    report = bench_ab.summarize(calls({"base": runs, "head": runs}), [], END_TO_END, extras)
+    entry = report["iris-tune"]
+    assert entry["pairs"] == 2 and entry["metrics"]["run_s"]["head_wins"] == 0
+    assert entry["artifacts_identical"] is True and entry["per_layer"] is layers
+    # --pairs 0: the artifact comparison and the traced metrics stand alone
+    assert bench_ab.summarize([], [], END_TO_END, extras) == extras
 
 
 def test_launcher_reads_the_commands_own_peak_rss():

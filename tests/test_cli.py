@@ -410,7 +410,8 @@ def test_bad_csv_exits_2_naming_file_and_place(tmp_path, iris_csv, capsys, case,
 
 def test_long_cell_in_a_numeric_table_exits_2_when_class_names_are_read(tmp_path, iris_csv,
                                                                        capsys):
-    """NumPy's parser takes the long cell; the re-read for the iris class names does not."""
+    """NumPy's parser would take the long cell, but an iris table, whose class names are
+    its cells, is read as strings from the start, and the csv module refuses the cell."""
     lines = iris_csv.read_text().splitlines()
     codes = {name: str(i) for i, name in enumerate(sorted({ln.rsplit(",", 1)[1]
                                                            for ln in lines[1:]}))}
@@ -776,7 +777,8 @@ class TestTune:
                 raise BrokenProcessPool("a process in the process pool was terminated abruptly")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path on a 1-CPU runner too
+        # the pool path on a 1-CPU runner too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = fast_iris_config(tmp_path, iris_csv, "tbroken")
         assert main(["tune", "--config", str(config), "--jobs", "2"]) == 3
         [line] = capsys.readouterr().err.splitlines()

@@ -166,6 +166,20 @@ class TestIngestionRules:
         # the row is the file line, blank lines included
         assert str(info.value) == f"{path}: {message} in row 4, column 'b'"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [('a,b,target\n1,"2\n",0\n3,x,1\n', "non-numeric cell 'x' in row 4, column 'b'"),
+         ('a,b,target\n1,"2\n",0\n3,1\n', "line 4 has 2 cells, expected 3"),
+         ('"a\n",b,target\n1,2,0\n3,x,1\n', "non-numeric cell 'x' in row 4, column 'b'")],
+        ids=["cell_spans_lines", "ragged_after_a_cell_that_spans_lines", "header_spans_lines"],
+    )
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path, text, message):
+        """A quoted cell may hold a line break: the rows after it keep their file lines."""
+        path = write_text(tmp_path / "t.csv", text)
+        with pytest.raises(DataError) as info:
+            load_dataset(path, HEART)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_non_numeric_wine_target(self, tmp_path):
         path = write_text(tmp_path / "w.csv", "a,quality\n1,5\n2,good\n3,6\n")
         with pytest.raises(DataError) as info:
@@ -239,6 +253,31 @@ class TestIngestionRules:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant features, tiny classes
             assert same_dataset(load_dataset(messy, HEART, split), load_dataset(clean, HEART, split))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_text_scan_and_numpy_read_the_same_features(self, tmp_path_factory, data):
+        """An iris table is scanned as strings and a numeric heart table read by NumPy:
+        the same finite feature cells give bit-identical splits either way."""
+        n_rows = data.draw(st.integers(6, 30))
+        n_features = data.draw(st.integers(1, 4))
+        value = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+        spell = st.sampled_from(["{!r}", "{:.17g}", "{:.6g}", "{:.3e}", "{:.10E}", "{:.4f}"])
+        cells = [[data.draw(spell).format(data.draw(value)) for _ in range(n_features)]
+                 for _ in range(n_rows)]
+        header = ",".join(f"f{j}" for j in range(n_features))
+        work = tmp_path_factory.mktemp("readers")
+        paths = {}
+        for kind, target in ((IRIS, "species"), (HEART, "target")):
+            body = "".join(",".join(row) + f",{i % 2}\n" for i, row in enumerate(cells))
+            paths[kind] = write_text(work / f"{kind}.csv", f"{header},{target}\n{body}")
+        assert load_csv(paths[HEART]).values is not None  # NumPy's reader took it
+        split = SplitSpec(seed=data.draw(st.integers(0, 99)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant features
+            scanned = load_dataset(paths[IRIS], IRIS, split)
+            parsed = load_dataset(paths[HEART], HEART, split)
+        assert same_dataset(scanned, parsed)
 
 
 class TestPreprocess:
@@ -354,7 +393,7 @@ class TestPreprocess:
         rng = np.random.default_rng(3)
         values = np.column_stack([rng.uniform(0.0, 15.0, size=(50_000, 11)),
                                   rng.integers(3, 9, size=50_000)])
-        table = RawTable(WINE_COLUMNS, "wine.csv", ",", values=values)
+        table = RawTable(WINE_COLUMNS, "wine.csv", values=values)
         tracemalloc.start()
         try:
             preprocess(table, WINE, SplitSpec(seed=1))
@@ -389,7 +428,7 @@ class TestTooLargeToStandardize:
 
 def whole_table_arrays(path: Path, kind: str, iris_binary: bool = False):
     """The features and encoded labels of every row, read apart from preprocess."""
-    table = load_csv(path)
+    table = load_csv(path, as_text=True)
     target = table.columns.index(DEFAULT_TARGETS[kind])
     x = np.array([row[:target] + row[target + 1:] for row in table.rows], dtype=np.float64)
     labels = [row[target] for row in table.rows]

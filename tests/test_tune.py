@@ -142,7 +142,7 @@ class TestGridSearch:
 
     def test_no_more_workers_than_trials(self, tmp_path, monkeypatch, pool_sizes):
         """The pool forks all its workers at once, so `jobs` beyond the grid would fork idle ones."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         dataset = rigged_dataset(tmp_path, seed=3)
         grid = GridConfig(dropout=[0.0, 0.1], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
         _, trials = grid_search(dataset, quick_config(grid, rounds=1, epochs=1), jobs=64)
@@ -150,11 +150,21 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, []), (None, [])])
     def test_no_more_workers_than_cpus(self, tmp_path, monkeypatch, pool_sizes, cpus, pools):
-        """One CPU, or a count the OS does not know, runs the trials in this process."""
+        """Where `os` has no affinity call, one CPU, or a count the OS does not know, runs
+        the trials in this process."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         grid = GridConfig(dropout=[0.0, 0.1, 0.2], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
         _, trials = grid_search(rigged_dataset(tmp_path), quick_config(grid, rounds=1, epochs=1), jobs=64)
         assert pool_sizes == pools and len(trials) == 3
+
+    def test_no_more_workers_than_cpus_the_process_may_use(self, tmp_path, monkeypatch, pool_sizes):
+        """A process pinned to one CPU of a larger host runs the trials in this process."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        grid = GridConfig(dropout=[0.0, 0.1], learning_rate=[0.01], hidden_layers=[1], batch_size=[8])
+        _, trials = grid_search(rigged_dataset(tmp_path), quick_config(grid, rounds=1, epochs=1), jobs=2)
+        assert pool_sizes == [] and len(trials) == 2
 
 
 @pytest.fixture

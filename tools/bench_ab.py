@@ -1,7 +1,7 @@
 """Paired A/B benchmark: a base revision against the working tree.
 
     python3 tools/bench_ab.py --base REV --label L --workload W [--workload W ...]
-        [--pairs 10] [--seed 1] [--seconds 6] [--probes 20]
+        [--pairs 10] [--seed 1] [--seconds 6] [--probes 20] [--trace 0|1]
 
 Run it from the root of a fednam checkout. It exports the committed files of
 REV into a temporary directory with `git archive`, so the repository's own
@@ -24,12 +24,17 @@ that side's `perfbench/child.py run`, on the same prepared inputs and into
 the same `--out` path, and compares the two output trees byte for byte.
 Every file counts but `run_info.json`, which holds a timestamp.
 
+With `--trace 1`, after a workload's pairs it makes one `perfbench/run.py
+--trace 1` call per side, with the same seed and seconds, and keeps each
+side's per-layer metrics.
+
 It writes BENCH_<label>.json: per workload and side, the median and
 quartiles of each end-to-end metric of BENCHMARK.json, how many pairs the
 working tree won on each, and `correct` of every call; the same for the
 direct set-up probes' seconds and peak RSS; `artifacts_identical` and the
 sorted paths of the artifacts that differ; the host, both commit ids, the
-seed and the seconds.
+seed and the seconds; with `--trace 1`, each workload's `per_layer` metrics
+as {metric: {"base": value, "head": value}}.
 """
 
 from __future__ import annotations
@@ -107,9 +112,19 @@ def differing_artifacts(base: dict[str, str], head: dict[str, str]) -> list[str]
     return sorted(path for path in base.keys() | head.keys() if base.get(path) != head.get(path))
 
 
-def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict]) -> dict:
+def per_layer(traced: dict[str, dict]) -> dict:
+    """{metric: {"base": value, "head": value}} from each side's last JSON line
+    of a `perfbench/run.py --trace 1` call; a metric one side lacks reads None."""
+    names = dict.fromkeys(name for side in SIDES for name in traced[side]["metrics"])
+    return {name: {side: traced[side]["metrics"].get(name, {}).get("value") for side in SIDES}
+            for name in names}
+
+
+def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict],
+              extras: dict[str, dict]) -> dict:
     """Per workload: every end-to-end metric compared pair by pair, `correct`
-    and `failed` of every call, and the direct set-up probes compared.
+    and `failed` of every call, the direct set-up probes compared, and the
+    workload's entries of `extras` (the artifact comparison and `per_layer`).
 
     `calls` hold {"workload", "pair", "side", "result"}, where `result` is the
     last JSON line of a perfbench/run.py call; `probes` hold {"workload",
@@ -135,6 +150,8 @@ def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict]) -> 
                     for side in SIDES]
             entry[name] = compare(*read, "lower")
         report[workload] = entry
+    for workload, extra in extras.items():
+        report.setdefault(workload, {}).update(extra)
     return report
 
 
@@ -169,9 +186,10 @@ def run_in(root: Path, cmd: list[str]) -> str:
     return proc.stdout
 
 
-def perfbench_call(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_call(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     return last_json_line(run_in(root, [sys.executable, "perfbench/run.py", "--workload", workload,
-                                        "--seed", str(seed), "--seconds", str(seconds)]))
+                                        "--seed", str(seed), "--seconds", str(seconds),
+                                        "--trace", str(trace)]))
 
 
 def _perfbench_module(root: Path):
@@ -243,6 +261,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--probes", type=int, default=20, help="direct set-up probes per side")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: one traced perfbench call per side after the pairs")
     args = parser.parse_args()
     head_root = Path.cwd()
     if not (head_root / "perfbench" / "run.py").is_file():
@@ -255,10 +275,11 @@ def main() -> int:
         "head": {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(_git("status", "--porcelain"))},
         "seed": args.seed,
         "seconds": args.seconds,
+        "trace": args.trace,
         "host": host(),
     }
     started = time.perf_counter()
-    calls, probes, artifacts = [], [], {}
+    calls, probes, extras = [], [], {}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         roots = {"base": export_base(args.base, Path(tmp)), "head": head_root}
         perfbench = _perfbench_module(head_root)
@@ -269,9 +290,9 @@ def main() -> int:
             probe_args = ["--config", str(prepared.config)]
             if prepared.model is not None:
                 probe_args += ["--model", str(prepared.model)]
-            artifacts[workload] = compare_artifacts(
+            extras[workload] = compare_artifacts(
                 roots, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
-            print(f"{workload} artifacts differ: {artifacts[workload]['differing_artifacts']}",
+            print(f"{workload} artifacts differ: {extras[workload]['differing_artifacts']}",
                   file=sys.stderr)
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -280,13 +301,15 @@ def main() -> int:
                     run_s = result["metrics"]["run_s"]["value"]
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: run_s {run_s} "
                           f"correct {result['correct']}", file=sys.stderr)
+            if args.trace:
+                extras[workload]["per_layer"] = per_layer(
+                    {side: perfbench_call(roots[side], workload, args.seed, args.seconds, trace=1)
+                     for side in SIDES})
             for i in range(args.probes):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     probes.append({"workload": workload, "side": side,
                                    **setup_probe(roots[side], probe_args)})
-    doc["workloads"] = summarize(calls, probes, spec["end_to_end"])
-    for workload, comparison in artifacts.items():
-        doc["workloads"].setdefault(workload, {}).update(comparison)
+    doc["workloads"] = summarize(calls, probes, spec["end_to_end"], extras)
     doc["wall_s"] = time.perf_counter() - started
     out = head_root / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
