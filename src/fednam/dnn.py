@@ -44,7 +44,7 @@ class DnnModel(NetBank):
         return h[0], cache
 
     def backward_batch(
-        self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
+        self, cache: BankCache, dlogits: np.ndarray, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray]:
         grads, _ = dnn_backward(self, cache, dlogits, out, input_grad=False)
         return grads
@@ -54,19 +54,19 @@ def dnn_backward(
     model: DnnModel,
     cache: BankCache,
     dlogits: np.ndarray,
-    out: np.ndarray | None = None,
+    out: list[np.ndarray] | None = None,
     input_grad: bool = True,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Gradients as views of one vector aligned with `param_tensors()`, and
-    dLoss/dInput (None without `input_grad`).
+    """Gradients in `out`, views laid out like `param_tensors()` (a new
+    vector's when None), and dLoss/dInput (None without `input_grad`).
 
-    Every entry of the vector, `out` or a new one, is written.
+    Every entry of the views is written; `out` is the list returned.
     """
     g = np.asarray(dlogits, dtype=np.float64)
     expected = (cache.x.shape[1], model.out_dim)
     if g.shape != expected:
         raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
-    grads = model.grad_views(out)
+    grads = model.split(np.empty_like(model.params)) if out is None else out
     dx = bank_backward(model, cache, g[None], grads, input_grad)
     return grads, None if dx is None else dx[0]
 

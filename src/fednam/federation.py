@@ -192,7 +192,8 @@ def evaluate_model(model, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) 
 
 
 def _loss_and_accuracy(model, x: np.ndarray, y: np.ndarray, threshold: float) -> tuple[float, float]:
-    """Round-log client stats; tiny shards make AUC meaningless so it is skipped."""
+    """Inference-mode loss and accuracy of a predictor on (x, y), without the AUC
+    a tiny shard makes meaningless; `tune` scores each client's monitor rows with it."""
     logits, _ = model.forward_batch(x, INFER)
     loss, probabilities = cross_entropy(logits, y, model.task)
     return loss, accuracy(probabilities, y, model.task, threshold)
@@ -227,6 +228,7 @@ def local_train(
     train_losses: list[float] = []
     val_losses: list[float] = []
     grads = np.empty_like(model.params)  # rewritten whole by every backward
+    grad_views = model.split(grads)
 
     for _ in range(epochs):
         order = client.train_rows[gen.permutation(len(client.train_rows))]
@@ -239,7 +241,7 @@ def local_train(
             loss, dlogits = batch_loss_and_grad(logits, y_epoch[start:end], model.task)
             if not math.isfinite(loss):
                 raise TrainingError(f"client {client.client_id}: non-finite training loss")
-            model.backward_batch(cache, dlogits, grads)
+            model.backward_batch(cache, dlogits, grad_views)
             model.set_params(optimizer_step(client.optimizer, model.params, grads))
             batch_losses.append(loss)
         # np.mean's sum and division, without its Python wrapper
@@ -319,8 +321,9 @@ def run_federation(
 ) -> FederationResult:
     """Synchronous rounds with full participation.
 
-    Per round: broadcast the global parameters, train every client locally,
-    aggregate back by weighted averaging (unless aggregation is shape-only,
+    Every client starts from a copy of one initial model. Per round: train
+    every client locally, then aggregate by weighted averaging into the global
+    model, which the next round broadcasts (unless aggregation is shape-only,
     in which case clients evolve independently and the global predictor is
     the logit-mean ensemble). `on_round` receives each round's `RoundLog`
     as the round ends, so a caller holds the completed rounds even when a
@@ -330,15 +333,14 @@ def run_federation(
     clients = _start_clients(
         dataset, config, config.num_clients, model_factory, optimizer_factory, val_fraction, stratified
     )
-    parameter_averaging = config.aggregation == BOTH
-    global_model = clients[0].model.copy() if parameter_averaging else None
+    global_model = None
 
     val_x = np.concatenate([c.monitor_x for c in clients])
     val_y = np.concatenate([c.monitor_y for c in clients])
     for round_index in range(1, config.rounds + 1):
         entries = []
         for client in clients:
-            if parameter_averaging:
+            if global_model is not None:
                 client.model.copy_params_from(global_model)
             rng = np.random.default_rng(
                 [config.seed, _TAG_LOCAL_TRAIN, round_index, client.client_id]
@@ -348,9 +350,8 @@ def run_federation(
             except TrainingError as exc:
                 raise TrainingError(f"round {round_index}: {exc}") from exc
             entries.append(entry)
-        if parameter_averaging:
-            global_model = fed_avg(clients)
-            predictor = global_model
+        if config.aggregation == BOTH:
+            global_model = predictor = fed_avg(clients)
         else:
             predictor = EnsembleModel([c.model for c in clients])
         with warnings.catch_warnings():

@@ -92,7 +92,7 @@ def model_curves(model, ranges: list[tuple[float, float]], owner: str) -> list[S
         if lo > hi:
             raise DataError(f"invalid range ({lo}, {hi}) for feature {k}")
     grid = np.column_stack([np.linspace(lo, hi, GRID_POINTS) for lo, hi in ranges])
-    _, terms, _ = nam_forward(model, grid, INFER)
+    terms = _distinct_terms(model, grid)
     curves = []
     for k, (lo, hi) in enumerate(ranges):
         points = 1 if lo == hi else GRID_POINTS

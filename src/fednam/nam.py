@@ -70,7 +70,7 @@ class NamModel(NetBank):
         return logits, cache
 
     def backward_batch(
-        self, cache: BankCache, dlogits: np.ndarray, out: np.ndarray | None = None
+        self, cache: BankCache, dlogits: np.ndarray, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray]:
         grads, _ = nam_backward(self, cache, dlogits, out, input_grad=False)
         return grads
@@ -174,21 +174,21 @@ def nam_backward(
     model: NamModel,
     cache: BankCache,
     dlogits: np.ndarray,
-    out: np.ndarray | None = None,
+    out: list[np.ndarray] | None = None,
     input_grad: bool = True,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Gradients for every feature net and the output head, plus dLoss/dInput
     (None without `input_grad`).
 
-    The gradients fill one vector laid out like `params`, `out` or a new one,
-    and every entry of it is written; the returned list holds views of it
-    aligned with `param_tensors()`, the same list for the same `out`. The gradient for feature net k flows only
-    through its own additive term.
+    The gradients fill `out`, views laid out like `param_tensors()` (a new
+    vector's when None), and every entry of them is written; `out` is the
+    list returned. The gradient for feature net k flows only through its own
+    additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
     if g.shape != (cache.x.shape[1], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
-    grads = model.grad_views(out)
+    grads = model.split(np.empty_like(model.params)) if out is None else out
     # feature k's upstream gradient as a strided (batch, 1) view
     dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads, input_grad)
     np.matmul(g.T, cache.features, out=grads[-2])

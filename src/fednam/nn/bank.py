@@ -77,7 +77,6 @@ class NetBank:
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
-        self._grad_split: tuple[np.ndarray, list[np.ndarray]] | None = None
         views = self.split(params)
         n = len(self.activations)
         self.weights, self.biases, self.head = views[0 : 2 * n : 2], views[1 : 2 * n : 2], views[2 * n :]
@@ -96,15 +95,6 @@ class NetBank:
             views.append(vector[offset : offset + size].reshape(shape))
             offset += size
         return views
-
-    def grad_views(self, out: np.ndarray | None = None) -> list[np.ndarray]:
-        """`split` of a gradient vector, `out` or a new one. The views of the
-        last `out` are kept and returned again for it."""
-        if out is None:
-            return self.split(np.empty_like(self.params))
-        if self._grad_split is None or self._grad_split[0] is not out:
-            self._grad_split = (out, self.split(out))
-        return self._grad_split[1]
 
     def param_tensors(self) -> list[np.ndarray]:
         return self.split(self.params)

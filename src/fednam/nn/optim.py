@@ -52,7 +52,9 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
     lr = state.learning_rate
     state.step += 1
     if state.kind == SGD:
-        out = params - lr * grads
+        # -lr * g + p is p - lr * g bit for bit, through one new vector
+        out = np.multiply(grads, -lr)
+        out += params
     else:
         if state.m.size == 0:
             state.m = np.zeros_like(params)

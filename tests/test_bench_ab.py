@@ -105,6 +105,24 @@ def test_launcher_reads_the_commands_own_peak_rss():
     assert 0 < probe["peak_rss_mb"] < 40, probe
 
 
+def test_each_side_caches_bytecode_in_its_own_empty_directory(tmp_path, monkeypatch):
+    """Neither side reads bytecode cached in its tree: the children of each
+    side get a fresh, empty PYTHONPYCACHEPREFIX of their own, and write their
+    bytecode there even when the caller's environment forbids it."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    envs = bench_ab.side_envs(tmp_path)
+    prefixes = {side: Path(envs[side]["PYTHONPYCACHEPREFIX"]) for side in bench_ab.SIDES}
+    assert prefixes["base"] != prefixes["head"]
+    assert all(p.is_dir() and not any(p.iterdir()) for p in prefixes.values())
+    assert all("PYTHONPATH" not in env and env["OPENBLAS_NUM_THREADS"] == "1" for env in envs.values())
+    (tmp_path / "probe_module.py").write_text("")
+    read = bench_ab.run_in(tmp_path, [sys.executable, "-c",
+                                      "import sys, probe_module; print(sys.pycache_prefix)"], envs["head"])
+    assert read.strip() == str(prefixes["head"])
+    assert [p.name for p in prefixes["head"].rglob("probe_module*.pyc")]
+    assert not any(prefixes["base"].iterdir()) and not (tmp_path / "__pycache__").exists()
+
+
 def test_a_single_value_is_its_own_quartiles():
     assert bench_ab.spread([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1, "values": [2.0]}
     assert bench_ab.spread([None])["median"] is None

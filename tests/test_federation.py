@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 from _oracles import weighted_mean_tensors
 from conftest import write_csv
 from fednam.control import ControlConfig
-from fednam.data import HEART, SplitSpec, load_dataset
+from fednam.data import HEART, IRIS, SplitSpec, load_dataset
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, TrainingError
 from fednam.federation import (
+    BOTH,
     SHAPE_AVERAGE,
     ClientState,
     EnsembleModel,
@@ -22,7 +25,7 @@ from fednam.federation import (
     _loss_and_accuracy,
 )
 from fednam.nam import build_nam
-from fednam.nn import BINARY, MULTICLASS, OptimizerState, SGD
+from fednam.nn import ADAM, BINARY, MULTICLASS, OptimizerState, SGD
 
 
 def make_client(cid, x, y, model, lr=0.01, kind="adam", val_fraction=0.0):
@@ -403,3 +406,34 @@ class TestRunFederation:
             run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8,
                            on_round=logs.append)
         assert [log.round_index for log in logs] == [1, 2]
+
+
+@pytest.mark.parametrize("aggregation", [BOTH, SHAPE_AVERAGE])
+@pytest.mark.parametrize("kind", [ADAM, SGD])
+def test_a_run_holds_the_vectors_its_bound_counts(iris_csv, kind, aggregation):
+    """`check_pass_memory` counts a run's parameter vectors: per client, the
+    parameters and, under Adam, two moments and two scratch vectors; the
+    training client's gradient buffer, early-stop snapshot and optimizer
+    result; and the global model when parameters are averaged. The run's peak
+    stays within that count, and once it returns only the clients' vectors
+    and the global model remain."""
+    dataset = load_dataset(iris_csv, IRIS)
+
+    def factory(rng):
+        return build_nam(len(dataset.feature_names), dataset.task, dataset.n_classes, hidden_layers=3,
+                         hidden_units=256, rng=rng)
+
+    per_client = 5 if kind == ADAM else 1
+    kept = 3 * per_client + (aggregation == BOTH)
+    cfg = FederationConfig(num_clients=3, rounds=3, local_epochs=3, aggregation=aggregation, seed=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run_federation(dataset, cfg, factory, lambda: OptimizerState(kind=kind, learning_rate=0.01),
+                                batch_size=16)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vector = result.clients[0].model.params.nbytes
+    assert (peak - start) / vector < kept + 3 + 0.5
+    assert (held - start) / vector < kept + 0.5

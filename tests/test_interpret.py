@@ -293,11 +293,14 @@ def test_table_terms_depend_on_the_value_alone(case):
 
 
 def test_terms_of_a_dense_model_are_rejected():
+    """Curves and scores read a model's additive terms, which a dense model has not."""
     dnn = build_dnn(3, BINARY, rng=0)
     x = np.random.default_rng(0).normal(size=(20, 3))
     for model in (dnn, EnsembleModel([dnn, dnn])):
         with pytest.raises(ShapeMismatchError, match="cannot decompose terms of DnnModel"):
             contribution_scores(model, x, "c", ["a", "b", "c"])
+        with pytest.raises(ShapeMismatchError, match="cannot decompose terms of DnnModel"):
+            model_curves(model, [(-1.0, 1.0)] * 3, "c")
 
 
 class TestAttributions:

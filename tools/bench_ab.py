@@ -9,7 +9,14 @@ metadata is left as it was. For each workload it then makes `--pairs` pairs
 of `perfbench/run.py` calls, one on each side; the side that runs first
 switches from pair to pair, so a drift in the host's load does not favour
 either. Each side runs its own `perfbench/child.py`, which puts that side's
-`src` first.
+`src` first. Every child started for a side, and every process it starts,
+caches bytecode under that side's own PYTHONPYCACHEPREFIX, a directory made
+empty in the temporary one: neither side reads the `__pycache__` of its tree,
+such as a test run leaves in the working tree, so both sides import alike.
+The children may write there even under PYTHONDONTWRITEBYTECODE=1: under a
+prefix, Python reads no `__pycache__` at all, NumPy's and the standard
+library's included, so a child that could not write would compile them all.
+The first child of a side, the artifact run, fills its prefix.
 
 `perfbench` times its set-up probes right after command runs. The script
 also alternates `--probes` direct `perfbench/child.py setup` calls per side,
@@ -171,25 +178,35 @@ def export_base(rev: str, into: Path) -> Path:
     return root
 
 
-def _env() -> dict[str, str]:
-    env = dict(os.environ, **BLAS_ENV)
-    env.pop("PYTHONPATH", None)  # each side's child.py puts its own src first
-    return env
+def side_envs(tmp: Path) -> dict[str, dict[str, str]]:
+    """Each side's environment for the children it starts: one BLAS thread, no
+    PYTHONPATH (each side's child.py puts its own src first) and its own fresh,
+    empty PYTHONPYCACHEPREFIX under `tmp`, which the children may write, so
+    that neither side reads bytecode cached in its tree and both compile alike."""
+    envs = {}
+    for side in SIDES:
+        prefix = tmp / f"pycache-{side}"
+        prefix.mkdir()
+        envs[side] = dict(os.environ, **BLAS_ENV, PYTHONPYCACHEPREFIX=str(prefix))
+        for name in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
+            envs[side].pop(name, None)
+    return envs
 
 
-def run_in(root: Path, cmd: list[str]) -> str:
+def run_in(root: Path, cmd: list[str], env: dict[str, str]) -> str:
     """The standard output of `cmd` run in `root`; a non-zero exit raises."""
-    proc = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           timeout=CALL_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return proc.stdout
 
 
-def perfbench_call(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def perfbench_call(root: Path, env: dict[str, str], workload: str, seed: int, seconds: float,
+                   trace: int = 0) -> dict:
     return last_json_line(run_in(root, [sys.executable, "perfbench/run.py", "--workload", workload,
                                         "--seed", str(seed), "--seconds", str(seconds),
-                                        "--trace", str(trace)]))
+                                        "--trace", str(trace)], env))
 
 
 def _perfbench_module(root: Path):
@@ -213,13 +230,14 @@ def launch(cmd: list[str], cwd: Path, env: dict[str, str]) -> dict:
     raise RuntimeError(f"{' '.join(cmd)} in {cwd} failed:\n{proc.stderr[-2000:]}")
 
 
-def setup_probe(root: Path, args: list[str]) -> dict:
+def setup_probe(root: Path, env: dict[str, str], args: list[str]) -> dict:
     """One `perfbench/child.py setup` call: its seconds and its own peak RSS."""
     cmd = [sys.executable, str(root / "perfbench" / "child.py"), "setup", *args]
-    return launch(cmd, root, _env())
+    return launch(cmd, root, env)
 
 
-def compare_artifacts(roots: dict[str, Path], args: list[str], work: Path, perfbench) -> dict:
+def compare_artifacts(roots: dict[str, Path], envs: dict[str, dict[str, str]], args: list[str],
+                      work: Path, perfbench) -> dict:
     """Run the command once per side into the one path work/out, and compare
     the digests of what the two sides wrote (perfbench's, which leave out
     run_info.json)."""
@@ -227,7 +245,7 @@ def compare_artifacts(roots: dict[str, Path], args: list[str], work: Path, perfb
     for side in SIDES:
         root = roots[side]
         run_in(root, [sys.executable, str(root / "perfbench" / "child.py"), "run", "--", *args,
-                      "--out", str(out)])
+                      "--out", str(out)], envs[side])
         digests[side] = perfbench.artifact_digests(out)
         shutil.rmtree(out)
     differing = differing_artifacts(digests["base"], digests["head"])
@@ -282,6 +300,7 @@ def main() -> int:
     calls, probes, extras = [], [], {}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         roots = {"base": export_base(args.base, Path(tmp)), "head": head_root}
+        envs = side_envs(Path(tmp))
         perfbench = _perfbench_module(head_root)
         for workload in args.workload:
             work = Path(tmp) / f"probe-{workload}"
@@ -291,24 +310,25 @@ def main() -> int:
             if prepared.model is not None:
                 probe_args += ["--model", str(prepared.model)]
             extras[workload] = compare_artifacts(
-                roots, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
+                roots, envs, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
             print(f"{workload} artifacts differ: {extras[workload]['differing_artifacts']}",
                   file=sys.stderr)
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = perfbench_call(roots[side], workload, args.seed, args.seconds)
+                    result = perfbench_call(roots[side], envs[side], workload, args.seed, args.seconds)
                     calls.append({"workload": workload, "pair": pair, "side": side, "result": result})
                     run_s = result["metrics"]["run_s"]["value"]
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: run_s {run_s} "
                           f"correct {result['correct']}", file=sys.stderr)
             if args.trace:
                 extras[workload]["per_layer"] = per_layer(
-                    {side: perfbench_call(roots[side], workload, args.seed, args.seconds, trace=1)
+                    {side: perfbench_call(roots[side], envs[side], workload, args.seed, args.seconds,
+                                          trace=1)
                      for side in SIDES})
             for i in range(args.probes):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     probes.append({"workload": workload, "side": side,
-                                   **setup_probe(roots[side], probe_args)})
+                                   **setup_probe(roots[side], envs[side], probe_args)})
     doc["workloads"] = summarize(calls, probes, spec["end_to_end"], extras)
     doc["wall_s"] = time.perf_counter() - started
     out = head_root / f"BENCH_{args.label}.json"
