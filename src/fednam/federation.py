@@ -227,7 +227,7 @@ def local_train(
     schedule = control.make_schedule()
     train_losses: list[float] = []
     val_losses: list[float] = []
-    grads = np.empty_like(model.params)  # rewritten whole by every backward
+    grads = np.empty_like(model.params)  # rewritten whole by every backward, spent by every step
     grad_views = model.split(grads)
 
     for _ in range(epochs):
@@ -323,11 +323,11 @@ def run_federation(
 
     Every client starts from a copy of one initial model. Per round: train
     every client locally, then aggregate by weighted averaging into the global
-    model, which the next round broadcasts (unless aggregation is shape-only,
-    in which case clients evolve independently and the global predictor is
-    the logit-mean ensemble). `on_round` receives each round's `RoundLog`
-    as the round ends, so a caller holds the completed rounds even when a
-    later one raises.
+    model, which the next round broadcasts to every client before any of them
+    trains, and then drops (unless aggregation is shape-only, in which case
+    clients evolve independently and the global predictor is the logit-mean
+    ensemble). `on_round` receives each round's `RoundLog` as the round ends,
+    so a caller holds the completed rounds even when a later one raises.
     """
     control = control or ControlConfig()
     clients = _start_clients(
@@ -338,10 +338,12 @@ def run_federation(
     val_x = np.concatenate([c.monitor_x for c in clients])
     val_y = np.concatenate([c.monitor_y for c in clients])
     for round_index in range(1, config.rounds + 1):
+        if global_model is not None:
+            for client in clients:
+                client.model.copy_params_from(global_model)
+            global_model = predictor = None  # no global vector lives through local training
         entries = []
         for client in clients:
-            if global_model is not None:
-                client.model.copy_params_from(global_model)
             rng = np.random.default_rng(
                 [config.seed, _TAG_LOCAL_TRAIN, round_index, client.client_id]
             )

@@ -26,7 +26,7 @@ from .nn import (
     xavier_bank,
     xavier_init,
 )
-from .nn.bank import bank_shapes, check_shapes
+from .nn.bank import bank_shapes, check_shapes, row_block_product
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -191,7 +191,7 @@ def nam_backward(
     grads = model.split(np.empty_like(model.params)) if out is None else out
     # feature k's upstream gradient as a strided (batch, 1) view
     dh = bank_backward(model, cache, (g @ model.output_weights).T[:, :, None], grads, input_grad)
-    np.matmul(g.T, cache.features, out=grads[-2])
+    row_block_product(g, cache.features, out=grads[-2])
     np.add.reduce(g, axis=0, out=grads[-1])
     return grads, None if dh is None else np.ascontiguousarray(dh[:, :, 0].T)
 

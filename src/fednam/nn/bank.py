@@ -22,6 +22,11 @@ TRAIN = "train"
 INFER = "infer"
 # Inference runs the rows through the layers in blocks of this many.
 INFER_BLOCK_ROWS = 1024
+# A weight gradient sums the batch in blocks of at most this many rows, added in
+# order. OpenBLAS sums a product no deeper than its inner blocking in one order
+# whatever its thread count; a deeper one it may cut where the thread count
+# decides (with Skylake-X kernels, most depths from 385 to 1,023 rows, and 1,500).
+GRAD_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -180,6 +185,20 @@ def _column_sums(dz: np.ndarray) -> np.ndarray:
     return np.add.reduce(dz, axis=1)
 
 
+def row_block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a^T @ b, summed over the rows (axis -2) of both as the products of
+    blocks of GRAD_BLOCK_ROWS rows, and of the rows left over, added in block
+    order; up to GRAD_BLOCK_ROWS rows it is one matmul."""
+    at, rows = a.swapaxes(-1, -2), a.shape[-2]
+    if rows <= GRAD_BLOCK_ROWS:
+        return np.matmul(at, b, out=out)
+    out = np.matmul(at[..., :GRAD_BLOCK_ROWS], b[..., :GRAD_BLOCK_ROWS, :], out=out)
+    for start in range(GRAD_BLOCK_ROWS, rows, GRAD_BLOCK_ROWS):
+        block = slice(start, start + GRAD_BLOCK_ROWS)
+        out += np.matmul(at[..., block], b[..., block, :])
+    return out
+
+
 def _run_layers(
     bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None], cache: BankCache | None = None
 ) -> np.ndarray:
@@ -249,7 +268,8 @@ def bank_backward(
     """Backpropagate dLoss/dOutput, (K, batch, out), through the K nets.
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
-    views laid out like `param_tensors()`, and returns dLoss/dInput,
+    views laid out like `param_tensors()`, summing each weight gradient over
+    the batch by `row_block_product`, and returns dLoss/dInput,
     (K, batch, in), or None without `input_grad`. Each layer's input,
     pre-activation and dropout mask come from the cache; an inference cache
     gets them here, in one pass over `x`.
@@ -269,12 +289,12 @@ def bank_backward(
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
         if kind == EXU:
             ew = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
-            shifted = np.matmul(dz.transpose(0, 2, 1), h) - bank.biases[i][:, :, None] * col[:, :, None]
+            shifted = row_block_product(dz, h) - bank.biases[i][:, :, None] * col[:, :, None]
             np.multiply(ew, shifted, out=dw)
             np.multiply(-np.add.reduce(ew, axis=2), col, out=db)
             w = ew  # the input gradient flows back through exp(W)
         else:
-            np.matmul(dz.transpose(0, 2, 1), h, out=dw)
+            row_block_product(dz, h, out=dw)
             db[...] = col
         if i == 0 and not input_grad:
             return None

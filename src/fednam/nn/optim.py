@@ -18,18 +18,14 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Optimizer kind, learning rate, step counter, and Adam moments (one vector each).
-
-    Adam also keeps two scratch vectors the size of the moments, so a step
-    allocates only the vector it returns.
-    """
+    """Optimizer kind, learning rate, step counter, and Adam moments (one vector
+    each): between steps Adam keeps nothing else."""
 
     kind: str = ADAM
     learning_rate: float = 1e-3
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.empty(0))
     v: np.ndarray = field(default_factory=lambda: np.empty(0))
-    _scratch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if self.kind not in (SGD, ADAM):
@@ -41,7 +37,9 @@ class OptimizerState:
 def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One update of a parameter vector; returns the new vector and advances the state in place.
 
-    Rejects non-finite gradients so the training loop can surface the failure.
+    The step spends `grads`: Adam works in them and in the vector it returns,
+    so a step allocates only that vector. Rejects non-finite gradients so the
+    training loop can surface the failure.
     """
     if params.shape != grads.shape:
         raise ShapeMismatchError(f"gradient shape {grads.shape} does not match params {params.shape}")
@@ -59,22 +57,21 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray)
         if state.m.size == 0:
             state.m = np.zeros_like(params)
             state.v = np.zeros_like(params)
-            state._scratch = (np.empty_like(params), np.empty_like(params))
         # m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g*g and
         # out = params - lr*m_hat / (sqrt(v_hat) + eps), each operation in
-        # this order, in place on the scratch vectors
+        # this order, in place on the result and the spent gradient
         t = state.step
-        a, b = state._scratch
+        out = np.empty_like(params)
         state.m *= ADAM_BETA1
-        state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+        state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=out)
         state.v *= ADAM_BETA2
-        np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
-        state.v += np.multiply(a, grads, out=a)
-        m_hat = np.divide(state.m, 1.0 - ADAM_BETA1**t, out=a)
-        v_hat = np.divide(state.v, 1.0 - ADAM_BETA2**t, out=b)
-        update = np.multiply(m_hat, lr, out=a)
-        update /= np.add(np.sqrt(v_hat, out=b), ADAM_EPS, out=b)
-        out = params - update
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=out)
+        state.v += np.multiply(out, grads, out=out)
+        m_hat = np.divide(state.m, 1.0 - ADAM_BETA1**t, out=out)
+        v_hat = np.divide(state.v, 1.0 - ADAM_BETA2**t, out=grads)
+        update = np.multiply(m_hat, lr, out=out)
+        update /= np.add(np.sqrt(v_hat, out=grads), ADAM_EPS, out=grads)
+        np.subtract(params, update, out=out)
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise TrainingError("non-finite parameter update; update rejected")
     return out

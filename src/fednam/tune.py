@@ -20,7 +20,7 @@ from . import federation
 from .config import GRID_FIELDS, GridConfig, ModelConfig, OptimizerConfig, RunConfig, with_field
 from .data import Dataset
 from .errors import ConfigError, TrainingError
-from .federation import BOTH, FederationResult, RoundLog, evaluate_model, run_federation
+from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam, nam_parameter_count
 from .nn import ADAM, BINARY, OptimizerState
 
@@ -61,10 +61,10 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
 
     The pass keeps each hidden layer's input and pre-activation, (K, batch,
     units) floats each, and backward adds about two arrays more. The vectors
-    are, per client, the parameters and, under Adam, its two moments and two
-    scratch vectors; the training client's gradient buffer, its early-stop
-    snapshot and the vector the optimizer returns; and, when parameters are
-    averaged, the global model.
+    are, per client, the parameters and, under Adam, its two moments; and the
+    training client's gradient buffer, its early-stop snapshot and the vector
+    the optimizer returns. The global model is made after local training and
+    dropped once broadcast, so it is never held beside those three.
     """
     features, units = len(dataset.feature_names), config.model.hidden_units
     rows = min(config.batch_size, len(dataset.y_train))
@@ -77,9 +77,8 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
     layers = config.model.hidden_layers
     out_dim = 1 if dataset.task == BINARY else dataset.n_classes
     count = nam_parameter_count(features, out_dim, layers, units)
-    per_client = 5 if config.optimizer.kind == ADAM else 1
-    global_model = 1 if config.federation.aggregation == BOTH else 0
-    vectors = per_client * config.federation.num_clients + 3 + global_model
+    per_client = 3 if config.optimizer.kind == ADAM else 1
+    vectors = per_client * config.federation.num_clients + 3
     need = 8 * count * vectors
     if need > MAX_PARAM_BYTES:
         raise ConfigError(

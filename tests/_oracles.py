@@ -16,6 +16,7 @@ import numpy as np
 from fednam.errors import ShapeMismatchError
 from fednam.federation import BOTH, ClientRound, _carve_validation, partition_clients
 from fednam.nn import BINARY, LOGIT_CLAMP, MULTICLASS
+from fednam.nn.bank import GRAD_BLOCK_ROWS
 from fednam.tune import make_nam_factory
 
 
@@ -175,6 +176,15 @@ def dense_net_forward(weights, biases, activations, dropout_rate, x, mode="infer
     return h, trace
 
 
+def blocked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b as a running sum, in row order, of the products of blocks of
+    GRAD_BLOCK_ROWS rows: the order in which a weight gradient sums its batch."""
+    total = a[:GRAD_BLOCK_ROWS].T @ b[:GRAD_BLOCK_ROWS]
+    for start in range(GRAD_BLOCK_ROWS, len(a), GRAD_BLOCK_ROWS):
+        total = total + a[start : start + GRAD_BLOCK_ROWS].T @ b[start : start + GRAD_BLOCK_ROWS]
+    return total
+
+
 def dense_net_backward(weights, biases, activations, trace, g):
     """The matching backward pass: [dW0, db0, dW1, db1, ...] and dLoss/dInput."""
     grads = [None] * (2 * len(weights))
@@ -192,11 +202,11 @@ def dense_net_backward(weights, biases, activations, trace, g):
         if kind == "exu":
             ew = np.exp(np.clip(weights[i], -30.0, 30.0))
             col = dz.sum(axis=0)
-            grads[2 * i] = ew * (dz.T @ h - biases[i][:, None] * col[:, None])
+            grads[2 * i] = ew * (blocked_gram(dz, h) - biases[i][:, None] * col[:, None])
             grads[2 * i + 1] = -ew.sum(axis=1) * col
             g = dz @ ew
         else:
-            grads[2 * i] = dz.T @ h
+            grads[2 * i] = blocked_gram(dz, h)
             grads[2 * i + 1] = dz.sum(axis=0)
             g = dz @ weights[i]
     return grads, g
@@ -240,7 +250,7 @@ def per_feature_nam_backward(model, outputs: np.ndarray, traces: list, dlogits: 
         per_feature.append(grads)
         d_input[:, k] = dx[:, 0]
     stacked = [np.stack(tensors) for tensors in zip(*per_feature)]
-    return stacked + [dlogits.T @ outputs, dlogits.sum(axis=0)], d_input
+    return stacked + [blocked_gram(dlogits, outputs), dlogits.sum(axis=0)], d_input
 
 
 def per_layer_dnn_forward(model, x: np.ndarray, mode: str = "infer", rng=0):

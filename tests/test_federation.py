@@ -412,20 +412,20 @@ class TestRunFederation:
 @pytest.mark.parametrize("kind", [ADAM, SGD])
 def test_a_run_holds_the_vectors_its_bound_counts(iris_csv, kind, aggregation):
     """`check_pass_memory` counts a run's parameter vectors: per client, the
-    parameters and, under Adam, two moments and two scratch vectors; the
-    training client's gradient buffer, early-stop snapshot and optimizer
-    result; and the global model when parameters are averaged. The run's peak
-    stays within that count, and once it returns only the clients' vectors
-    and the global model remain."""
+    parameters and, under Adam, its two moments; and the training client's
+    gradient buffer, early-stop snapshot and optimizer result. The global
+    model is dropped once broadcast, so it is never held beside those. The
+    run's peak stays within that count, and once it returns only the clients'
+    vectors and the global model remain."""
     dataset = load_dataset(iris_csv, IRIS)
 
     def factory(rng):
         return build_nam(len(dataset.feature_names), dataset.task, dataset.n_classes, hidden_layers=3,
                          hidden_units=256, rng=rng)
 
-    per_client = 5 if kind == ADAM else 1
-    kept = 3 * per_client + (aggregation == BOTH)
-    counted = kept + 3  # the training client's gradient buffer, snapshot and optimizer result
+    clients = 3 * (3 if kind == ADAM else 1)
+    counted = clients + 3  # the training client's gradient buffer, snapshot and optimizer result
+    kept = clients + (aggregation == BOTH)
     cfg = FederationConfig(num_clients=3, rounds=3, local_epochs=3, aggregation=aggregation, seed=0)
     tracemalloc.start()
     try:

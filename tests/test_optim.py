@@ -39,10 +39,10 @@ def test_adam_moments_accumulate_deterministically():
     params_b = np.array([0.5, -0.5])
     rng = np.random.default_rng(0)
     grads = [rng.normal(size=2) for _ in range(10)]
+    for g in grads:  # a step spends its gradient, so each run gets its own copy
+        params_a = optimizer_step(a, params_a, g.copy())
     for g in grads:
-        params_a = optimizer_step(a, params_a, g)
-    for g in grads:
-        params_b = optimizer_step(b, params_b, g)
+        params_b = optimizer_step(b, params_b, g.copy())
     assert np.array_equal(params_a, params_b)
     assert a.step == b.step == 10
     assert isinstance(a.m, np.ndarray) and isinstance(a.v, np.ndarray)
@@ -90,6 +90,22 @@ def test_adam_step_allocates_only_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * params.nbytes
+
+
+def test_adam_state_is_its_two_moments():
+    """Between steps Adam keeps only m and v: its first step leaves them and
+    the result allocated, and nothing else."""
+    params = np.random.default_rng(7).normal(size=100_000)
+    grads = np.random.default_rng(8).normal(size=100_000)
+    state = OptimizerState(kind=ADAM, learning_rate=1e-3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        params = optimizer_step(state, params, grads)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (held - start) / params.nbytes == pytest.approx(3, abs=0.01)
 
 
 def test_adam_returns_a_fresh_vector_each_step():
