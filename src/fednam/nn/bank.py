@@ -188,10 +188,8 @@ def _column_sums(dz: np.ndarray) -> np.ndarray:
 def row_block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a^T @ b, summed over the rows (axis -2) of both as the products of
     blocks of GRAD_BLOCK_ROWS rows, and of the rows left over, added in block
-    order; up to GRAD_BLOCK_ROWS rows it is one matmul."""
+    order; up to GRAD_BLOCK_ROWS rows the first product is the whole sum."""
     at, rows = a.swapaxes(-1, -2), a.shape[-2]
-    if rows <= GRAD_BLOCK_ROWS:
-        return np.matmul(at, b, out=out)
     out = np.matmul(at[..., :GRAD_BLOCK_ROWS], b[..., :GRAD_BLOCK_ROWS, :], out=out)
     for start in range(GRAD_BLOCK_ROWS, rows, GRAD_BLOCK_ROWS):
         block = slice(start, start + GRAD_BLOCK_ROWS)

@@ -23,6 +23,7 @@ from .errors import ConfigError, TrainingError
 from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam, nam_parameter_count
 from .nn import ADAM, BINARY, OptimizerState
+from .nn.bank import GRAD_BLOCK_ROWS
 
 
 def make_nam_factory(dataset: Dataset, model_cfg: ModelConfig):
@@ -60,7 +61,8 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
     any weight is allocated.
 
     The pass keeps each hidden layer's input and pre-activation, (K, batch,
-    units) floats each, and backward adds about two arrays more. The vectors
+    units) floats each, and backward adds about two arrays more; above
+    GRAD_BLOCK_ROWS rows, also one block's weight-gradient product. The vectors
     are, per client, the parameters and, under Adam, its two moments; and the
     training client's gradient buffer, its early-stop snapshot and the vector
     the optimizer returns. The global model is made after local training and
@@ -69,6 +71,8 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
     features, units = len(dataset.feature_names), config.model.hidden_units
     rows = min(config.batch_size, len(dataset.y_train))
     need = 8 * features * rows * units * (2 * config.model.hidden_layers + 2)
+    if rows > GRAD_BLOCK_ROWS:  # backward's product of one block of rows, (K, units, units) at most
+        need += 8 * features * units * units
     if need > MAX_PASS_BYTES:
         raise ConfigError(
             f"batch_size {config.batch_size} and model.hidden_units {units} give a training "

@@ -201,7 +201,7 @@ def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path
     prefix = "grid trial 1: " if command == "tune" else ""
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {prefix}batch_size 1000 and model.hidden_units 1024 give a training pass "
-        "of 2621440000 bytes over 50 features, more than 2147483648"]
+        "of 3040870400 bytes over 50 features, more than 2147483648"]
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeypatch):

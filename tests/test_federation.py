@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import weighted_mean_tensors
-from conftest import write_csv
+from conftest import HEART_COLUMNS, synthetic_heart_rows, write_csv
 from fednam.control import ControlConfig
 from fednam.data import HEART, IRIS, SplitSpec, load_dataset
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, TrainingError
@@ -25,6 +25,7 @@ from fednam.federation import (
     _loss_and_accuracy,
 )
 from fednam.nam import build_nam
+from fednam.nn.bank import GRAD_BLOCK_ROWS
 from fednam.nn import ADAM, BINARY, MULTICLASS, OptimizerState, SGD
 
 
@@ -438,3 +439,34 @@ def test_a_run_holds_the_vectors_its_bound_counts(iris_csv, kind, aggregation):
     vector = result.clients[0].model.params.nbytes
     assert (peak - start) / vector < counted + 0.5
     assert (held - start) / vector < kept + 0.5
+
+
+@pytest.mark.parametrize("kind", [ADAM, SGD])
+def test_a_large_batch_run_holds_what_its_bounds_count(tmp_path, kind):
+    """Above GRAD_BLOCK_ROWS rows, backward adds each block's product to a
+    weight gradient through a temporary of that gradient's size, which
+    `check_pass_memory` counts beside the pass's layer arrays. With 300-unit
+    layers, wider than the 260-row batch, the run's peak stays within those
+    bytes and the vectors the bound counts."""
+    table = write_csv(tmp_path / "heart.csv", HEART_COLUMNS, synthetic_heart_rows(1500))
+    dataset = load_dataset(table, HEART)
+    features, layers, units, batch = len(dataset.feature_names), 2, 300, 260
+    assert batch > GRAD_BLOCK_ROWS
+
+    def factory(rng):
+        return build_nam(features, dataset.task, dataset.n_classes, hidden_layers=layers,
+                         hidden_units=units, rng=rng)
+
+    counted = (3 if kind == ADAM else 1) + 3
+    pass_bytes = 8 * features * batch * units * (2 * layers + 2) + 8 * features * units * units
+    cfg = FederationConfig(num_clients=1, rounds=2, local_epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run_federation(dataset, cfg, factory, lambda: OptimizerState(kind=kind, learning_rate=0.01),
+                                batch_size=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.clients[0].train_rows) > batch
+    assert peak - start < counted * result.clients[0].model.params.nbytes + pass_bytes
