@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -288,16 +288,15 @@ def fed_avg(clients: list[ClientState]):
 def _start_clients(
     dataset: Dataset,
     config: FederationConfig,
-    num_clients: int,
     model_factory,
     optimizer_factory,
     val_fraction: float,
     stratified: bool,
 ) -> list[ClientState]:
-    """Clients over `num_clients` shards of the training rows, each with its
-    validation rows carved out and a copy of one initial model."""
+    """Clients over `config.num_clients` shards of the training rows, each with
+    its validation rows carved out and a copy of one initial model."""
     x_train, y_train = dataset.X_train, dataset.y_train
-    shards = partition_clients(y_train, num_clients, config.seed, stratified)
+    shards = partition_clients(y_train, config.num_clients, config.seed, stratified)
     init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
     clients = []
     for cid, shard in enumerate(shards):
@@ -330,9 +329,7 @@ def run_federation(
     so a caller holds the completed rounds even when a later one raises.
     """
     control = control or ControlConfig()
-    clients = _start_clients(
-        dataset, config, config.num_clients, model_factory, optimizer_factory, val_fraction, stratified
-    )
+    clients = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction, stratified)
     global_model = None
 
     val_x = np.concatenate([c.monitor_x for c in clients])
@@ -376,9 +373,8 @@ def train_centralized(
 ):
     """All data on one worker, same round/epoch structure, no aggregation step."""
     control = control or ControlConfig()
-    [client] = _start_clients(
-        dataset, config, 1, model_factory, optimizer_factory, val_fraction, stratified
-    )
+    config = replace(config, num_clients=1)
+    [client] = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction, stratified)
     for round_index in range(1, config.rounds + 1):
         rng = np.random.default_rng([config.seed, _TAG_LOCAL_TRAIN, round_index, 0])
         local_train(client, config.local_epochs, batch_size, control, rng)

@@ -200,19 +200,14 @@ def row_block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
 def _run_layers(
     bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None], cache: BankCache | None = None
 ) -> np.ndarray:
-    """The bank's output on a (K, rows, in) input; each layer's input and
-    pre-activation are appended to `cache`, when given one."""
+    """The bank's output on a (K, rows, in) input, one matmul per layer, a
+    one-input layer's outer product too; each layer's input and pre-activation
+    are appended to `cache`, when given one."""
     h = x
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
         if kind == EXU:  # the weights enter through their exponential
             w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
-        if w.shape[2] == 1:
-            # one input: each entry is one product, as in the matmul. C order,
-            # whatever the input's layout, so that later layers get the layout
-            # a matmul gives them: BLAS sums other layouts in another order.
-            z = np.multiply(h, w.transpose(0, 2, 1), order="C")
-        else:
-            z = np.matmul(h, w.transpose(0, 2, 1))
+        z = np.matmul(h, w.transpose(0, 2, 1))
         if kind == EXU:
             z -= (b * np.add.reduce(w, axis=2))[:, None, :]
         else:
@@ -239,8 +234,9 @@ def bank_forward(
     output and the cache for `bank_backward`.
 
     TRAIN runs all rows at once, with dropout, and caches every layer's input
-    and pre-activation. INFER runs blocks of INFER_BLOCK_ROWS rows and caches
-    neither. The rows left over join the last block, since BLAS takes other
+    and pre-activation. INFER runs every batch in blocks of INFER_BLOCK_ROWS
+    rows and caches neither; a batch of fewer than 2 * INFER_BLOCK_ROWS rows is
+    one block. The rows left over join the last block, since BLAS takes other
     kernels for small products: a short block would not be bit-equal to the
     same rows of one pass over the batch.
     """
@@ -251,8 +247,6 @@ def bank_forward(
         raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
     masks = [None] * len(bank.weights)
     rows = x.shape[1]
-    if rows <= INFER_BLOCK_ROWS:
-        return _run_layers(bank, x, masks), BankCache(x, masks, bank.version)
     ends = [*range(INFER_BLOCK_ROWS, rows - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), rows]
     h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
     for start, end in zip([0, *ends], ends):

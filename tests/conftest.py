@@ -25,6 +25,18 @@ WINE_COLUMNS = [
 ]
 
 
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Register the hypothesis profile of CI's longer loop fuzz
+    (`pytest --hypothesis-profile=loop-fuzz`, test_reference_federation.py)
+    before the hypothesis plugin loads it. Hypothesis is imported here, not at
+    the top: perfbench imports this module for its row generators, and
+    hypothesis would add about 9 MB to every such run's peak RSS."""
+    from hypothesis import settings
+
+    settings.register_profile("loop-fuzz", max_examples=500, deadline=None)
+
+
 def require_file(path: Path) -> Path:
     if not path.exists():
         pytest.skip(f"dataset file {path} not present in this environment")

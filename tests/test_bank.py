@@ -67,10 +67,10 @@ def test_bank_matches_per_feature_nets(case):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_one_unit_layers_match_per_feature_nets(activation, data):
-    """At width 1 every layer has one input and runs as a broadcast product,
-    in C order. A product that followed the input's layout would be
-    batch-major after layer 0, and BLAS would sum the later layers' transposed
-    operands in another order."""
+    """At width 1 every layer has one input, so its matmul forms each entry
+    as one product and hands the next layer a C-order array. A product that
+    followed the input's layout would be batch-major after layer 0, and BLAS
+    would sum the later layers' transposed operands in another order."""
     _check_against_per_feature_nets(data.draw(cases(units=st.just(1), activations=st.just(activation))))
 
 

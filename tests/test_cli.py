@@ -82,16 +82,20 @@ TRAIN_HEADERS = REPORT_HEADERS | {"rounds.csv": ROUNDS_HEADER, "metrics.csv": ["
      # a floor of 0 let the plateau schedule take the rate to 0.0, which it then rejected
      ({"control": {"min_lr": 0}}, "control.min_lr: min_lr must be > 0, got 0"),
      ({"federation": {"rounds": 0}}, "federation.rounds must be >= 1, got 0"),
-     ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be in (0,1), got 1.5")],
+     ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be in (0,1), got 1.5"),
+     ({"dataset": {"kind": "cats"}}, "dataset.kind must be one of ('heart', 'wine', 'iris'), got 'cats'"),
+     ({"model": {"unit_kind": "tanh"}}, "model.unit_kind must be 'relu' or 'exu', got 'tanh'"),
+     ({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind must be 'sgd' or 'adam', got 'rmsprop'")],
     ids=["early_stop_patience", "lr_patience", "lr_factor", "min_lr", "federation.rounds",
-         "split.test_fraction"],
+         "split.test_fraction", "dataset.kind", "model.unit_kind", "optimizer.kind"],
 )
 def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys,
                                                       command, overrides, message):
-    """A range error names its section.key, and no --out directory is made."""
+    """A range or choice error is one line naming its section.key, and no
+    --out directory is made."""
     config = fast_iris_config(tmp_path, iris_csv, "ctl", **overrides)
     assert main([command, "--config", str(config)]) == 1
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not (tmp_path / "ctl").exists()
 
 
@@ -449,6 +453,28 @@ def test_long_cell_in_a_numeric_table_exits_2_when_class_names_are_read(tmp_path
     assert capsys.readouterr().err.splitlines() == [
         f"data error: {long_csv}: line 4: field larger than field limit (131072)"]
     assert not (tmp_path / "long").exists()
+
+
+@pytest.mark.parametrize("case", ["only_target", "two_rows", "one_species"])
+def test_table_that_leaves_nothing_to_train_exits_2_with_one_line(tmp_path, iris_csv, capsys, case):
+    """A table that parses but has no feature, too few rows to split, or one
+    class for `iris_binary`: exit 2 with one line, and no --out directory."""
+    table = tmp_path / "table.csv"
+    if case == "one_species":
+        lines = [ln for ln in iris_csv.read_text().splitlines()
+                 if not ln.endswith(("versicolor", "virginica"))]
+        dataset, message = {"kind": "iris", "iris_binary": True}, "iris_binary needs at least two classes"
+    elif case == "only_target":
+        lines = [ln.rsplit(",", 1)[1] for ln in heart_lines()]
+        dataset, message = {"kind": "heart"}, "no feature columns left after removing the target"
+    else:
+        lines = heart_lines()[:3]
+        dataset, message = {"kind": "heart"}, "cannot split 2 rows with test_fraction 0.2"
+    table.write_text("\n".join(lines) + "\n")
+    config = fast_iris_config(tmp_path, iris_csv, "none", dataset={**dataset, "csv": str(table)})
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

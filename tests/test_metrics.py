@@ -105,6 +105,12 @@ class TestMacroAuc:
         )
         assert macro_ovr_auc(probs, labels) == pytest.approx(expected, abs=1e-12)
 
+    def test_single_class_nan_with_warning(self):
+        probs = np.random.default_rng(5).dirichlet(np.ones(3), size=4)
+        with pytest.warns(UserWarning, match="single-class label set"):
+            value = macro_ovr_auc(probs, np.full(4, 2))
+        assert math.isnan(value)
+
 
 def test_compute_metrics_bundle():
     probs = np.array([[0.9], [0.8], [0.3], [0.1]])

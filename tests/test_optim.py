@@ -56,6 +56,14 @@ def test_nonfinite_gradient_rejected():
         optimizer_step(state, np.array([1.0]), np.array([np.inf]))
 
 
+def test_finite_update_that_overflows_rejected():
+    """Finite parameters and gradients whose SGD step overflows to inf."""
+    state = OptimizerState(kind=SGD, learning_rate=1.0)
+    with pytest.raises(TrainingError, match="^non-finite parameter update; update rejected$"), \
+            np.errstate(over="ignore"):
+        optimizer_step(state, np.array([1.5e308]), np.array([-1.5e308]))
+
+
 def test_shape_mismatch_rejected():
     state = OptimizerState(kind=SGD, learning_rate=0.1)
     with pytest.raises(ShapeMismatchError):
