@@ -26,7 +26,7 @@ from .interpret import InterpretBundle, baseline_attributions, global_interpret,
 # unused here, but perfbench/tracing.py wraps them on this module by name
 from .interpret import contribution_scores, model_curves
 from .nam import load_model, save_model
-from .tune import grid_search, make_optimizer_factory, run_from_config
+from .tune import federation_inputs, grid_search, run_from_config
 
 __all__ = ["main"]
 
@@ -141,9 +141,8 @@ def cmd_explain(config: RunConfig, out: Path, model: str) -> None:
     nam, feature_names = load_model(model)
     dataset = _load_run_dataset(config)
     if feature_names != dataset.feature_names:
-        raise DataError(
-            f"model features {feature_names} do not match dataset {dataset.feature_names}"
-        )
+        raise DataError(f"model features {feature_names} of {model} do not match "
+                        f"dataset {dataset.feature_names} of {config.dataset.csv}")
     bundle = global_interpret([], nam, dataset.X_train, dataset.feature_names)
     export_reports(bundle, out, scaler=dataset.scaler, svg=config.svg)
     print(f"wrote contribution and shape reports -> {out}")
@@ -188,16 +187,7 @@ def cmd_benchmark(config: RunConfig, out: Path) -> None:
     nam_stats = evaluate_model(
         nam_result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
     )
-    _, attributions, dnn_stats = baseline_attributions(
-        dataset,
-        config.federation.to_config(config.seed),
-        make_optimizer_factory(config.optimizer),
-        config.control,
-        batch_size=config.batch_size,
-        val_fraction=config.split.val_fraction,
-        stratified=config.split.stratified,
-        threshold=config.threshold,
-    )
+    _, attributions, dnn_stats = baseline_attributions(dataset, **federation_inputs(config))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "benchmark.csv",

@@ -131,9 +131,9 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be in (0,1)")
+            raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.jobs > MAX_JOBS:
             raise ConfigError(f"jobs must be <= {MAX_JOBS}, got {self.jobs}")
         if self.seed < 0:

@@ -61,13 +61,18 @@ class FederationSection:
                 f"federation.aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
             )
 
-    def to_config(self, seed: int) -> FederationConfig:
-        return FederationConfig(**asdict(self), seed=seed)
+    def to_config(self, seed: int, stratified: bool = True) -> FederationConfig:
+        return FederationConfig(**asdict(self), seed=seed, stratified=stratified)
 
 
 @dataclass
 class FederationConfig(FederationSection):
+    """A federation's settings: its run config section, plus the two fields a
+    run adds, the seed and whether `partition_clients` deals each label in turn
+    (`stratified`, the run's `split.stratified`)."""
+
     seed: int = 0
+    stratified: bool = True
 
 
 @dataclass
@@ -291,12 +296,11 @@ def _start_clients(
     model_factory,
     optimizer_factory,
     val_fraction: float,
-    stratified: bool,
 ) -> list[ClientState]:
     """Clients over `config.num_clients` shards of the training rows, each with
     its validation rows carved out and a copy of one initial model."""
     x_train, y_train = dataset.X_train, dataset.y_train
-    shards = partition_clients(y_train, config.num_clients, config.seed, stratified)
+    shards = partition_clients(y_train, config.num_clients, config.seed, config.stratified)
     init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
     clients = []
     for cid, shard in enumerate(shards):
@@ -314,7 +318,6 @@ def run_federation(
     control: ControlConfig | None = None,
     batch_size: int = 32,
     val_fraction: float = 0.10,
-    stratified: bool = True,
     threshold: float = 0.5,
     on_round: Callable[[RoundLog], None] | None = None,
 ) -> FederationResult:
@@ -329,7 +332,7 @@ def run_federation(
     so a caller holds the completed rounds even when a later one raises.
     """
     control = control or ControlConfig()
-    clients = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction, stratified)
+    clients = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction)
     global_model = None
 
     val_x = np.concatenate([c.monitor_x for c in clients])
@@ -369,12 +372,11 @@ def train_centralized(
     control: ControlConfig | None = None,
     batch_size: int = 32,
     val_fraction: float = 0.10,
-    stratified: bool = True,
 ):
     """All data on one worker, same round/epoch structure, no aggregation step."""
     control = control or ControlConfig()
     config = replace(config, num_clients=1)
-    [client] = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction, stratified)
+    [client] = _start_clients(dataset, config, model_factory, optimizer_factory, val_fraction)
     for round_index in range(1, config.rounds + 1):
         rng = np.random.default_rng([config.seed, _TAG_LOCAL_TRAIN, round_index, 0])
         local_train(client, config.local_epochs, batch_size, control, rng)

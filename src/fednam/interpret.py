@@ -1,11 +1,11 @@
 """Shape curves, contribution rankings, and the input-gradient baseline.
 
 A curve samples one feature's effective shape g_{c,k}(x) = w_{c,k} * f_k(x)
-on a grid spanning that feature's training range; values are mean-centered
-over the grid at reporting time. Contribution scores are the mean absolute
-effective shape over an owner's rows, the conventional additive-model
-importance. Each owner, a client or the global predictor, is described by
-its own model's curves and scores.
+on a grid spanning that feature's training range; `model_curves` centres
+its values on their mean over the grid as it builds the curve. Contribution
+scores are the mean absolute effective shape over an owner's rows, the
+conventional additive-model importance. Each owner, a client or the global
+predictor, is described by its own model's curves and scores.
 """
 
 from __future__ import annotations
@@ -201,12 +201,11 @@ def global_interpret(
 
 def baseline_attributions(
     dataset,
-    fed_config,
+    config,
     optimizer_factory,
     control=None,
     batch_size: int = 32,
     val_fraction: float = 0.10,
-    stratified: bool = True,
     threshold: float = 0.5,
 ):
     """Train the joint-input DNN with the same federation loop and attribute
@@ -216,15 +215,7 @@ def baseline_attributions(
         return build_dnn(len(dataset.feature_names), dataset.task, dataset.n_classes, rng=rng)
 
     result = run_federation(
-        dataset,
-        fed_config,
-        factory,
-        optimizer_factory,
-        control,
-        batch_size,
-        val_fraction,
-        stratified,
-        threshold,
+        dataset, config, factory, optimizer_factory, control, batch_size, val_fraction, threshold
     )
     model = result.global_predictor
     attributions = input_gradient_attributions(model, dataset.X_test)

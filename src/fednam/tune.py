@@ -92,24 +92,28 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
         )
 
 
+def federation_inputs(config: RunConfig) -> dict:
+    """The inputs every federation of a run shares, by keyword: the
+    FederationConfig, optimizer factory, control hooks, batch size, validation
+    fraction and threshold that `run_federation` and `baseline_attributions` take."""
+    return {
+        "config": config.federation.to_config(config.seed, config.split.stratified),
+        "optimizer_factory": make_optimizer_factory(config.optimizer),
+        "control": config.control,
+        "batch_size": config.batch_size,
+        "val_fraction": config.split.val_fraction,
+        "threshold": config.threshold,
+    }
+
+
 def run_from_config(
     dataset: Dataset, config: RunConfig, on_round: Callable[[RoundLog], None] | None = None
 ) -> FederationResult:
     """Train a NAM federation as described by a RunConfig; `on_round` receives
     each round's log as the round ends."""
     check_pass_memory(dataset, config)
-    return run_federation(
-        dataset,
-        config.federation.to_config(config.seed),
-        make_nam_factory(dataset, config.model),
-        make_optimizer_factory(config.optimizer),
-        config.control,
-        batch_size=config.batch_size,
-        val_fraction=config.split.val_fraction,
-        stratified=config.split.stratified,
-        threshold=config.threshold,
-        on_round=on_round,
-    )
+    return run_federation(dataset, model_factory=make_nam_factory(dataset, config.model),
+                          on_round=on_round, **federation_inputs(config))
 
 
 @dataclass

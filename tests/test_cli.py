@@ -85,9 +85,13 @@ TRAIN_HEADERS = REPORT_HEADERS | {"rounds.csv": ROUNDS_HEADER, "metrics.csv": ["
      ({"split": {"test_fraction": 1.5}}, "split.test_fraction must be in (0,1), got 1.5"),
      ({"dataset": {"kind": "cats"}}, "dataset.kind must be one of ('heart', 'wine', 'iris'), got 'cats'"),
      ({"model": {"unit_kind": "tanh"}}, "model.unit_kind must be 'relu' or 'exu', got 'tanh'"),
-     ({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind must be 'sgd' or 'adam', got 'rmsprop'")],
+     ({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind must be 'sgd' or 'adam', got 'rmsprop'"),
+     ({"threshold": 0}, "threshold must be in (0,1), got 0"),
+     ({"dataset": {"kind": "iris", "csv": "a\0b"}},
+      "dataset.csv must not hold a NUL byte, got 'a\\x00b'")],
     ids=["early_stop_patience", "lr_patience", "lr_factor", "min_lr", "federation.rounds",
-         "split.test_fraction", "dataset.kind", "model.unit_kind", "optimizer.kind"],
+         "split.test_fraction", "dataset.kind", "model.unit_kind", "optimizer.kind", "threshold",
+         "dataset.csv_nul"],
 )
 def test_invalid_control_value_exits_1_before_running(tmp_path, iris_csv, capsys,
                                                       command, overrides, message):
@@ -703,7 +707,7 @@ class TestExplain:
     @pytest.mark.parametrize(
         "tamper",
         ["truncated_nam", "truncated_dnn", "weight_row_removed", "nan_weight", "unknown_activation",
-         "mixed_feature_nets", "feature_count_mismatch"],
+         "mixed_feature_nets", "feature_count_mismatch", "no_schema_version"],
     )
     def test_malformed_model_exits_2_naming_file(self, tmp_path, iris_csv, capsys, tamper):
         config = fast_iris_config(tmp_path, iris_csv, "c")
@@ -726,6 +730,8 @@ class TestExplain:
             del doc["feature_nets"][3]
             for row in doc["output_weights"]:
                 del row[3]
+        elif tamper == "no_schema_version":
+            del doc["schema_version"]
         else:
             doc["feature_nets"][0]["activations"][0] = "sigmoid"
         model.write_text(json.dumps(doc))
@@ -733,6 +739,22 @@ class TestExplain:
         assert main(["explain", "--config", str(config), "--model", str(model),
                      "--out", str(explain_out)]) == 2
         assert f"model file {model}" in capsys.readouterr().err
+        assert not explain_out.exists()
+
+    def test_feature_mismatch_exits_2_naming_both_files(self, tmp_path, iris_csv, capsys):
+        """A model explained on a table whose columns it was not trained on."""
+        _, out = self.trained(tmp_path, iris_csv)
+        renamed = tmp_path / "iris_renamed.csv"
+        renamed.write_text(iris_csv.read_text().replace("sepal_length", "sepal_len", 1))
+        config = fast_iris_config(tmp_path, renamed, "c")
+        model = out / "model.json"
+        explain_out = tmp_path / "explain_out"
+        assert main(["explain", "--config", str(config), "--model", str(model),
+                     "--out", str(explain_out)]) == 2
+        names = ["sepal_length", "sepal_width", "petal_length", "petal_width"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: model features {names} of {model} do not match "
+            f"dataset {['sepal_len', *names[1:]]} of {renamed}"]
         assert not explain_out.exists()
 
     def test_schema_version_mismatch_exits_1_with_versions(self, tmp_path, iris_csv, capsys):
@@ -860,6 +882,35 @@ class TestBenchmark:
             tmp_path / "b2" / "benchmark.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_both_models_are_dealt_the_same_shards(self, tmp_path, iris_csv, monkeypatch,
+                                                   stratified):
+        """The NAM's federation and the DNN's deal the training rows by the
+        config's rule and carve the same validation rows."""
+        import fednam.federation as federation
+
+        calls = []
+        partition_clients = federation.partition_clients
+        carve_validation = federation._carve_validation
+
+        def partition(labels, num_clients, seed, stratified=True):
+            calls.append(("partition", labels.tobytes(), num_clients, seed, stratified))
+            return partition_clients(labels, num_clients, seed, stratified)
+
+        def carve(n_rows, val_fraction, seed, client_id):
+            calls.append(("carve", n_rows, val_fraction, seed, client_id))
+            return carve_validation(n_rows, val_fraction, seed, client_id)
+
+        monkeypatch.setattr(federation, "partition_clients", partition)
+        monkeypatch.setattr(federation, "_carve_validation", carve)
+        config = fast_iris_config(tmp_path, iris_csv, "dealt", split={"stratified": stratified},
+                                  federation={"num_clients": 3, "rounds": 1, "local_epochs": 1})
+        assert main(["benchmark", "--config", str(config)]) == 0
+        nam, dnn = calls[:4], calls[4:]  # each run deals once, then carves each of 3 shards
+        assert [c[0] for c in nam] == ["partition"] + ["carve"] * 3
+        assert nam == dnn
+        assert nam[0][-1] is stratified
+
 
 def test_side_effects_confined_to_out_dir(tmp_path, iris_csv, monkeypatch):
     workdir = tmp_path / "cwd"
@@ -936,8 +987,12 @@ def test_every_flag_a_command_reads_sets_its_field(tmp_path, monkeypatch, comman
      (["explain"], "fednam explain: the following arguments are required: --model"),
      (["tune", "--dataset", "mnist"], "fednam tune: argument --dataset: invalid choice: 'mnist'"),
      (["serve"], "fednam: argument command: invalid choice: 'serve'"),
-     ([], "fednam: the following arguments are required: command")],
-    ids=["bad_int", "missing_model", "bad_choice", "unknown_command", "no_command"],
+     ([], "fednam: the following arguments are required: command"),
+     (["train", "--config", "/no/such/config.json"], "config file not found: /no/such/config.json"),
+     (["train", "--threshold", "1.5"], "threshold must be in (0,1), got 1.5"),
+     (["tune", "--jobs", "0"], "jobs must be >= 1, got 0")],
+    ids=["bad_int", "missing_model", "bad_choice", "unknown_command", "no_command",
+         "missing_config", "threshold_flag", "jobs_flag"],
 )
 def test_usage_error_exits_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1

@@ -16,6 +16,7 @@ from fednam.federation import (
     ClientState,
     EnsembleModel,
     FederationConfig,
+    FederationSection,
     evaluate_model,
     fed_avg,
     local_train,
@@ -363,6 +364,18 @@ class TestRunFederation:
         central = train_centralized(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
         for a, b in zip(fed.global_model.param_tensors(), central.param_tensors()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_clients_are_dealt_by_the_config_rule(self, tmp_path, stratified):
+        dataset = tiny_dataset(tmp_path, n=60, seed=4)
+        assert FederationSection().to_config(5).stratified  # the default deals each label in turn
+        cfg = FederationSection(num_clients=3, rounds=1, local_epochs=1).to_config(5, stratified)
+        result = run_federation(dataset, cfg, nam_factory(dataset), adam_factory, batch_size=8)
+        shards = partition_clients(dataset.y_train, 3, 5, stratified)
+        other = partition_clients(dataset.y_train, 3, 5, not stratified)
+        assert not all(map(np.array_equal, shards, other))  # the two rules deal apart here
+        for client, shard in zip(result.clients, shards):
+            assert np.array_equal(client.x, dataset.X_train[shard])
 
     def test_shape_average_mode_trains_independently(self, tmp_path):
         dataset = tiny_dataset(tmp_path, n=60, seed=4)
