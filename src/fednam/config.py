@@ -41,7 +41,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.unit_kind not in (RELU, EXU):
             raise ConfigError(f"model.unit_kind must be 'relu' or 'exu', got {self.unit_kind!r}")
-        # a size past its cap would fail only where the weights are allocated
+        # the caps refuse a size at config load, before any data is read
         for key, most in (("hidden_layers", 64), ("hidden_units", 1024)):
             value = getattr(self, key)
             if value < 1:
@@ -194,10 +194,7 @@ def _build(cls, doc: dict, where: str | None = None):
             # JSON's NaN and Infinity load as floats that pass every range check
             raise ConfigError(f"{name} must be finite, got {json.dumps(value)}")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where or 'config'}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def with_field(config, dotted: str, value):

@@ -13,7 +13,6 @@ ACTIVATIONS = (RELU, EXU, IDENTITY)
 
 # Logits are clamped to this range before any exponential.
 LOGIT_CLAMP = 30.0
-XAVIER_BLOCK = 1 << 16  # entries `xavier_init` draws at a time, at most: a small temporary
 
 
 def as_rng(rng: int | np.random.Generator) -> np.random.Generator:
@@ -24,15 +23,16 @@ def as_rng(rng: int | np.random.Generator) -> np.random.Generator:
 
 
 def xavier_init(weights: np.ndarray, rng: int | np.random.Generator) -> np.ndarray:
-    """Fill (out, in) `weights` with uniform Xavier/Glorot draws in [-sqrt(6/(in+out)),
-    +sqrt(6/(in+out))], XAVIER_BLOCK at a time at most, and return it. A uniform draw
-    takes the stream's numbers one by one, so the blocks hold what one draw would."""
-    gen = as_rng(rng)
+    """Fill (out, in) `weights` in place with uniform Xavier/Glorot draws in
+    [-sqrt(6/(in+out)), +sqrt(6/(in+out))) and return it. The draws land in memory
+    order, which is `uniform`'s order for a C-contiguous array, with `uniform`'s
+    bits: `low + (high - low) * u` for each u the stream gives. NumPy rejects a
+    strided view with ValueError."""
     out_dim, in_dim = weights.shape
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    step = max(1, XAVIER_BLOCK // in_dim)
-    for rows in (weights[i : i + step] for i in range(0, out_dim, step)):
-        rows[...] = gen.uniform(-bound, bound, size=rows.shape)
+    as_rng(rng).random(out=weights)
+    weights *= 2 * bound
+    weights -= bound
     return weights
 
 

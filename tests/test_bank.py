@@ -23,7 +23,7 @@ from fednam.dnn import DnnModel, build_dnn, dnn_backward
 from fednam.errors import ShapeMismatchError, StaleCacheError
 from fednam.interpret import model_curves
 from fednam.nam import NamModel, build_nam, nam_backward, nam_forward
-from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN
+from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, NetBank
 from fednam.nn.bank import INFER_BLOCK_ROWS
 
 
@@ -291,6 +291,26 @@ def test_inference_cache_holds_no_layer_arrays(model):
     model.backward_batch(cache, np.ones((len(x), model.out_dim)))
     assert [z.shape[1] for z in cache.preacts] == [len(x)] * len(model.weights)
     assert len(cache.inputs) == len(model.weights)
+
+
+@pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])
+def test_dlogits_off_the_batch_rejected(model):
+    _, cache = model.forward_batch(np.zeros((5, 3)), TRAIN, 1)
+    with pytest.raises(ShapeMismatchError, match=r"shape \(4, \d\) does not match"):
+        model.backward_batch(cache, np.ones((4, model.out_dim)))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: NetBank(2, [1, 3, 1], [RELU, IDENTITY], 0.0, "regression"), ValueError, "unknown task 'regression'"),
+    (lambda: NetBank(2, [1, 3, 1], ["tanh", IDENTITY], 0.0, BINARY), ValueError, "unknown activation 'tanh'"),
+    (lambda: NetBank(2, [1, 3, 1], [RELU, IDENTITY], 1.0, BINARY), ValueError,
+     r"dropout_rate must be in \[0, 1\), got 1.0"),
+    (lambda: NamModel(2, [3], [RELU, IDENTITY], 0.0, 2, BINARY), ShapeMismatchError,
+     "binary task requires exactly one output row"),
+], ids=["task", "activation", "dropout", "binary_head_rows"])
+def test_bad_architecture_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize("model", [build_nam(3, BINARY, rng=0), build_dnn(3, MULTICLASS, n_classes=3, rng=0)])

@@ -16,7 +16,7 @@ from conftest import (HEART_COLUMNS, WINE_COLUMNS, synthetic_heart_rows, synthet
                       write_csv)
 from fednam.cli import main
 from fednam.config import config_from_dict
-from fednam.errors import TrainingError
+from fednam.errors import ShapeMismatchError, TrainingError
 from fednam.nam import build_nam, nam_parameter_count, save_model
 from fednam.nn import BINARY, MULTICLASS
 
@@ -221,6 +221,20 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeyp
     assert main(["train", "--config", str(config)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: out of memory: Unable to allocate 400. MiB for an array"]
+
+
+def test_other_package_error_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeypatch):
+    """A package error that is no config, data or training error still gets
+    one `error:` line, and no traceback."""
+    import fednam.cli as cli
+
+    def mismatched(config, out, **handler_args):
+        raise ShapeMismatchError("fed_avg needs at least one client")
+
+    monkeypatch.setitem(cli.COMMANDS, "train", (mismatched, cli.COMMANDS["train"][1]))
+    config = fast_iris_config(tmp_path, iris_csv, "mismatch")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: fed_avg needs at least one client"]
 
 
 @pytest.mark.parametrize("command", ["train", "tune", "benchmark"])

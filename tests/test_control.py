@@ -96,6 +96,12 @@ class TestLrSchedule:
         assert lr == 0.0025
 
 
+@pytest.mark.parametrize("rate", [0.0, -1e-3])
+def test_non_positive_learning_rate_rejected(rate):
+    with pytest.raises(ValueError, match="^learning rate must be positive$"):
+        schedule_lr(LrSchedule(), rate, 1.0)
+
+
 def test_control_config_builds_fresh_state():
     cfg = ControlConfig(early_stop_patience=7, min_delta=1e-3, lr_patience=4)
     a, b = cfg.make_early_stop(), cfg.make_early_stop()

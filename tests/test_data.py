@@ -321,6 +321,10 @@ class TestPreprocess:
         assert np.all(np.abs(train.mean(axis=0)) <= 1e-9)
         assert np.all(np.abs(train.std(axis=0) - 1.0) <= 1e-6)
 
+    def test_unknown_kind(self, iris_csv):
+        with pytest.raises(DataError, match="^unknown dataset kind 'cats'; expected one of"):
+            preprocess(load_csv(iris_csv), "cats", SplitSpec())
+
     def test_unknown_target_column(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", ["a", "b"], [[1, 0], [2, 1]])
         with pytest.raises(DataError, match="target-col"):

@@ -308,6 +308,20 @@ def adam_factory():
     return OptimizerState(kind="adam", learning_rate=0.01)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: EnsembleModel([]), ShapeMismatchError, "^an ensemble needs at least one member$"),
+    (lambda: fed_avg([]), ShapeMismatchError, "^fed_avg needs at least one client$"),
+    (lambda: partition_clients(np.zeros(4), 0, seed=0), ConfigError, "^num_clients must be >= 1, got 0$"),
+    (lambda: local_train(make_client(4, *toy_separable(8), small_nam()), 0, 4, ControlConfig(), 0),
+     TrainingError, "^client 4: epochs must be >= 1$"),
+    (lambda: local_train(make_client(4, *toy_separable(8), small_nam()), 1, 0, ControlConfig(), 0),
+     TrainingError, "^client 4: batch_size must be >= 1$"),
+], ids=["empty_ensemble", "fed_avg_no_clients", "no_clients", "no_epochs", "no_batch"])
+def test_empty_or_zero_inputs_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestRunFederation:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

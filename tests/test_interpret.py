@@ -19,6 +19,7 @@ from fednam import interpret
 from fednam.federation import ClientState, EnsembleModel, FederationConfig
 from fednam.interpret import (
     GLOBAL_OWNER,
+    ShapeCurve,
     _per_feature_terms,
     average_shape_functions,
     baseline_attributions,
@@ -130,6 +131,17 @@ class TestAverageShapeFunctions:
         }[case]
         with pytest.raises(ShapeMismatchError, match="different \\(feature, class\\) curves"):
             average_shape_functions(by_client)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ShapeCurve(0, 0, np.zeros(3), np.zeros(2), "c"), ShapeMismatchError, "^grid and values must align$"),
+    (lambda: average_shape_functions([]), ShapeMismatchError, "^need curves from at least one client$"),
+    (lambda: input_gradient_attributions(one_layer(np.ones((1, 3)), np.zeros(1), IDENTITY), np.empty((0, 3))),
+     DataError, r"^attributions need a non-empty \(rows, features\) matrix$"),
+], ids=["misaligned_curve", "no_clients", "no_rows"])
+def test_empty_or_misaligned_inputs_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestContributions:

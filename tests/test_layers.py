@@ -12,7 +12,6 @@ from fednam.dnn import build_dnn
 from fednam.errors import ShapeMismatchError
 from fednam.nam import build_nam
 from fednam.nn import BINARY, EXU, IDENTITY, MULTICLASS, RELU, NetBank, xavier_bank, xavier_init
-from fednam.nn.layers import XAVIER_BLOCK
 
 
 def layer_output(weights, biases, activation, x):
@@ -53,7 +52,7 @@ class TestXavierInit:
 def built_and_reference(draw):
     """A freshly built NAM or dense model, and the parameters the reference
     draws give for its architecture and seed. Widths up to 300 take layers
-    past XAVIER_BLOCK entries, which are drawn in several blocks."""
+    past 65,536 entries."""
     task = draw(st.sampled_from([BINARY, MULTICLASS]))
     out_dim = 1 if task == BINARY else draw(st.integers(3, 4))
     layers = draw(st.integers(1, 3))
@@ -91,15 +90,25 @@ def test_built_parameters_equal_the_reference_draws(case):
 ], ids=["nam", "dnn"])
 def test_construction_holds_the_weights_once(build):
     """A model is drawn straight into its one parameter vector: building it
-    allocates little beyond that vector, and no per-net or stacked copy."""
+    allocates less than 64 KiB beyond that vector, and no per-net, stacked
+    or per-layer copy."""
+    build_nam(2, BINARY, hidden_layers=1, hidden_units=2)  # warm-up: first-call allocations
     tracemalloc.start()
     try:
         model = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.params.nbytes > 100 * 8 * XAVIER_BLOCK
-    assert peak < 1.2 * model.params.nbytes
+    assert model.params.nbytes > 100 * 8 * 65_536
+    assert peak - model.params.nbytes < 64 * 1024
+
+
+def test_xavier_init_rejects_a_strided_view():
+    """The draws fill memory in order, so a view with gaps cannot take them."""
+    weights = np.zeros((4, 6))
+    with pytest.raises(ValueError, match="contiguous"):
+        xavier_init(weights[:, ::2], 0)
+    assert not weights.any()
 
 
 class TestLayerParams:

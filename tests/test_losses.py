@@ -93,6 +93,15 @@ class TestLabelChecks:
         with pytest.raises(ValueError, match=r"^multiclass targets must lie in \[0, 3\)$"):
             batch_loss_and_grad(np.zeros((2, 3)), np.array([0, bad]), MULTICLASS)
 
+    @pytest.mark.parametrize("logits,task,error,message", [
+        (np.zeros((3, 1)), BINARY, ShapeMismatchError, r"^logits \(3, 1\) and targets \(2,\) do not align$"),
+        (np.zeros((2, 2)), BINARY, ShapeMismatchError, "^binary task expects 1 logit column, got 2$"),
+        (np.zeros((2, 1)), "regression", ValueError, "^unknown task 'regression'$"),
+    ], ids=["misaligned", "binary_two_columns", "unknown_task"])
+    def test_cross_entropy_rejects(self, logits, task, error, message):
+        with pytest.raises(error, match=message):
+            cross_entropy(logits, np.array([0, 1]), task)
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)

@@ -95,6 +95,19 @@ class TestAccuracy:
                 score(np.full(shape, 0.5), np.array([1, 0, 1, 0]), task)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: roc_auc(np.zeros(3), np.array([0, 1])), ShapeMismatchError,
+     r"^scores \(3,\) and labels \(2,\) do not align$"),
+    (lambda: macro_ovr_auc(np.full((3, 2), 0.5), np.array([0, 1])), ShapeMismatchError,
+     r"^probabilities must be \(n, C\) aligned with labels$"),
+    (lambda: accuracy(np.full((2, 2), 0.5), np.array([0, 1]), "regression"), ValueError,
+     "^unknown task 'regression'$"),
+], ids=["roc_auc_misaligned", "macro_auc_misaligned", "unknown_task"])
+def test_bad_score_inputs_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMacroAuc:
     def test_matches_manual_ovr(self):
         rng = np.random.default_rng(5)
