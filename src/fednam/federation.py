@@ -26,7 +26,6 @@ from .nn import (
     cross_entropy,
     optimizer_step,
 )
-from .nn.layers import as_rng
 
 SHAPE_AVERAGE = "shape_average"
 BOTH = "both"
@@ -224,7 +223,7 @@ def local_train(
         raise TrainingError(f"client {client.client_id}: epochs must be >= 1")
     if batch_size < 1:
         raise TrainingError(f"client {client.client_id}: batch_size must be >= 1")
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     model = client.model
     x, y = client.x, client.y
 

@@ -20,7 +20,6 @@ from .nn import (
     RELU,
     BankCache,
     NetBank,
-    as_rng,
     bank_backward,
     bank_forward,
     xavier_bank,
@@ -132,7 +131,7 @@ def build_nam(
     rng: int | np.random.Generator = 0,
 ) -> NamModel:
     """Xavier-initialized NamModel; binary tasks get one logit, multiclass gets n_classes."""
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     out_dim = 1 if task == BINARY else n_classes
     activations = [hidden_activation] * hidden_layers + [IDENTITY]
     model = NamModel(n_features, [hidden_units] * hidden_layers, activations, dropout_rate, out_dim, task)

@@ -7,7 +7,7 @@ from .bank import (
     bank_forward,
     xavier_bank,
 )
-from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, as_rng, xavier_init
+from .layers import EXU, IDENTITY, LOGIT_CLAMP, RELU, xavier_init
 from .losses import BINARY, MULTICLASS, batch_loss_and_grad, cross_entropy
 from .optim import ADAM, SGD, OptimizerState, optimizer_step
 
@@ -25,7 +25,6 @@ __all__ = [
     "RELU",
     "SGD",
     "TRAIN",
-    "as_rng",
     "bank_backward",
     "bank_forward",
     "batch_loss_and_grad",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeMismatchError, StaleCacheError
-from .layers import ACTIVATIONS, EXU, LOGIT_CLAMP, activate, activation_grad, as_rng, xavier_init
+from .layers import ACTIVATIONS, EXU, LOGIT_CLAMP, activate, activation_grad, xavier_init
 from .losses import BINARY, MULTICLASS
 
 TRAIN = "train"
@@ -146,7 +146,7 @@ def check_shapes(tensors, shapes) -> None:
 def xavier_bank(bank: NetBank, rng: int | np.random.Generator) -> None:
     """Xavier weights written into the bank's weight views net by net, in the
     order K separately built nets would draw them; the biases stay zero."""
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     for k in range(bank.weights[0].shape[0]):
         for w in bank.weights:
             xavier_init(w[k], gen)
@@ -166,7 +166,7 @@ def _dropout_masks(bank: NetBank, batch: int, rng) -> list[np.ndarray | None]:
     widths = [w.shape[1] for w in bank.weights[:-1]]
     keep = 1.0 - bank.dropout_rate
     # True * (1 / keep) is the 1 / keep that True / keep gives, at less cost
-    scaled = (as_rng(rng).random((k, batch * sum(widths))) < keep) * (1.0 / keep)
+    scaled = (np.random.default_rng(rng).random((k, batch * sum(widths))) < keep) * (1.0 / keep)
     offset = 0
     for i, width in enumerate(widths):
         masks[i] = scaled[:, offset : offset + batch * width].reshape(k, batch, width)

@@ -15,13 +15,6 @@ ACTIVATIONS = (RELU, EXU, IDENTITY)
 LOGIT_CLAMP = 30.0
 
 
-def as_rng(rng: int | np.random.Generator) -> np.random.Generator:
-    """Build a Generator from an int seed, or pass one through."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(int(rng))
-
-
 def xavier_init(weights: np.ndarray, rng: int | np.random.Generator) -> np.ndarray:
     """Fill (out, in) `weights` in place with uniform Xavier/Glorot draws in
     [-sqrt(6/(in+out)), +sqrt(6/(in+out))) and return it. The draws land in memory
@@ -30,7 +23,7 @@ def xavier_init(weights: np.ndarray, rng: int | np.random.Generator) -> np.ndarr
     strided view with ValueError."""
     out_dim, in_dim = weights.shape
     bound = np.sqrt(6.0 / (in_dim + out_dim))
-    as_rng(rng).random(out=weights)
+    np.random.default_rng(rng).random(out=weights)
     weights *= 2 * bound
     weights -= bound
     return weights
