@@ -1,10 +1,11 @@
 """The summary of tools/bench_ab.py on canned perfbench output, its artifact
-comparison on two written trees, and its probe launcher on one short
-subprocess."""
+comparison on two written trees, its probe launcher on one short
+subprocess, its two exported trees, and its refusal of bad input."""
 
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,22 +106,52 @@ def test_launcher_reads_the_commands_own_peak_rss():
     assert 0 < probe["peak_rss_mb"] < 40, probe
 
 
-def test_each_side_caches_bytecode_in_its_own_empty_directory(tmp_path, monkeypatch):
-    """Neither side reads bytecode cached in its tree: the children of each
-    side get a fresh, empty PYTHONPYCACHEPREFIX of their own, and write their
-    bytecode there even when the caller's environment forbids it."""
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    envs = bench_ab.side_envs(tmp_path)
-    prefixes = {side: Path(envs[side]["PYTHONPYCACHEPREFIX"]) for side in bench_ab.SIDES}
-    assert prefixes["base"] != prefixes["head"]
-    assert all(p.is_dir() and not any(p.iterdir()) for p in prefixes.values())
-    assert all("PYTHONPATH" not in env and env["OPENBLAS_NUM_THREADS"] == "1" for env in envs.values())
-    (tmp_path / "probe_module.py").write_text("")
-    read = bench_ab.run_in(tmp_path, [sys.executable, "-c",
-                                      "import sys, probe_module; print(sys.pycache_prefix)"], envs["head"])
-    assert read.strip() == str(prefixes["head"])
-    assert [p.name for p in prefixes["head"].rglob("probe_module*.pyc")]
-    assert not any(prefixes["base"].iterdir()) and not (tmp_path / "__pycache__").exists()
+def git(repo: Path, *args: str) -> None:
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo, check=True,
+                   capture_output=True)
+
+
+def test_each_side_is_exported_from_what_git_sees(tmp_path, monkeypatch):
+    """The base is a revision's committed files; the head is the working
+    tree's files that git sees, changed or untracked, without what it ignores
+    or what was deleted. Neither holds `.git`."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "src" / "gone.py").write_text("deleted later\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "one")
+    (repo / "src" / "kept.py").write_text("changed\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "x.pyc").write_bytes(b"cached")
+    (repo / "src" / "gone.py").unlink()
+    monkeypatch.chdir(repo)
+    head = bench_ab.export(None, tmp_path / "head")
+    base = bench_ab.export("HEAD", tmp_path / "base")
+
+    def files(root: Path) -> dict[str, str]:
+        return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+    assert files(head) == {".gitignore": "__pycache__/\n", str(Path("src", "kept.py")): "changed\n",
+                           str(Path("src", "new.py")): "untracked\n"}
+    assert files(base) == {".gitignore": "__pycache__/\n", str(Path("src", "kept.py")): "committed\n",
+                           str(Path("src", "gone.py")): "deleted later\n"}
+    assert not (head / ".git").exists() and not (base / ".git").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--base", "no-such-rev"), ("--workload", "no-such-workload")])
+def test_bad_input_exits_2_with_one_line_before_any_export(flag, value, monkeypatch, capsys):
+    args = {"--base": "HEAD", "--label": "never-written", "--workload": "iris-tune", flag: value}
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "argv", ["bench_ab.py", *(x for pair in args.items() for x in pair)])
+    monkeypatch.setattr(bench_ab, "export", lambda *_: pytest.fail("exported"))
+    assert bench_ab.main() == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{flag} {value}: "), err
+    assert not (ROOT / "BENCH_never-written.json").exists()
 
 
 def test_a_single_value_is_its_own_quartiles():

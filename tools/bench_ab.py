@@ -3,20 +3,20 @@
     python3 tools/bench_ab.py --base REV --label L --workload W [--workload W ...]
         [--pairs 10] [--seed 1] [--seconds 6] [--probes 20] [--trace 0|1]
 
-Run it from the root of a fednam checkout. It exports the committed files of
-REV into a temporary directory with `git archive`, so the repository's own
-metadata is left as it was. For each workload it then makes `--pairs` pairs
-of `perfbench/run.py` calls, one on each side; the side that runs first
-switches from pair to pair, so a drift in the host's load does not favour
-either. Each side runs its own `perfbench/child.py`, which puts that side's
-`src` first. Every child started for a side, and every process it starts,
-caches bytecode under that side's own PYTHONPYCACHEPREFIX, a directory made
-empty in the temporary one: neither side reads the `__pycache__` of its tree,
-such as a test run leaves in the working tree, so both sides import alike.
-The children may write there even under PYTHONDONTWRITEBYTECODE=1: under a
-prefix, Python reads no `__pycache__` at all, NumPy's and the standard
-library's included, so a child that could not write would compile them all.
-The first child of a side, the artifact run, fills its prefix.
+Run it from the root of a fednam checkout. It exports two trees into a
+temporary directory, so the repository itself is left as it was: the base
+holds the committed files of REV, from `git archive`; the head holds the
+working tree's files that git sees (tracked, changed or not, and untracked
+but not ignored), so a `__pycache__` or a deleted file stays out. For each
+workload it then makes `--pairs` pairs of `perfbench/run.py` calls, one in
+each tree; the side that runs first switches from pair to pair, so a drift in
+the host's load does not favour either. Each side runs its own
+`perfbench/child.py`, which puts that side's `src` first. Every child of
+either side gets the environment `perfbench` gives the commands it measures
+(`_child_env` of the working tree's `perfbench/run.py`), so each side
+compiles or caches bytecode just as a `perfbench` run in a fresh checkout:
+under PYTHONDONTWRITEBYTECODE=1, every child compiles fednam's modules, and
+the numbers include that, as the benchmark's own do.
 
 `perfbench` times its set-up probes right after command runs. The script
 also alternates `--probes` direct `perfbench/child.py setup` calls per side,
@@ -60,8 +60,6 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
-# perfbench runs its children with one BLAS thread; the probes do the same
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CALL_TIMEOUT_S = 1800
 # `python -c LAUNCHER CMD...` runs CMD and prints one JSON line: its wall
 # seconds, its own peak RSS and its exit code. The launcher's RSS, the floor
@@ -166,31 +164,24 @@ def summarize(calls: list[dict], probes: list[dict], end_to_end: list[dict],
 
 
 def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
+    return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout
 
 
-def export_base(rev: str, into: Path) -> Path:
-    """REV's committed files under `into`/base."""
-    root = into / "base"
-    root.mkdir()
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(root)], input=archive.stdout, check=True)
-    return root
-
-
-def side_envs(tmp: Path) -> dict[str, dict[str, str]]:
-    """Each side's environment for the children it starts: one BLAS thread, no
-    PYTHONPATH (each side's child.py puts its own src first) and its own fresh,
-    empty PYTHONPYCACHEPREFIX under `tmp`, which the children may write, so
-    that neither side reads bytecode cached in its tree and both compile alike."""
-    envs = {}
-    for side in SIDES:
-        prefix = tmp / f"pycache-{side}"
-        prefix.mkdir()
-        envs[side] = dict(os.environ, **BLAS_ENV, PYTHONPYCACHEPREFIX=str(prefix))
-        for name in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
-            envs[side].pop(name, None)
-    return envs
+def export(rev: str | None, into: Path) -> Path:
+    """The committed files of `rev`, or with None the working tree's files
+    that git sees, copied into the new directory `into`."""
+    into.mkdir()
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                                 capture_output=True)
+        subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+        return into
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        if os.path.lexists(name):  # a tracked file deleted from the working tree is listed
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(name, into / name, follow_symlinks=False)
+    return into
 
 
 def run_in(root: Path, cmd: list[str], env: dict[str, str]) -> str:
@@ -210,7 +201,8 @@ def perfbench_call(root: Path, env: dict[str, str], workload: str, seed: int, se
 
 
 def _perfbench_module(root: Path):
-    """The working tree's perfbench/run.py as a module, for its input preparation."""
+    """The working tree's perfbench/run.py as a module, for its input preparation
+    and the environment of its children."""
     sys.path.insert(0, str(root / "perfbench"))
     spec = importlib.util.spec_from_file_location("fednam_perfbench_run", root / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
@@ -236,8 +228,8 @@ def setup_probe(root: Path, env: dict[str, str], args: list[str]) -> dict:
     return launch(cmd, root, env)
 
 
-def compare_artifacts(roots: dict[str, Path], envs: dict[str, dict[str, str]], args: list[str],
-                      work: Path, perfbench) -> dict:
+def compare_artifacts(roots: dict[str, Path], env: dict[str, str], args: list[str], work: Path,
+                      perfbench) -> dict:
     """Run the command once per side into the one path work/out, and compare
     the digests of what the two sides wrote (perfbench's, which leave out
     run_info.json)."""
@@ -245,7 +237,7 @@ def compare_artifacts(roots: dict[str, Path], envs: dict[str, dict[str, str]], a
     for side in SIDES:
         root = roots[side]
         run_in(root, [sys.executable, str(root / "perfbench" / "child.py"), "run", "--", *args,
-                      "--out", str(out)], envs[side])
+                      "--out", str(out)], env)
         digests[side] = perfbench.artifact_digests(out)
         shutil.rmtree(out)
     differing = differing_artifacts(digests["base"], digests["head"])
@@ -255,17 +247,13 @@ def compare_artifacts(roots: dict[str, Path], envs: dict[str, dict[str, str]], a
 def host() -> dict:
     import numpy
 
-    try:
-        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except TypeError:  # NumPy before 1.26 has no mode
-        blas = None
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "blas": blas,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
@@ -282,15 +270,26 @@ def main() -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: one traced perfbench call per side after the pairs")
     args = parser.parse_args()
-    head_root = Path.cwd()
-    if not (head_root / "perfbench" / "run.py").is_file():
+    checkout = Path.cwd()
+    if not (checkout / "perfbench" / "run.py").is_file():
         print("perfbench/run.py not found: run from the root of a fednam checkout", file=sys.stderr)
         return 2
-    spec = json.loads((head_root / "BENCHMARK.json").read_text())
+    perfbench = _perfbench_module(checkout)
+    unknown = [w for w in args.workload if w not in perfbench.WORKLOADS]
+    if unknown:
+        print(f"--workload {unknown[0]}: not one of {', '.join(sorted(perfbench.WORKLOADS))}",
+              file=sys.stderr)
+        return 2
+    base = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"],
+                          capture_output=True, text=True)
+    if base.returncode != 0:
+        print(f"--base {args.base}: not a commit of this repository", file=sys.stderr)
+        return 2
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
     doc = {
         "label": args.label,
-        "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
-        "head": {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(_git("status", "--porcelain"))},
+        "base": {"rev": args.base, "commit": base.stdout.strip()},
+        "head": {"commit": _git("rev-parse", "HEAD").strip(), "uncommitted_changes": bool(_git("status", "--porcelain"))},
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
@@ -299,9 +298,8 @@ def main() -> int:
     started = time.perf_counter()
     calls, probes, extras = [], [], {}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        roots = {"base": export_base(args.base, Path(tmp)), "head": head_root}
-        envs = side_envs(Path(tmp))
-        perfbench = _perfbench_module(head_root)
+        roots = {side: export(rev, Path(tmp) / side) for side, rev in zip(SIDES, (args.base, None))}
+        env = perfbench._child_env()
         for workload in args.workload:
             work = Path(tmp) / f"probe-{workload}"
             work.mkdir()
@@ -310,28 +308,28 @@ def main() -> int:
             if prepared.model is not None:
                 probe_args += ["--model", str(prepared.model)]
             extras[workload] = compare_artifacts(
-                roots, envs, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
+                roots, env, [perfbench.WORKLOADS[workload].command, *probe_args], work, perfbench)
             print(f"{workload} artifacts differ: {extras[workload]['differing_artifacts']}",
                   file=sys.stderr)
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = perfbench_call(roots[side], envs[side], workload, args.seed, args.seconds)
+                    result = perfbench_call(roots[side], env, workload, args.seed, args.seconds)
                     calls.append({"workload": workload, "pair": pair, "side": side, "result": result})
                     run_s = result["metrics"]["run_s"]["value"]
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: run_s {run_s} "
                           f"correct {result['correct']}", file=sys.stderr)
             if args.trace:
                 extras[workload]["per_layer"] = per_layer(
-                    {side: perfbench_call(roots[side], envs[side], workload, args.seed, args.seconds,
+                    {side: perfbench_call(roots[side], env, workload, args.seed, args.seconds,
                                           trace=1)
                      for side in SIDES})
             for i in range(args.probes):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     probes.append({"workload": workload, "side": side,
-                                   **setup_probe(roots[side], envs[side], probe_args)})
+                                   **setup_probe(roots[side], env, probe_args)})
     doc["workloads"] = summarize(calls, probes, spec["end_to_end"], extras)
     doc["wall_s"] = time.perf_counter() - started
-    out = head_root / f"BENCH_{args.label}.json"
+    out = checkout / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
