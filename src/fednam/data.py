@@ -227,6 +227,8 @@ def _raise_first_bad_cell(table: RawTable, columns: list[str]) -> NoReturn:
 
 def _encode_target(table: RawTable, target_col: str, kind: str) -> tuple[np.ndarray, str, int]:
     if kind == IRIS:
+        if table.rows is None:
+            raise DataError(f"{table.path}: read an iris table with as_text=True")
         col = table.columns.index(target_col)
         raw = [row[col] for row in table.rows]
         if "" in raw:

@@ -300,6 +300,8 @@ def _start_clients(
     its validation rows carved out and a copy of one initial model."""
     x_train, y_train = dataset.X_train, dataset.y_train
     shards = partition_clients(y_train, config.num_clients, config.seed, config.stratified)
+    if y_train.min() == y_train.max():  # np.unique would import numpy.ma
+        raise DataError("the training split holds one class; training needs at least two")
     init = model_factory(np.random.default_rng([config.seed, _TAG_MODEL_INIT]))
     clients = []
     for cid, shard in enumerate(shards):

@@ -174,17 +174,6 @@ def _dropout_masks(bank: NetBank, batch: int, rng) -> list[np.ndarray | None]:
     return masks
 
 
-def _column_sums(dz: np.ndarray) -> np.ndarray:
-    """Per-net sums over the batch of a (K, batch, out) array.
-
-    A single unit sums pairwise, as numpy sums one column of a lone net;
-    wider layers add row by row.
-    """
-    if dz.shape[2] == 1:
-        return np.add.reduce(np.ascontiguousarray(dz[:, :, 0]), axis=1)[:, None]
-    return np.add.reduce(dz, axis=1)
-
-
 def row_block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a^T @ b, summed over the rows (axis -2) of both as the products of
     blocks of GRAD_BLOCK_ROWS rows, and of the rows left over, added in block
@@ -261,7 +250,8 @@ def bank_backward(
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
     views laid out like `param_tensors()`, summing each weight gradient over
-    the batch by `row_block_product`, and returns dLoss/dInput,
+    the batch by `row_block_product` and each bias gradient by one reduce over
+    the batch of the upstream in C order, and returns dLoss/dInput,
     (K, batch, in), or None without `input_grad`. Each layer's input,
     pre-activation and dropout mask come from the cache; an inference cache
     gets them here, in one pass over `x`.
@@ -277,7 +267,7 @@ def bank_backward(
             np.multiply(dh, cache.masks[i], out=dh)
         dz = activation_grad(kind, cache.preacts[i], dh)
         h = cache.inputs[i]
-        col = _column_sums(dz)
+        col = np.add.reduce(np.ascontiguousarray(dz), axis=1)
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
         if kind == EXU:
             ew = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))

@@ -149,38 +149,35 @@ def _run_trial(args) -> TrialResult:
     A forked worker inherits the parent's warning recorder, and what it
     records there is lost with the worker; the result carries them instead.
     """
+    trial_id, config, dataset = args
     with warnings.catch_warnings(record=True) as caught:
-        trial = _train_trial(*args)
+        try:
+            rounds: list[RoundLog] = []
+            result = run_from_config(dataset, config, on_round=rounds.append)
+            per_client = []
+            for client in result.clients:
+                # accuracy without an AUC: that of a small shard would go unused, and
+                # warn when the shard holds one class
+                _, acc = federation._loss_and_accuracy(
+                    result.global_predictor, client.monitor_x, client.monitor_y, config.threshold
+                )
+                per_client.append(acc)
+            test_stats = evaluate_model(
+                result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
+            )
+            trial = TrialResult(
+                trial_id,
+                config,
+                per_client_val_acc=per_client,
+                mean_val_acc=float(np.mean(per_client)),
+                global_val_auc=rounds[-1].global_val_auc,
+                global_test_acc=test_stats["accuracy"],
+                global_test_auc=test_stats["auc"],
+            )
+        except TrainingError as exc:  # a trial fails by training; any other error ends the search
+            trial = TrialResult(trial_id, config, error=str(exc))
     trial.warnings = [str(w.message) for w in caught]
     return trial
-
-
-def _train_trial(trial_id, config, dataset) -> TrialResult:
-    try:
-        rounds: list[RoundLog] = []
-        result = run_from_config(dataset, config, on_round=rounds.append)
-        per_client = []
-        for client in result.clients:
-            # accuracy without an AUC: that of a small shard would go unused, and
-            # warn when the shard holds one class
-            _, acc = federation._loss_and_accuracy(
-                result.global_predictor, client.monitor_x, client.monitor_y, config.threshold
-            )
-            per_client.append(acc)
-        test_stats = evaluate_model(
-            result.global_predictor, dataset.X_test, dataset.y_test, config.threshold
-        )
-        return TrialResult(
-            trial_id,
-            config,
-            per_client_val_acc=per_client,
-            mean_val_acc=float(np.mean(per_client)),
-            global_val_auc=rounds[-1].global_val_auc,
-            global_test_acc=test_stats["accuracy"],
-            global_test_auc=test_stats["auc"],
-        )
-    except TrainingError as exc:  # a trial fails by training; any other error ends the search
-        return TrialResult(trial_id, config, error=str(exc))
 
 
 def _selection_key(trial: TrialResult):

@@ -32,8 +32,14 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# batches on both sides of a multiple of NumPy's 128-element pairwise-sum block
+# and of GRAD_BLOCK_ROWS, and ones that sum several blocks of either
+BLOCK_EDGE_BATCHES = [255, 256, 257, 600, 1100]
+
+
 @st.composite
-def cases(draw, units=st.integers(1, 12), activations=st.sampled_from([RELU, EXU])):
+def cases(draw, units=st.integers(1, 12), activations=st.sampled_from([RELU, EXU]),
+          batches=st.integers(1, 150) | st.sampled_from(BLOCK_EDGE_BATCHES)):
     task = draw(st.sampled_from([BINARY, MULTICLASS]))
     dropout = draw(st.sampled_from([0.0, 0.1, 0.5]))
     model = build_nam(
@@ -50,7 +56,7 @@ def cases(draw, units=st.integers(1, 12), activations=st.sampled_from([RELU, EXU
     rng = np.random.default_rng(seed)
     # move the zero biases off the kinks so every branch of the activations is taken
     model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
-    batch = draw(st.integers(1, 150))
+    batch = draw(batches)
     x = rng.normal(size=(batch, model.n_features))
     mode = TRAIN if dropout > 0.0 and draw(st.booleans()) else INFER
     dlogits = rng.normal(size=(batch, model.out_dim))
@@ -72,6 +78,17 @@ def test_one_unit_layers_match_per_feature_nets(activation, data):
     followed the input's layout would be batch-major after layer 0, and BLAS
     would sum the later layers' transposed operands in another order."""
     _check_against_per_feature_nets(data.draw(cases(units=st.just(1), activations=st.just(activation))))
+
+
+@pytest.mark.parametrize("units", [1, 12])
+@pytest.mark.parametrize("batch", BLOCK_EDGE_BATCHES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_block_edge_batches_match_per_feature_nets(batch, units, data):
+    """Every bias gradient is one reduce over the batch: at width 1 it sums
+    each net's column pairwise, as a lone net does, and wider layers add row by
+    row. These batches pass NumPy's pairwise blocks and GRAD_BLOCK_ROWS."""
+    _check_against_per_feature_nets(data.draw(cases(units=st.just(units), batches=st.just(batch))))
 
 
 def _check_against_per_feature_nets(case):
@@ -184,6 +201,20 @@ def test_dense_model_matches_per_layer_net(case):
     assert same_bits(out, np.concatenate(grads, axis=None))
     if mode == INFER:
         assert same_bits(input_gradients(model, x, dlogits), want_dx)
+
+
+@pytest.mark.parametrize("batch", [40, 700])
+def test_dense_gradients_do_not_depend_on_the_layout_of_dlogits(batch):
+    """The output layer's bias sum reduces a C-order copy of the upstream, so a
+    column-major `dlogits` gives the bits of a row-major one."""
+    model = build_dnn(5, MULTICLASS, n_classes=3, hidden_layers=2, hidden_units=7, rng=0)
+    rng = np.random.default_rng(batch)
+    _, cache = model.forward_batch(rng.normal(size=(batch, 5)), TRAIN)
+    dlogits = rng.normal(size=(batch, 3))
+    want_grads, want_dx = dnn_backward(model, cache, dlogits)
+    grads, dx = dnn_backward(model, cache, np.asfortranarray(dlogits))
+    assert same_bits(grads[0].base, want_grads[0].base)
+    assert same_bits(dx, want_dx)
 
 
 @pytest.mark.parametrize("activation", [RELU, EXU])

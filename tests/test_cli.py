@@ -1302,6 +1302,45 @@ def test_tune_data_error_exits_2_with_trains_line(tmp_path, iris_csv, capsys, jo
     assert not (tmp_path / "tiny3").exists()
 
 
+def one_class_table_config(tmp_path: Path, iris_csv: Path, kind: str) -> Path:
+    """A table whose every row is of one class: iris's 50 setosa rows, or 60
+    heart rows whose targets are all 0."""
+    if kind == "iris":
+        lines = iris_csv.read_text().splitlines()[:51]
+    else:
+        lines = heart_lines(60)
+        for i in range(1, len(lines)):
+            _set_cell(lines, i, HEART_COLUMNS.index("target"), "0")
+    table = tmp_path / "one_class.csv"
+    table.write_text("\n".join(lines) + "\n")
+    grid = {"dropout": [0.0, 0.1], "learning_rate": [0.01], "hidden_layers": [1], "batch_size": [16]}
+    return fast_iris_config(tmp_path, iris_csv, "one_class", grid=grid,
+                            dataset={"kind": kind, "csv": str(table)})
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("iris", ["train"]), ("heart", ["train"]), ("iris", ["tune", "--jobs", "1"]),
+    ("iris", ["tune", "--jobs", "2"]), ("iris", ["benchmark"])])
+def test_training_rows_of_one_class_exit_2_with_one_line(tmp_path, iris_csv, capsys, kind, command):
+    """Every command that trains refuses the table with one line and writes nothing."""
+    config = one_class_table_config(tmp_path, iris_csv, kind)
+    assert main([*command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the training split holds one class; training needs at least two"]
+    assert not (tmp_path / "one_class").exists()
+
+
+def test_explain_on_a_table_of_one_class_exits_0(tmp_path, iris_csv, capsys):
+    """Explaining trains nothing, so one class is no error."""
+    config = one_class_table_config(tmp_path, iris_csv, "iris")
+    model = tmp_path / "model.json"
+    save_model(build_nam(4, MULTICLASS, n_classes=3, hidden_layers=1, hidden_units=3, rng=0),
+               iris_csv.read_text().splitlines()[0].split(",")[:4], model)
+    assert main(["explain", "--config", str(config), "--model", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    assert files_under(tmp_path / "one_class") == REPORT_FILES
+
+
 @pytest.mark.parametrize("command", ["train", "explain"])
 def test_column_too_large_to_standardize_exits_2_naming_file_and_column(tmp_path, iris_csv, capsys,
                                                                          command):

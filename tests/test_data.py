@@ -215,6 +215,16 @@ class TestIngestionRules:
         assert dataset.y_test.tolist() == expected[test].tolist()
         assert dataset.task == MULTICLASS
 
+    def test_iris_table_read_as_numbers_is_refused_naming_the_file(self, tmp_path):
+        """Numeric class codes let NumPy read the table, which keeps no cell texts."""
+        path = write_text(tmp_path / "i.csv", "x,species\n" + "".join(f"{i}.5,{i % 3}\n" for i in range(6)))
+        table = load_csv(path)
+        assert table.rows is None
+        with pytest.raises(DataError) as info:
+            preprocess(table, IRIS, SplitSpec())
+        assert str(info.value) == f"{path}: read an iris table with as_text=True"
+        assert load_dataset(path, IRIS).n_classes == 3
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_spelling_of_a_finite_table_reads_like_float(self, tmp_path_factory, data):
