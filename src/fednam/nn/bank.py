@@ -194,13 +194,11 @@ def _run_layers(
     are appended to `cache`, when given one."""
     h = x
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
-        if kind == EXU:  # the weights enter through their exponential
+        if kind == EXU:  # the standard layer over exp(W) and -b * rowsum(exp(W))
             w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+            b = -(b * np.add.reduce(w, axis=2))
         z = np.matmul(h, w.transpose(0, 2, 1))
-        if kind == EXU:
-            z -= (b * np.add.reduce(w, axis=2))[:, None, :]
-        else:
-            z += b[:, None, :]
+        z += b[:, None, :]
         if cache is not None:
             cache.inputs.append(h)
             cache.preacts.append(z)
@@ -217,10 +215,10 @@ def bank_forward(
 ) -> tuple[np.ndarray, BankCache]:
     """Run the K nets on a (K, batch, in) input, one batched matmul per layer.
 
-    Standard layers compute h @ W.T + b. ExU layers compute
-    sum_i exp(W_ji) * (h_i - b_j): the per-unit bias shifts the input and the
-    weights enter through their exponential. Returns the (K, batch, out)
-    output and the cache for `bank_backward`.
+    Every layer computes h @ W.T + b. An ExU layer computes
+    sum_i exp(W_ji) * (h_i - b_j), which is that layer over W' = exp(W) and
+    b' = -b * rowsum(W'). Returns the (K, batch, out) output and the cache for
+    `bank_backward`.
 
     TRAIN runs all rows at once, with dropout, and caches every layer's input
     and pre-activation. INFER runs every batch in blocks of INFER_BLOCK_ROWS
@@ -250,11 +248,12 @@ def bank_backward(
 
     Writes layer i's weight and bias gradients into grads[2i] and grads[2i+1],
     views laid out like `param_tensors()`, summing each weight gradient over
-    the batch by `row_block_product` and each bias gradient by one reduce over
-    the batch of the upstream in C order, and returns dLoss/dInput,
-    (K, batch, in), or None without `input_grad`. Each layer's input,
-    pre-activation and dropout mask come from the cache; an inference cache
-    gets them here, in one pass over `x`.
+    the batch by `row_block_product` and reducing each bias gradient over the
+    batch of the upstream, in C order, straight into its view; an ExU layer
+    then maps both back through exp(W) and -b * rowsum(exp(W)). Returns
+    dLoss/dInput, (K, batch, in), or None without `input_grad`. Each layer's
+    input, pre-activation and dropout mask come from the cache; an inference
+    cache gets them here, in one pass over `x`.
     """
     if cache.version != bank.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
@@ -266,18 +265,14 @@ def bank_backward(
             # the output layer has no mask, so `dh` is this loop's own product
             np.multiply(dh, cache.masks[i], out=dh)
         dz = activation_grad(kind, cache.preacts[i], dh)
-        h = cache.inputs[i]
-        col = np.add.reduce(np.ascontiguousarray(dz), axis=1)
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
-        if kind == EXU:
-            ew = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
-            shifted = row_block_product(dz, h) - bank.biases[i][:, :, None] * col[:, :, None]
-            np.multiply(ew, shifted, out=dw)
-            np.multiply(-np.add.reduce(ew, axis=2), col, out=db)
-            w = ew  # the input gradient flows back through exp(W)
-        else:
-            row_block_product(dz, h, out=dw)
-            db[...] = col
+        row_block_product(dz, cache.inputs[i], out=dw)
+        np.add.reduce(np.ascontiguousarray(dz), axis=1, out=db)
+        if kind == EXU:  # back through b' = -b * rowsum(exp(W)) and W' = exp(W)
+            w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+            dw -= bank.biases[i][:, :, None] * db[:, :, None]
+            dw *= w
+            db *= -np.add.reduce(w, axis=2)
         if i == 0 and not input_grad:
             return None
         dh = np.matmul(dz, w)

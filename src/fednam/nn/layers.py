@@ -11,7 +11,7 @@ IDENTITY = "identity"
 # a bank checks its activations against these when it is built
 ACTIVATIONS = (RELU, EXU, IDENTITY)
 
-# Logits are clamped to this range before any exponential.
+# Logits and ExU weights are clamped to this range before any exponential.
 LOGIT_CLAMP = 30.0
 
 

@@ -6,6 +6,8 @@ additive model, one net for the dense model. The oracles in `_oracles.py` run
 the same nets one at a time, layer by layer, in plain NumPy.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,7 +175,8 @@ def dense_cases(draw):
     hidden = [draw(st.integers(1, 12)) for _ in range(draw(st.integers(1, 3)))]
     dims = [draw(st.integers(1, 8)), *hidden, out_dim]
     dropout = draw(st.sampled_from([0.0, 0.3]))
-    model = dense_net(dims, dropout_rate=dropout, rng=draw(st.integers(0, 10_000)))
+    model = dense_net(dims, activation=draw(st.sampled_from([RELU, EXU])), dropout_rate=dropout,
+                      rng=draw(st.integers(0, 10_000)))
     seed = draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
     model.set_params(model.params + rng.normal(scale=0.3, size=model.params.shape))
@@ -322,6 +325,25 @@ def test_inference_cache_holds_no_layer_arrays(model):
     model.backward_batch(cache, np.ones((len(x), model.out_dim)))
     assert [z.shape[1] for z in cache.preacts] == [len(x)] * len(model.weights)
     assert len(cache.inputs) == len(model.weights)
+
+
+def test_exu_backward_holds_two_weight_stacks():
+    """An ExU layer's gradients are the standard layer's, mapped back through
+    exp(W) in place, so beside the gradient views backward holds at most two
+    weight-sized arrays at once."""
+    model = build_nam(4, BINARY, hidden_layers=2, hidden_units=256, hidden_activation=EXU, rng=0)
+    rng = np.random.default_rng(1)
+    x, dlogits = rng.normal(size=(32, 4)), rng.normal(size=(32, 1))
+    out = model.split(np.empty_like(model.params))
+    _, cache = model.forward_batch(x, TRAIN)
+    model.backward_batch(cache, dlogits, out)  # warm-up
+    tracemalloc.start()
+    try:
+        model.backward_batch(cache, dlogits, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * model.weights[1].nbytes  # one (4, 256, 256) stack
 
 
 @pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])

@@ -244,20 +244,6 @@ def compare_artifacts(roots: dict[str, Path], env: dict[str, str], args: list[st
     return {"artifacts_identical": not differing, "differing_artifacts": differing}
 
 
-def host() -> dict:
-    import numpy
-
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -286,6 +272,7 @@ def main() -> int:
         print(f"--base {args.base}: not a commit of this repository", file=sys.stderr)
         return 2
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    os.environ.update(perfbench.BLAS_ENV)  # before NumPy loads: `host` reads the children's BLAS threads
     doc = {
         "label": args.label,
         "base": {"rev": args.base, "commit": base.stdout.strip()},
@@ -293,7 +280,8 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
-        "host": host(),
+        "host": {**perfbench.environment(), "machine": platform.machine(),
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
     }
     started = time.perf_counter()
     calls, probes, extras = [], [], {}
