@@ -63,7 +63,7 @@ def dnn_backward(
     Every entry of the views is written; `out` is the list returned.
     """
     g = np.asarray(dlogits, dtype=np.float64)
-    expected = (cache.x.shape[1], model.out_dim)
+    expected = (cache.acts[0].shape[1], model.out_dim)
     if g.shape != expected:
         raise ShapeMismatchError(f"output_grad shape {g.shape} does not match output {expected}")
     grads = model.split(np.empty_like(model.params)) if out is None else out

@@ -229,7 +229,7 @@ def _class_input_gradients(model, x: np.ndarray) -> np.ndarray:
     DnnModel or the mean over an ensemble's members.
 
     Each net runs forward once: every class backpropagates from one cache.
-    The pass is a training one, whose cache keeps every layer's input; the
+    The pass is a training one, whose cache keeps every layer's output; the
     nets here come from `build_dnn`, without dropout, so it computes what
     inference would.
     """

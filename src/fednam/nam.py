@@ -185,7 +185,7 @@ def nam_backward(
     additive term.
     """
     g = np.asarray(dlogits, dtype=np.float64)
-    if g.shape != (cache.x.shape[1], model.out_dim):
+    if g.shape != (cache.acts[0].shape[1], model.out_dim):
         raise ShapeMismatchError(f"dlogits shape {g.shape} does not match forward batch")
     grads = model.split(np.empty_like(model.params)) if out is None else out
     # feature k's upstream gradient as a strided (batch, 1) view

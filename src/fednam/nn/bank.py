@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,16 @@ GRAD_BLOCK_ROWS = 256
 class BankCache:
     """What backward needs from one forward pass through a bank.
 
-    A training pass keeps each layer's input and pre-activation. An inference
-    pass keeps neither; the first backward from its cache runs the layers once
-    over `x` and keeps them here.
+    `acts` holds the (K, batch, in) input and, after a training pass, each
+    layer's output after dropout: layer i reads acts[i] and writes acts[i + 1].
+    An inference pass keeps the input alone; the first backward from its cache
+    runs the layers once over it and appends their outputs here.
     """
 
-    x: np.ndarray  # (K, batch, in) input of the first layer
+    acts: list[np.ndarray]  # the input, then each layer's (K, batch, out) output
     masks: list[np.ndarray | None]  # per layer, (K, batch, out); None where no dropout applies
     version: int
     features: np.ndarray | None = None  # (batch, K) a NAM's feature-net outputs, which its head reads
-    inputs: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, in); inputs[0] is x
-    preacts: list[np.ndarray] = field(default_factory=list)  # per layer, (K, batch, out)
 
 
 class NetBank:
@@ -190,23 +189,21 @@ def _run_layers(
     bank: NetBank, x: np.ndarray, masks: list[np.ndarray | None], cache: BankCache | None = None
 ) -> np.ndarray:
     """The bank's output on a (K, rows, in) input, one matmul per layer, a
-    one-input layer's outer product too; each layer's input and pre-activation
-    are appended to `cache`, when given one."""
+    one-input layer's outer product too; each layer's output after dropout is
+    appended to `cache.acts`, when given a cache."""
     h = x
     for w, b, kind, mask in zip(bank.weights, bank.biases, bank.activations, masks):
         if kind == EXU:  # the standard layer over exp(W) and -b * rowsum(exp(W))
-            w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+            w = w.clip(-LOGIT_CLAMP, LOGIT_CLAMP)
+            np.exp(w, out=w)
             b = -(b * np.add.reduce(w, axis=2))
         z = np.matmul(h, w.transpose(0, 2, 1))
         z += b[:, None, :]
-        if cache is not None:
-            cache.inputs.append(h)
-            cache.preacts.append(z)
         h = activate(kind, z)
         if mask is not None:
-            # in place: ReLU and ExU return a new array; the identity returns
-            # z itself, which backward never reads for that layer
             np.multiply(h, mask, out=h)
+        if cache is not None:
+            cache.acts.append(h)
     return h
 
 
@@ -220,15 +217,15 @@ def bank_forward(
     b' = -b * rowsum(W'). Returns the (K, batch, out) output and the cache for
     `bank_backward`.
 
-    TRAIN runs all rows at once, with dropout, and caches every layer's input
-    and pre-activation. INFER runs every batch in blocks of INFER_BLOCK_ROWS
-    rows and caches neither; a batch of fewer than 2 * INFER_BLOCK_ROWS rows is
-    one block. The rows left over join the last block, since BLAS takes other
-    kernels for small products: a short block would not be bit-equal to the
-    same rows of one pass over the batch.
+    TRAIN runs all rows at once, with dropout, and caches every layer's output.
+    INFER runs every batch in blocks of INFER_BLOCK_ROWS rows and caches the
+    input alone; a batch of fewer than 2 * INFER_BLOCK_ROWS rows is one block.
+    The rows left over join the last block, since BLAS takes other kernels for
+    small products: a short block would not be bit-equal to the same rows of
+    one pass over the batch.
     """
     if mode == TRAIN:
-        cache = BankCache(x, _dropout_masks(bank, x.shape[1], rng), bank.version)
+        cache = BankCache([x], _dropout_masks(bank, x.shape[1], rng), bank.version)
         return _run_layers(bank, x, cache.masks, cache), cache
     if mode != INFER:
         raise ValueError(f"unknown mode {mode!r}; expected {TRAIN!r} or {INFER!r}")
@@ -238,7 +235,7 @@ def bank_forward(
     h = np.empty((x.shape[0], rows, bank.weights[-1].shape[1]))
     for start, end in zip([0, *ends], ends):
         h[:, start:end] = _run_layers(bank, x[:, start:end], masks)
-    return h, BankCache(x, masks, bank.version)
+    return h, BankCache([x], masks, bank.version)
 
 
 def bank_backward(
@@ -252,24 +249,25 @@ def bank_backward(
     batch of the upstream, in C order, straight into its view; an ExU layer
     then maps both back through exp(W) and -b * rowsum(exp(W)). Returns
     dLoss/dInput, (K, batch, in), or None without `input_grad`. Each layer's
-    input, pre-activation and dropout mask come from the cache; an inference
-    cache gets them here, in one pass over `x`.
+    input, output (which gives its slope) and dropout mask come from the
+    cache; an inference cache gets the outputs here, in one pass over its input.
     """
     if cache.version != bank.version:
         raise StaleCacheError("cache was produced by an earlier version of the parameters")
-    if not cache.inputs:
-        _run_layers(bank, cache.x, cache.masks, cache)
+    if len(cache.acts) == 1:
+        _run_layers(bank, cache.acts[0], cache.masks, cache)
     for i in range(len(bank.weights) - 1, -1, -1):
-        kind = bank.activations[i]
-        if cache.masks[i] is not None:
+        kind, mask = bank.activations[i], cache.masks[i]
+        if mask is not None:
             # the output layer has no mask, so `dh` is this loop's own product
-            np.multiply(dh, cache.masks[i], out=dh)
-        dz = activation_grad(kind, cache.preacts[i], dh)
+            np.multiply(dh, mask, out=dh)
+        dz = activation_grad(kind, cache.acts[i + 1], dh, 1.0 if mask is None else mask)
         w, dw, db = bank.weights[i], grads[2 * i], grads[2 * i + 1]
-        row_block_product(dz, cache.inputs[i], out=dw)
+        row_block_product(dz, cache.acts[i], out=dw)
         np.add.reduce(np.ascontiguousarray(dz), axis=1, out=db)
         if kind == EXU:  # back through b' = -b * rowsum(exp(W)) and W' = exp(W)
-            w = np.exp(w.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+            w = w.clip(-LOGIT_CLAMP, LOGIT_CLAMP)
+            np.exp(w, out=w)
             dw -= bank.biases[i][:, :, None] * db[:, :, None]
             dw *= w
             db *= -np.add.reduce(w, axis=2)

@@ -38,10 +38,13 @@ def activate(kind: str, z: np.ndarray) -> np.ndarray:
     return z  # IDENTITY
 
 
-def activation_grad(kind: str, z: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of the loss w.r.t. the pre-activation z, given the upstream gradient."""
+def activation_grad(kind: str, h: np.ndarray, upstream: np.ndarray, cap: np.ndarray | float) -> np.ndarray:
+    """dLoss/dz read from a layer's output h = activate(kind, z) * s, where `cap`
+    is s: the dropout mask, or 1.0 without dropout. Where s = 1 / keep >= 1,
+    h > 0 exactly where z > 0, and h < s exactly where z < 1; where s = 0,
+    `upstream` is already +-0, which keeps its sign."""
     if kind == RELU:
-        return upstream * (z > 0.0)
+        return upstream * (h > 0.0)
     if kind == EXU:
-        return upstream * ((z > 0.0) & (z < 1.0))
+        return upstream * ((h > 0.0) & (h < cap))
     return upstream  # IDENTITY

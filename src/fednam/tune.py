@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import ConfigError, TrainingError
 from .federation import FederationResult, RoundLog, evaluate_model, run_federation
 from .nam import build_nam, nam_parameter_count
-from .nn import ADAM, BINARY, OptimizerState
+from .nn import ADAM, BINARY, EXU, OptimizerState
 from .nn.bank import GRAD_BLOCK_ROWS
 
 
@@ -60,25 +60,27 @@ def check_pass_memory(dataset: Dataset, config: RunConfig) -> None:
     training pass, or more than MAX_PARAM_BYTES in parameter vectors, before
     any weight is allocated.
 
-    The pass keeps each hidden layer's input and pre-activation, (K, batch,
-    units) floats each, and backward adds about two arrays more; above
-    GRAD_BLOCK_ROWS rows, also one block's weight-gradient product. The vectors
-    are, per client, the parameters and, under Adam, its two moments; and the
-    training client's gradient buffer, its early-stop snapshot and the vector
-    the optimizer returns. The global model is made after local training and
-    dropped once broadcast, so it is never held beside those three.
+    The pass keeps each hidden layer's output and, under dropout, its mask,
+    (K, batch, units) floats each, beside four working arrays of that size;
+    above GRAD_BLOCK_ROWS rows, one block's (K, units, units) weight-gradient
+    product; and in an ExU net of two or more hidden layers, one exp(W) stack
+    of that size. The vectors are, per client, the parameters and, under Adam,
+    its two moments; and the training client's gradient buffer, its early-stop
+    snapshot and the vector the optimizer returns. The global model is made
+    after local training and dropped once broadcast, so it is never held beside
+    those three.
     """
-    features, units = len(dataset.feature_names), config.model.hidden_units
+    model = config.model
+    features, units, layers = len(dataset.feature_names), model.hidden_units, model.hidden_layers
     rows = min(config.batch_size, len(dataset.y_train))
-    need = 8 * features * rows * units * (2 * config.model.hidden_layers + 2)
-    if rows > GRAD_BLOCK_ROWS:  # backward's product of one block of rows, (K, units, units) at most
-        need += 8 * features * units * units
+    arrays = (2 if model.dropout > 0.0 else 1) * layers + 4
+    stacks = (rows > GRAD_BLOCK_ROWS) + (model.unit_kind == EXU and layers >= 2)
+    need = 8 * features * units * (rows * arrays + units * stacks)
     if need > MAX_PASS_BYTES:
         raise ConfigError(
             f"batch_size {config.batch_size} and model.hidden_units {units} give a training "
             f"pass of {need} bytes over {features} features, more than {MAX_PASS_BYTES}"
         )
-    layers = config.model.hidden_layers
     out_dim = 1 if dataset.task == BINARY else dataset.n_classes
     count = nam_parameter_count(features, out_dim, layers, units)
     per_client = 3 if config.optimizer.kind == ADAM else 1

@@ -34,6 +34,13 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def examples(count: int) -> settings:
+    """Tier-1 runs `count` examples of an oracle comparison. A loaded
+    hypothesis profile sets the count instead, as CI's longer fuzz does with
+    `--hypothesis-profile=loop-fuzz` (conftest.py)."""
+    return settings(max_examples=count) if settings.get_current_profile_name() == "default" else settings.default
+
+
 # batches on both sides of a multiple of NumPy's 128-element pairwise-sum block
 # and of GRAD_BLOCK_ROWS, and ones that sum several blocks of either
 BLOCK_EDGE_BATCHES = [255, 256, 257, 600, 1100]
@@ -66,14 +73,14 @@ def cases(draw, units=st.integers(1, 12), activations=st.sampled_from([RELU, EXU
 
 
 @given(cases())
-@settings(max_examples=120, deadline=None)
+@settings(examples(120), deadline=None)
 def test_bank_matches_per_feature_nets(case):
     _check_against_per_feature_nets(case)
 
 
 @pytest.mark.parametrize("activation", [RELU, EXU])
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(examples(100), deadline=None)
 def test_one_unit_layers_match_per_feature_nets(activation, data):
     """At width 1 every layer has one input, so its matmul forms each entry
     as one product and hands the next layer a C-order array. A product that
@@ -113,8 +120,8 @@ def _check_against_per_feature_nets(case):
     # training reads no input gradient: it skips it and keeps every other bit
     assert same_bits(np.concatenate(model.backward_batch(cache, dlogits), axis=None), grads[0].base)
     assert nam_backward(model, cache, dlogits, input_grad=False)[1] is None
-    # every layer's array in the layout a matmul gives; inputs[0] is the caller's x
-    assert all(a.flags.c_contiguous for a in [*cache.inputs[1:], *cache.preacts])
+    # every layer's output in the layout a matmul gives; acts[0] is the caller's x
+    assert all(a.flags.c_contiguous for a in cache.acts[1:])
 
 
 @given(cases())
@@ -187,7 +194,7 @@ def dense_cases(draw):
 
 
 @given(dense_cases())
-@settings(max_examples=100, deadline=None)
+@settings(examples(100), deadline=None)
 def test_dense_model_matches_per_layer_net(case):
     model, x, mode, seed, dlogits = case
     want_logits, trace = per_layer_dnn_forward(model, x, mode, np.random.default_rng(seed))
@@ -270,13 +277,13 @@ def _backward(model, cache, dlogits):
 
 
 @given(blocked_cases())
-@settings(max_examples=60, deadline=None)
+@settings(examples(60), deadline=None)
 def test_blocked_inference_matches_one_pass(case):
     model, x, dlogits = case
     want, train_cache = model.forward_batch(x, TRAIN)
     got, cache = model.forward_batch(x, INFER)
     assert same_bits(got, want)
-    assert cache.inputs == [] and cache.preacts == [] and cache.masks == [None] * len(model.weights)
+    assert len(cache.acts) == 1 and cache.masks == [None] * len(model.weights)
     # a dense model's bank output is its logits; a NAM's feature outputs are kept
     assert isinstance(model, DnnModel) or same_bits(cache.features, train_cache.features)
 
@@ -301,14 +308,13 @@ LAYER_MODELS = [build_nam(3, BINARY, hidden_layers=2, hidden_units=4, dropout_ra
 
 @pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])
 def test_backward_from_a_training_cache_activates_nothing(model, monkeypatch):
-    """A training pass keeps each layer's input: backward reads it, and
+    """A training pass keeps each layer's output: backward reads it, and
     recomputes no activation."""
     import fednam.nn.bank as bank
 
     x = np.random.default_rng(0).normal(size=(7, 3))
     _, cache = model.forward_batch(x, TRAIN, 1)
-    assert [h.shape[1] for h in cache.inputs] == [7] * len(model.weights)
-    assert cache.inputs[0] is cache.x and len(cache.preacts) == len(model.weights)
+    assert [h.shape[1] for h in cache.acts] == [7] * (len(model.weights) + 1)
     calls = []
     activate = bank.activate
     monkeypatch.setattr(bank, "activate", lambda kind, z: calls.append(kind) or activate(kind, z))
@@ -320,30 +326,57 @@ def test_backward_from_a_training_cache_activates_nothing(model, monkeypatch):
 def test_inference_cache_holds_no_layer_arrays(model):
     x = np.random.default_rng(0).normal(size=(INFER_BLOCK_ROWS + 5, 3))
     out, cache = model.forward_batch(x, INFER)
-    assert cache.inputs == [] and cache.preacts == []
+    assert len(cache.acts) == 1
     # the first backward runs the layers once, over every row, and keeps them
     model.backward_batch(cache, np.ones((len(x), model.out_dim)))
-    assert [z.shape[1] for z in cache.preacts] == [len(x)] * len(model.weights)
-    assert len(cache.inputs) == len(model.weights)
+    assert [h.shape[1] for h in cache.acts] == [len(x)] * (len(model.weights) + 1)
 
 
-def test_exu_backward_holds_two_weight_stacks():
-    """An ExU layer's gradients are the standard layer's, mapped back through
-    exp(W) in place, so beside the gradient views backward holds at most two
-    weight-sized arrays at once."""
+def test_exu_passes_hold_one_transformed_weight_stack():
+    """An ExU layer clips its weights into one new stack and exponentiates
+    that stack in place, in forward and in backward; backward then maps the
+    standard layer's gradients back through it in place. So beside the
+    gradient views, either pass holds one weight-sized array at a time."""
     model = build_nam(4, BINARY, hidden_layers=2, hidden_units=256, hidden_activation=EXU, rng=0)
     rng = np.random.default_rng(1)
     x, dlogits = rng.normal(size=(32, 4)), rng.normal(size=(32, 1))
     out = model.split(np.empty_like(model.params))
     _, cache = model.forward_batch(x, TRAIN)
     model.backward_batch(cache, dlogits, out)  # warm-up
+    peaks = []
+    for run in (lambda: model.forward_batch(x, TRAIN)[1], lambda: model.backward_batch(cache, dlogits, out)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stack = model.weights[1].nbytes  # one (4, 256, 256) stack
+    assert peaks[0] < 1.75 * stack and peaks[1] < 1.75 * stack
+
+
+@pytest.mark.parametrize("activation", [RELU, EXU])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_a_training_pass_keeps_one_array_per_layer(activation, dropout):
+    """A training cache keeps each hidden layer's output and, under dropout,
+    its mask: one (K, rows, units) array per layer, and a second under
+    dropout. Beside them forward and backward hold a few working arrays, so
+    one training forward+backward at 13 x (3 x 64) units and 1,024 rows
+    peaks below 6.5 such arrays, or 9.5 under dropout."""
+    model = build_nam(13, BINARY, hidden_layers=3, hidden_units=64, hidden_activation=activation,
+                      dropout_rate=dropout, rng=0)
+    rng = np.random.default_rng(1)
+    x, dlogits = rng.normal(size=(1024, 13)), rng.normal(size=(1024, 1))
+    out = model.split(np.empty_like(model.params))
+    model.backward_batch(model.forward_batch(x, TRAIN, 2)[1], dlogits, out)  # warm-up
     tracemalloc.start()
     try:
+        _, cache = model.forward_batch(x, TRAIN, 2)
         model.backward_batch(cache, dlogits, out)
-        _, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * model.weights[1].nbytes  # one (4, 256, 256) stack
+    assert peak / (8 * 13 * 1024 * 64) < (9.5 if dropout else 6.5)
 
 
 @pytest.mark.parametrize("model", LAYER_MODELS, ids=["nam", "dnn"])

@@ -196,7 +196,7 @@ def test_hidden_weights_beyond_their_cap_exit_1_naming_both_keys(tmp_path, iris_
 @pytest.mark.parametrize("command", ["train", "tune", "benchmark"])
 def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path, capsys,
                                                                         monkeypatch, command):
-    """50 features, 800 training rows and 1024 units per layer: 2.6 GB per pass."""
+    """50 features, 800 training rows and 1024 units per layer: 2.7 GB per pass at 3 layers."""
     monkeypatch.setattr("fednam.tune.build_nam", lambda **kwargs: pytest.fail("built a model"))
     rows = [[(i * 7 + k) % 13 for k in range(50)] + [i % 2] for i in range(1000)]
     table = write_csv(tmp_path / "wide.csv", [f"f{k}" for k in range(50)] + ["target"], rows)
@@ -209,7 +209,7 @@ def test_training_pass_beyond_its_memory_bound_exits_1_naming_both_keys(tmp_path
     prefix = "grid trial 1: " if command == "tune" else ""
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {prefix}batch_size 1000 and model.hidden_units 1024 give a training pass "
-        "of 3040870400 bytes over 50 features, more than 2147483648"]
+        "of 2713190400 bytes over 50 features, more than 2147483648"]
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, iris_csv, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from _oracles import weighted_mean_tensors
 from conftest import HEART_COLUMNS, synthetic_heart_rows, write_csv
+import fednam.tune as tune
+from fednam.config import ModelConfig, RunConfig
 from fednam.control import ControlConfig
 from fednam.data import HEART, IRIS, SplitSpec, load_dataset
 from fednam.errors import ConfigError, DataError, ShapeMismatchError, TrainingError
@@ -27,7 +31,7 @@ from fednam.federation import (
 )
 from fednam.nam import build_nam
 from fednam.nn.bank import GRAD_BLOCK_ROWS
-from fednam.nn import ADAM, BINARY, MULTICLASS, OptimizerState, SGD
+from fednam.nn import ADAM, BINARY, EXU, MULTICLASS, RELU, TRAIN, OptimizerState, SGD
 
 
 def make_client(cid, x, y, model, lr=0.01, kind="adam", val_fraction=0.0):
@@ -468,13 +472,54 @@ def test_a_run_holds_the_vectors_its_bound_counts(iris_csv, kind, aggregation):
     assert (held - start) / vector < kept + 0.5
 
 
+def counted_pass_bytes(dataset, model: ModelConfig, batch_size: int) -> int:
+    """The bytes `check_pass_memory` counts for one training pass, read from
+    the line it refuses the config with under a bound of 0 bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tune, "MAX_PASS_BYTES", 0)
+        with pytest.raises(ConfigError, match="training pass of") as refused:
+            tune.check_pass_memory(dataset, RunConfig(model=model, batch_size=batch_size))
+    return int(re.search(r"pass of (\d+) bytes", str(refused.value)).group(1))
+
+
+@pytest.mark.parametrize("rows,units", [(1024, 64), (300, 300), (32, 512)])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("activation", [RELU, EXU])
+@pytest.mark.parametrize("layers", [1, 2, 3, 5])
+def test_a_training_pass_holds_what_its_bound_counts(layers, activation, dropout, rows, units):
+    """`check_pass_memory` counts, per hidden layer, its output and, under
+    dropout, its mask, four working arrays, the block product above
+    GRAD_BLOCK_ROWS rows and, in an ExU net of two or more hidden layers, one
+    exp(W) stack. One training forward+backward of 13 feature nets into given
+    gradient views peaks within that count."""
+    model_config = ModelConfig(hidden_layers=layers, hidden_units=units, unit_kind=activation, dropout=dropout)
+    dataset = SimpleNamespace(feature_names=[f"f{k}" for k in range(13)], y_train=np.zeros(rows), task=BINARY,
+                              n_classes=2)
+    counted = counted_pass_bytes(dataset, model_config, rows)
+    model = build_nam(13, BINARY, hidden_layers=layers, hidden_units=units, hidden_activation=activation,
+                      dropout_rate=dropout, rng=0)
+    rng = np.random.default_rng(1)
+    x, dlogits = rng.normal(size=(rows, 13)), rng.normal(size=(rows, 1))
+    out = model.split(np.empty_like(model.params))
+    model.backward_batch(model.forward_batch(x, TRAIN, 2)[1], dlogits, out)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, cache = model.forward_batch(x, TRAIN, 2)
+        model.backward_batch(cache, dlogits, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= counted
+
+
 @pytest.mark.parametrize("kind", [ADAM, SGD])
 def test_a_large_batch_run_holds_what_its_bounds_count(tmp_path, kind):
     """Above GRAD_BLOCK_ROWS rows, backward adds each block's product to a
     weight gradient through a temporary of that gradient's size, which
     `check_pass_memory` counts beside the pass's layer arrays. With 300-unit
-    layers, wider than the 260-row batch, the run's peak stays within those
-    bytes and the vectors the bound counts."""
+    layers, wider than the 260-row batch, the run's peak stays within the
+    pass that bound counts and the vectors it counts."""
     table = write_csv(tmp_path / "heart.csv", HEART_COLUMNS, synthetic_heart_rows(1500))
     dataset = load_dataset(table, HEART)
     features, layers, units, batch = len(dataset.feature_names), 2, 300, 260
@@ -485,7 +530,7 @@ def test_a_large_batch_run_holds_what_its_bounds_count(tmp_path, kind):
                          hidden_units=units, rng=rng)
 
     counted = (3 if kind == ADAM else 1) + 3
-    pass_bytes = 8 * features * batch * units * (2 * layers + 2) + 8 * features * units * units
+    pass_bytes = counted_pass_bytes(dataset, ModelConfig(hidden_layers=layers, hidden_units=units), batch)
     cfg = FederationConfig(num_clients=1, rounds=2, local_epochs=1, seed=0)
     tracemalloc.start()
     try:

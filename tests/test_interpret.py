@@ -293,7 +293,7 @@ def test_table_terms_depend_on_the_value_alone(case):
     # one pass over every row sums in other orders: it agrees to a few ulps of
     # the largest magnitude the last layer adds up into each term
     _, want, cache = nam_forward(model, x, TRAIN)
-    summed = np.abs(cache.inputs[-1] * model.weights[-1]).sum(axis=2) + np.abs(model.biases[-1])
+    summed = np.abs(cache.acts[-2] * model.weights[-1]).sum(axis=2) + np.abs(model.biases[-1])
     scale = np.abs(model.output_weights)[None] * summed.T[:, None, :]
     assert np.all(np.abs(terms - want) <= 4 * np.spacing(scale))
     # members share the distinct values; their mean is summed in member order

@@ -12,6 +12,7 @@ from fednam.dnn import build_dnn
 from fednam.errors import ShapeMismatchError
 from fednam.nam import build_nam
 from fednam.nn import BINARY, EXU, IDENTITY, MULTICLASS, RELU, NetBank, xavier_bank, xavier_init
+from fednam.nn.layers import activate, activation_grad
 
 
 def layer_output(weights, biases, activation, x):
@@ -143,3 +144,28 @@ class TestExu:
 
 def test_identity_layer_passes_bias_through():
     assert layer_output([[0.0]], [0.5], IDENTITY, 7.0) == 0.5
+
+
+# pre-activations at and beside the kinks of both rules, and past them
+EDGE_PREACTS = [-0.0, 0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, 2.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("kind", [RELU, EXU])
+def test_slope_read_from_the_output_is_the_preactivation_slope(kind, rate):
+    """Backward reads a unit's slope from its output h = activate(z) * s,
+    with s the dropout mask, 0 or 1 / keep, or 1.0 without dropout, and its
+    upstream already scaled by s. That gives the bits the pre-activation rule
+    gives, signed zeros included, at every edge of z."""
+    z = np.array(EDGE_PREACTS)[:, None, None]
+    upstream = np.array([1.5, -1.5, 0.0, -0.0])[None, None, :]
+    keep = 1.0 - rate
+    # the bank's mask values: True * (1 / keep) and False * (1 / keep)
+    mask = np.array([[1.0]]) if rate == 0.0 else np.array([False, True])[:, None] * (1.0 / keep)
+    h = activate(kind, np.broadcast_to(z, (len(z), *mask.shape)))
+    with np.errstate(invalid="ignore"):  # an infinite z under a zero mask
+        np.multiply(h, mask, out=h)
+    scaled = upstream * mask
+    slope = (z > 0.0) if kind == RELU else ((z > 0.0) & (z < 1.0))
+    got = activation_grad(kind, h, scaled, mask)
+    assert got.tobytes() == (scaled * slope).tobytes()
