@@ -148,36 +148,33 @@ def _distinct_terms(model, values: np.ndarray) -> np.ndarray:
     raise ShapeMismatchError(f"cannot decompose terms of {type(model).__name__}")
 
 
-def _per_feature_terms(model, x: np.ndarray) -> np.ndarray:
-    """(rows, classes, features) additive terms of a (rows, features) table.
-
-    Term k depends on x_k alone, so the model runs once over each column's
-    distinct values, packed into one matrix: a column with fewer of them
-    repeats its last. The rows then gather their terms, and every row holding
-    a value gets the same term bits.
-    """
-    inverse = np.empty(x.shape, dtype=np.intp)
-    distinct = []
-    for k, col in enumerate(x.T):
-        v, inverse[:, k] = np.unique(col, return_inverse=True)
-        distinct.append(v)
-    values = np.empty((max(map(len, distinct), default=0), x.shape[1]))
-    for k, v in enumerate(distinct):
-        values[: len(v), k] = v
-        values[len(v) :, k] = v[-1]
-    terms = _distinct_terms(model, values)
-    return np.take_along_axis(terms, inverse[:, None, :], axis=0)
-
-
 def contribution_scores(
     model, x: np.ndarray, owner: str, feature_names: list[str]
 ) -> ContributionReport:
-    """score_k = mean over rows (and classes) of |g_{c,k}(x_k)|, ranked descending."""
+    """score_k = mean over rows (and classes) of |g_{c,k}(x_k)|, ranked descending.
+
+    Term k depends on x_k alone, so the model runs once over each column's
+    distinct values, packed into one matrix: a column with fewer of them
+    repeats its last, which counts for no row. Each value's Σ_c |term| is
+    weighted by the rows holding it, and the weighted values are summed
+    pairwise. A score thus depends only on the multiset of its column's
+    values: shuffled rows give the same bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("contribution scores need a non-empty (rows, features) matrix")
-    terms = _per_feature_terms(model, x)
-    scores = np.abs(terms, out=terms).mean(axis=(0, 1))
+    distinct = [np.unique(col, return_counts=True) for col in x.T]
+    # (features, values): NumPy sums along the contiguous last axis pairwise
+    counts = np.zeros((x.shape[1], max((len(v) for v, _ in distinct), default=0)))
+    values = np.empty(counts.shape[::-1])
+    for k, (v, n) in enumerate(distinct):
+        values[: len(v), k] = v
+        values[len(v) :, k] = v[-1]
+        counts[k, : len(n)] = n
+    del distinct
+    terms = _distinct_terms(model, values)
+    counts *= np.abs(terms, out=terms).sum(axis=1).T
+    scores = counts.sum(axis=1) / (x.shape[0] * terms.shape[1])
     ranking = sorted(range(len(scores)), key=lambda k: (-scores[k], k))
     return ContributionReport(owner, list(feature_names), scores, ranking)
 

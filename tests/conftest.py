@@ -28,11 +28,12 @@ WINE_COLUMNS = [
 @pytest.hookimpl(tryfirst=True)
 def pytest_configure(config):
     """Register the hypothesis profile of CI's longer loop fuzz
-    (`pytest --hypothesis-profile=loop-fuzz`, test_reference_federation.py
-    and the oracle comparisons of test_bank.py) before the hypothesis plugin
-    loads it. Hypothesis is imported here, not at the top: perfbench imports
-    this module for its row generators, and hypothesis would add about 9 MB
-    to every such run's peak RSS."""
+    (`pytest --hypothesis-profile=loop-fuzz`, test_reference_federation.py,
+    the oracle comparisons of test_bank.py and the contribution-score
+    properties of test_interpret.py) before the hypothesis plugin loads it.
+    Hypothesis is imported here, not at the top: perfbench imports this
+    module for its row generators, and hypothesis would add about 9 MB to
+    every such run's peak RSS."""
     from hypothesis import settings
 
     settings.register_profile("loop-fuzz", max_examples=500, deadline=None)

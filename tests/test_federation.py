@@ -27,6 +27,7 @@ from fednam.federation import (
     partition_clients,
     run_federation,
     train_centralized,
+    _carve_validation,
     _loss_and_accuracy,
 )
 from fednam.nam import build_nam
@@ -111,6 +112,14 @@ class TestPartition:
     def test_too_few_rows(self):
         with pytest.raises(DataError):
             partition_clients(np.array([0, 1]), 3, seed=0)
+
+    @pytest.mark.parametrize("n_rows, n_val", [(1, 0), (2, 1), (10, 1)])
+    def test_validation_carve_leaves_a_training_row(self, n_rows, n_val):
+        """At val_fraction 0.1 a shard of two or more rows validates on at
+        least one row and trains on the rest; a 1-row shard validates on none."""
+        train_rows, val_rows = _carve_validation(n_rows, 0.1, seed=0, client_id=0)
+        assert (len(train_rows), len(val_rows)) == (n_rows - n_val, n_val)
+        assert np.array_equal(np.sort(np.concatenate([train_rows, val_rows])), np.arange(n_rows))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from xml.etree import ElementTree
@@ -20,7 +21,6 @@ from fednam.federation import ClientState, EnsembleModel, FederationConfig
 from fednam.interpret import (
     GLOBAL_OWNER,
     ShapeCurve,
-    _per_feature_terms,
     average_shape_functions,
     baseline_attributions,
     contribution_scores,
@@ -30,8 +30,9 @@ from fednam.interpret import (
     render_shapes_svg,
 )
 from fednam.nam import build_nam, nam_forward
-from fednam.nn import BINARY, EXU, IDENTITY, MULTICLASS, RELU, TRAIN, OptimizerState
+from fednam.nn import BINARY, EXU, IDENTITY, INFER, MULTICLASS, RELU, TRAIN, OptimizerState
 from conftest import write_csv, synthetic_heart_rows, HEART_COLUMNS
+from test_bank import examples
 
 
 class TestShapeCurves:
@@ -244,8 +245,9 @@ class TestGlobalInterpret:
 
 
 def test_contribution_scores_keep_no_activations():
-    """An inference pass over many rows holds one block's activations at a time,
-    and the scores take the absolute terms in place."""
+    """An inference pass over many rows holds one block's activations at a time.
+    The scores take one pass over each column's distinct values, and no
+    per-row term array exists."""
     model = build_nam(11, BINARY, rng=0)
     x = np.random.default_rng(0).normal(size=(50_000, 11))
     tracemalloc.start()
@@ -254,7 +256,7 @@ def test_contribution_scores_keep_no_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 26e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @st.composite
@@ -281,27 +283,73 @@ def term_tables(draw):
     return model, np.column_stack(columns)
 
 
-@given(term_tables())
-@settings(max_examples=60, deadline=None)
-def test_table_terms_depend_on_the_value_alone(case):
-    model, x = case
-    terms = _per_feature_terms(model, x)
-    # rows holding one value get the bits of that value's first row
-    for k in range(x.shape[1]):
-        _, first, inverse = np.unique(x[:, k], return_index=True, return_inverse=True)
-        assert terms[first[inverse], :, k].tobytes() == terms[:, :, k].tobytes()
-    # one pass over every row sums in other orders: it agrees to a few ulps of
-    # the largest magnitude the last layer adds up into each term
-    _, want, cache = nam_forward(model, x, TRAIN)
-    summed = np.abs(cache.acts[-2] * model.weights[-1]).sum(axis=2) + np.abs(model.biases[-1])
-    scale = np.abs(model.output_weights)[None] * summed.T[:, None, :]
-    assert np.all(np.abs(terms - want) <= 4 * np.spacing(scale))
-    # members share the distinct values; their mean is summed in member order
+def halved(model):
+    """A second ensemble member: the model's parameters halved and shifted."""
     other = model.copy()
     other.set_params(model.params * 0.5 + 1e-3)
-    ensemble = EnsembleModel([model, other])
-    want = (terms + _per_feature_terms(other, x)) / 2
-    assert _per_feature_terms(ensemble, x).tobytes() == want.tobytes()
+    return other
+
+
+def exact_means(a: np.ndarray) -> np.ndarray:
+    """Per feature, the mean of a (rows, classes, features) array over a
+    correctly rounded `math.fsum` of its (rows, classes) slice."""
+    return np.array([math.fsum(a[:, :, k].ravel()) for k in range(a.shape[2])]) / (a.shape[0] * a.shape[1])
+
+
+def one_pass_terms(model, x):
+    """The terms of one pass over every row, and how far each may sit from the
+    term the model gives its value elsewhere: a few ulps of the largest
+    magnitude the last layer adds up into it."""
+    _, terms, cache = nam_forward(model, x, TRAIN)
+    summed = np.abs(cache.acts[-2] * model.weights[-1]).sum(axis=2) + np.abs(model.biases[-1])
+    return terms, 4 * np.spacing(np.abs(model.output_weights)[None] * summed.T[:, None, :])
+
+
+@given(term_tables())
+@settings(examples(60), deadline=None)
+def test_scores_are_the_mean_of_one_pass_terms(case):
+    """A score is the mean |term| of one pass over every row, within that
+    pass's term slack plus the rounding of a pairwise sum. An ensemble scores
+    the mean of its members' terms, summed in member order."""
+    model, x = case
+    other = halved(model)
+    (terms, slack), (other_terms, other_slack) = one_pass_terms(model, x), one_pass_terms(other, x)
+    mean = (terms + other_terms) / 2
+    for scored, want, want_slack in [
+        (model, terms, slack),
+        (EnsembleModel([model, other]), mean, (slack + other_slack) / 2 + 2 * np.spacing(np.abs(mean))),
+    ]:
+        got = contribution_scores(scored, x, "c", ["a", "b", "c", "d"][: x.shape[1]]).scores
+        exact = exact_means(np.abs(want))
+        assert np.all(np.abs(got - exact) <= exact_means(want_slack) + 16 * np.spacing(exact))
+
+
+def test_scores_are_within_8_ulps_of_the_exact_mean():
+    """Each distinct value's |term| is weighted by its row count and the
+    weighted values are summed pairwise, so a score over 80,000 rows stays
+    within 8 ulps of the correctly rounded mean of the same terms. A one-unit
+    linear net computes each term from its value alone, so one pass over the
+    rows gives every row its value's term bits."""
+    rng = np.random.default_rng(5)
+    rows = 80_000
+    model = linear_nam([0.7, -1.3, 2.1, 0.4], [1.0, 0.5, -1.5, 3.0])
+    x = np.column_stack([rng.normal(size=d)[rng.integers(d, size=rows)] for d in (rows, 1_500, 40, 3)])
+    _, terms, _ = nam_forward(model, x, INFER)
+    want = exact_means(np.abs(terms))
+    got = contribution_scores(model, x, "c", ["a", "b", "c", "d"]).scores
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), (got - want) / np.spacing(want)
+
+
+@given(term_tables(), st.integers(0, 2**32 - 1))
+@settings(examples(60), deadline=None)
+def test_shuffled_rows_score_the_same_bits(case, seed):
+    """A score depends only on the multiset of its column's values."""
+    model, x = case
+    shuffled = x[np.random.default_rng(seed).permutation(len(x))]
+    names = ["a", "b", "c", "d"][: x.shape[1]]
+    for scored in (model, EnsembleModel([model, halved(model)])):
+        got = contribution_scores(scored, shuffled, "c", names).scores
+        assert got.tobytes() == contribution_scores(scored, x, "c", names).scores.tobytes()
 
 
 def test_terms_of_a_dense_model_are_rejected():

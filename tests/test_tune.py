@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -220,6 +221,16 @@ def test_config_round_trip_and_unknown_keys():
         config_from_dict({"sneaky": 1})
     with pytest.raises(ConfigError, match="unknown keys in federation"):
         config_from_dict({"federation": {"round": 7}})
+
+
+def test_readme_defaults_are_the_config_defaults():
+    """README's Configuration block shows every default; only its dataset
+    section differs, pointing at iris."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config = config_from_dict(json.loads(block))
+    assert config.dataset == DatasetConfig(kind="iris", csv="data/iris.csv")
+    assert dataclasses.replace(config, dataset=DatasetConfig()) == RunConfig()
 
 
 @pytest.mark.parametrize(
